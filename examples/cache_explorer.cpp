@@ -48,7 +48,7 @@ main(int argc, char **argv)
             cfg.workload.transactions = txns;
             cfg.workload.warmupTransactions = txns / 2;
             Machine m(cfg);
-            const RunResult r = m.run(ExecMode::Timing);
+            const RunResult r = m.run();
             const double mpki =
                 1000.0 *
                 static_cast<double>(r.misses.totalL2Misses()) /

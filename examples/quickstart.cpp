@@ -31,12 +31,9 @@ main(int argc, char **argv)
     std::cout << "Running " << cfg.name << " with " << cpus
               << " cpu(s), " << txns << " transactions...\n";
 
-    // Warm the caches in atomic (fast-functional) mode — identical
-    // warm state for this in-order machine, a fraction of the wall
-    // time — then measure with the paper's timing model. See
-    // docs/EXECMODE.md.
+    // Warm the caches, then measure with the paper's timing model.
     Machine machine(cfg);
-    const RunResult r = machine.run(ExecMode::Atomic, ExecMode::Timing);
+    const RunResult r = machine.run();
 
     const double exec = static_cast<double>(r.execTime());
     std::cout << "\ntransactions: " << r.transactions

@@ -39,7 +39,7 @@ main(int argc, char **argv)
               << " servers/cpu)\n\n";
 
     Machine machine(cfg);
-    const RunResult r = machine.run(ExecMode::Timing);
+    const RunResult r = machine.run();
     OltpEngine &engine = machine.engine();
 
     Table t({"Metric", "Value"});

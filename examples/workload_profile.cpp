@@ -46,7 +46,7 @@ main(int argc, char **argv)
                 idx < static_cast<int>(region_misses.size()))
                 ++region_misses[idx];
         });
-    const RunResult r = machine.run(ExecMode::Timing);
+    const RunResult r = machine.run();
 
     std::cout << "profiled " << r.transactions << " transactions on "
               << cpus << " cpu(s); " << r.cpu.instructions

@@ -50,7 +50,7 @@ leaseModeFromName(const std::string &name, LeaseMode &out)
 }
 
 std::string
-warmGroupKey(const MachineConfig &config, ExecMode warmup_mode)
+warmGroupKey(const MachineConfig &config)
 {
     // Canonicalize exactly the knobs a latency-override restore may
     // change (plus the name, which is a label, not state): what is
@@ -60,11 +60,7 @@ warmGroupKey(const MachineConfig &config, ExecMode warmup_mode)
     canon.name = "";
     canon.level = IntegrationLevel::Base;
     canon.l2Impl = L2Impl::OffchipDirect;
-    std::vector<std::uint8_t> bytes = ckpt::configBytes(canon);
-    // The producing warm-up mode is part of the image's identity:
-    // checkpoint META records it and restore rejects a mismatch, so
-    // bars warmed differently must land in different groups.
-    bytes.push_back(static_cast<std::uint8_t>(warmup_mode));
+    const std::vector<std::uint8_t> bytes = ckpt::configBytes(canon);
     return stats::hex64(ckpt::fnv1a64(bytes.data(), bytes.size()));
 }
 
@@ -73,7 +69,6 @@ expandCampaign(const CampaignSpec &spec, const RunOptions &options)
 {
     CampaignPlan plan;
     plan.spec = spec;
-    plan.execMode = options.effectiveExecMode();
     plan.sample = options.sample;
 
     // Resolve figure ids like `isim-fig run` does (exact id first,
@@ -108,8 +103,6 @@ expandCampaign(const CampaignSpec &spec, const RunOptions &options)
     for (const std::optional<std::uint64_t> &seed : seedAxis) {
         for (const FigureEntry *entry : entries) {
             const FigureSpec figure = entry->make();
-            const ExecMode warmupMode =
-                options.effectiveWarmupMode(figure.warmupMode);
             for (const FigureBar &fb : figure.bars) {
                 MachineConfig cfg = fb.config;
                 // Spec overrides first, then flags on top (flags
@@ -135,8 +128,7 @@ expandCampaign(const CampaignSpec &spec, const RunOptions &options)
                                            options.sample);
                 bar.configDigest = stats::configDigest(bytes);
                 bar.seed = cfg.workload.seed;
-                bar.warmupMode = warmupMode;
-                bar.groupKey = warmGroupKey(cfg, warmupMode);
+                bar.groupKey = warmGroupKey(cfg);
                 plan.bars.push_back(std::move(bar));
             }
         }

@@ -65,12 +65,6 @@ struct CampaignBar
     std::uint64_t seed = 0;
     std::string groupKey;   //!< warm-image identity (warmGroupKey)
     /**
-     * Warm-up execution mode of the bar (the figure's registry
-     * default, unless --warmup-mode overrides it). Folded into
-     * groupKey: bars warmed in different modes never share an image.
-     */
-    ExecMode warmupMode = ExecMode::Timing;
-    /**
      * When another bar earlier in expansion order has the same key,
      * its index: this bar is an alias — never leased, it shares the
      * primary's cached result and fate.
@@ -82,8 +76,6 @@ struct CampaignPlan
 {
     CampaignSpec spec;
     std::vector<CampaignBar> bars;
-    /** Measurement execution mode (--exec-mode; Timing by default). */
-    ExecMode execMode = ExecMode::Timing;
     /**
      * Sampled-measurement schedule (--sample-*; disabled by default).
      * Folded into every bar key, so sampled and exact cells never
@@ -103,13 +95,9 @@ struct CampaignPlan
  * The warm-image identity of a configuration: the config digest with
  * name, integration level and L2 implementation canonicalized away —
  * exactly the knobs fromCheckpoint(path, level, l2Impl) may override
- * on restore — plus the warm-up execution mode that produced (or will
- * produce) the image. Two bars share a warm image iff their keys are
- * equal; an image warmed atomically never masquerades as a
- * timing-warmed one (checkpoint META enforces the same at restore).
+ * on restore. Two bars share a warm image iff their keys are equal.
  */
-std::string warmGroupKey(const MachineConfig &config,
-                         ExecMode warmup_mode);
+std::string warmGroupKey(const MachineConfig &config);
 
 /**
  * Expand a spec against the figure registry. Fatal on an unknown

@@ -198,18 +198,6 @@ spawnWorker(const CampaignRunConfig &config, const std::string &exe,
         args.push_back("--seed");
         args.push_back(std::to_string(*config.options.seed));
     }
-    // Execution modes shape the plan (warmGroupKey folds the warm-up
-    // mode in), so workers must expand under the same overrides or
-    // the Hello bar-count/identity check would pass while group keys
-    // silently diverge.
-    if (config.options.warmupMode) {
-        args.push_back("--warmup-mode");
-        args.push_back(execModeName(*config.options.warmupMode));
-    }
-    if (config.options.execMode) {
-        args.push_back("--exec-mode");
-        args.push_back(execModeName(*config.options.execMode));
-    }
     // The sampling schedule is part of every bar's identity
     // (resultKey folds it in), so workers must expand under the same
     // --sample-* flags or their keys would diverge from ours.

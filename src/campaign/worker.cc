@@ -111,7 +111,7 @@ runLeasedBar(const CampaignPlan &plan, const Lease &lease,
           case LeaseMode::Build:
           case LeaseMode::ImageOnly:
             machine = std::make_unique<Machine>(bar.config);
-            machine->runWarmup(bar.warmupMode);
+            machine->runWarmup();
             if (lease.mode != LeaseMode::Cold)
                 saveImageAtomic(*machine, image);
             if (lease.mode == LeaseMode::ImageOnly)
@@ -119,15 +119,10 @@ runLeasedBar(const CampaignPlan &plan, const Lease &lease,
             break;
           case LeaseMode::Restore:
             machine = Machine::fromCheckpoint(image, bar.config.level,
-                                              bar.config.l2Impl,
-                                              bar.warmupMode);
+                                              bar.config.l2Impl);
             // A restore is valid only against this bar's group: any
-            // other image would measure a different machine. The
-            // image's own recorded warm-up mode goes into the key, so
-            // a mode mismatch fails here too (fromCheckpoint already
-            // rejects it with a clearer message).
-            if (warmGroupKey(machine->config(), machine->warmupMode()) !=
-                bar.groupKey)
+            // other image would measure a different machine.
+            if (warmGroupKey(machine->config()) != bar.groupKey)
                 return {false, "warm image '" + image +
                                    "' does not match the bar's "
                                    "configuration group"};
@@ -137,9 +132,9 @@ runLeasedBar(const CampaignPlan &plan, const Lease &lease,
         RunResult r;
         if (plan.sample.enabled()) {
             sample::SampleController controller(*machine, plan.sample);
-            r = controller.run(plan.execMode);
+            r = controller.run();
         } else {
-            r = machine->runMeasurement(plan.execMode);
+            r = machine->runMeasurement();
         }
         // A restored machine reports under the image's (builder's)
         // name; the result belongs to this bar.
@@ -162,10 +157,6 @@ runLeasedBar(const CampaignPlan &plan, const Lease &lease,
         mb.meta.simWallMs = static_cast<double>(r.wallTime) / 1e6;
         // hostWallMs stays unset: the cached bar file must be
         // byte-stable across resumes (docs/CAMPAIGN.md).
-        if (r.warmupMode != ExecMode::Timing)
-            mb.meta.warmupMode = execModeName(r.warmupMode);
-        if (r.execMode != ExecMode::Timing)
-            mb.meta.execMode = execModeName(r.execMode);
         if (r.sampling.enabled) {
             mb.meta.sampleMode = sample::sampleModeName(r.sampling.mode);
             mb.meta.sampleFf = r.sampling.ff;

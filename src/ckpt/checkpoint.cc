@@ -250,7 +250,6 @@ Machine::checkpointBytes() const
 
     s.beginSection(ckpt::tagMeta);
     s.u64(warmEnd_);
-    s.u8(static_cast<std::uint8_t>(warmupMode_));
     s.endSection();
 
     s.beginSection(ckpt::tagSimLoop);
@@ -316,30 +315,27 @@ Machine::stateDigest() const
 }
 
 void
-Machine::restoreFromImage(ckpt::Deserializer &d, ExecMode expected_warmup)
+Machine::restoreFromImage(ckpt::Deserializer &d)
 {
     ISIM_PROF_SCOPE("ckpt/restore");
     d.beginSection(ckpt::tagMeta);
     warmEnd_ = d.u64();
-    // Additive field: images from before the ExecMode API carry an
-    // 8-byte META and were, by definition, warmed in timing mode.
-    warmupMode_ =
-        d.sectionRemaining() > 0
-            ? ckpt::readEnum(d, ExecMode::Atomic, "warm-up exec mode")
-            : ExecMode::Timing;
-    d.endSection();
-    if (warmupMode_ != expected_warmup) {
-        // An atomic-warmed image and a timing-warmed image define warm
-        // state differently (docs/EXECMODE.md); mixing them silently
-        // would blend two result series. The caller must opt in with
-        // an explicit --warmup-mode.
-        isim_fatal("checkpoint warm-up mode mismatch: image was warmed "
-                   "in %s mode but this run expects %s warm-up "
-                   "(pass --warmup-mode %s to accept the image)",
-                   execModeName(warmupMode_),
-                   execModeName(expected_warmup),
-                   execModeName(warmupMode_));
+    // Legacy, read-only field: images written while an atomic warm-up
+    // existed carry a 9th META byte naming the warm-up mode (0 =
+    // timing, 1 = atomic). Current images omit it.
+    if (d.sectionRemaining() > 0) {
+        const std::uint8_t mode = d.u8();
+        if (mode == 1) {
+            isim_fatal("checkpoint was warmed by the removed atomic "
+                       "warm-up; rebuild the image");
+        }
+        if (mode > 1) {
+            isim_fatal("checkpoint corrupt: warm-up exec mode value %u "
+                       "out of range",
+                       mode);
+        }
     }
+    d.endSection();
 
     d.beginSection(ckpt::tagSimLoop);
     pendingSim_ = std::make_unique<SimState>();
@@ -390,8 +386,7 @@ Machine::restoreFromImage(ckpt::Deserializer &d, ExecMode expected_warmup)
 }
 
 std::unique_ptr<Machine>
-Machine::fromCheckpointBytes(const std::vector<std::uint8_t> &bytes,
-                             ExecMode expected_warmup)
+Machine::fromCheckpointBytes(const std::vector<std::uint8_t> &bytes)
 {
     ckpt::Deserializer d(bytes);
     d.beginSection(ckpt::tagConfig);
@@ -399,12 +394,12 @@ Machine::fromCheckpointBytes(const std::vector<std::uint8_t> &bytes,
     d.endSection();
 
     auto machine = std::make_unique<Machine>(config);
-    machine->restoreFromImage(d, expected_warmup);
+    machine->restoreFromImage(d);
     return machine;
 }
 
 std::unique_ptr<Machine>
-Machine::fromCheckpoint(const std::string &path, ExecMode expected_warmup)
+Machine::fromCheckpoint(const std::string &path)
 {
     ckpt::Deserializer d = ckpt::Deserializer::fromFile(path);
     d.beginSection(ckpt::tagConfig);
@@ -412,13 +407,13 @@ Machine::fromCheckpoint(const std::string &path, ExecMode expected_warmup)
     d.endSection();
 
     auto machine = std::make_unique<Machine>(config);
-    machine->restoreFromImage(d, expected_warmup);
+    machine->restoreFromImage(d);
     return machine;
 }
 
 std::unique_ptr<Machine>
 Machine::fromCheckpoint(const std::string &path, IntegrationLevel level,
-                        L2Impl l2_impl, ExecMode expected_warmup)
+                        L2Impl l2_impl)
 {
     ckpt::Deserializer d = ckpt::Deserializer::fromFile(path);
     d.beginSection(ckpt::tagConfig);
@@ -431,7 +426,7 @@ Machine::fromCheckpoint(const std::string &path, IntegrationLevel level,
     config.l2Impl = l2_impl;
 
     auto machine = std::make_unique<Machine>(config);
-    machine->restoreFromImage(d, expected_warmup);
+    machine->restoreFromImage(d);
     return machine;
 }
 

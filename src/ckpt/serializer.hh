@@ -41,9 +41,9 @@ namespace isim::ckpt {
 /**
  * Bump when the encoding changes incompatibly (docs/CHECKPOINT.md).
  * Additive, length-checked trailing fields inside a section (e.g.
- * META's warm-up ExecMode byte) do NOT bump this: readers probe them
- * with sectionRemaining() and default when absent, so older images
- * stay loadable and config digests stay stable.
+ * the legacy META warm-up mode byte) do NOT bump this: readers probe
+ * them with sectionRemaining() and default when absent, so older
+ * images stay loadable and config digests stay stable.
  */
 inline constexpr std::uint32_t formatVersion = 1;
 

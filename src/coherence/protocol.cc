@@ -99,8 +99,18 @@ NodeProtocolStats::operator+=(const NodeProtocolStats &o)
 void
 MemSysConfig::validate() const
 {
-    isim_assert(numNodes >= 1 && numNodes <= 32);
-    isim_assert(coresPerNode >= 1 && coresPerNode <= 16);
+    // Model limits: the directory's sharer set is a 32-bit mask, and
+    // a chip holds at most 16 cores (the modelled CMP range).
+    if (numNodes < 1 || numNodes > 32) {
+        isim_fatal("%u nodes: the model supports 1..32 nodes (the "
+                   "directory's sharer mask is 32 bits)",
+                   numNodes);
+    }
+    if (coresPerNode < 1 || coresPerNode > 16) {
+        isim_fatal("%u cores per node: the model supports 1..16 cores "
+                   "per chip",
+                   coresPerNode);
+    }
     isim_assert(isPowerOf2(lineBytes));
     CacheGeometry l1{l1Size, l1Assoc, lineBytes};
     l1.validate();
@@ -128,14 +138,25 @@ MemorySystem::Node::Node(NodeId id, const MemSysConfig &cfg)
         rac = std::make_unique<Rac>(id, cfg.rac);
 }
 
+namespace {
+
+/** The config after validate(): runs before any member it sizes. */
+const MemSysConfig &
+validated(const MemSysConfig &config)
+{
+    config.validate();
+    return config;
+}
+
+} // namespace
+
 MemorySystem::MemorySystem(const MemSysConfig &config)
-    : config_(config),
+    : config_(validated(config)),
       homeMap_{config.nodeShift, config.numNodes},
       lineBits_(floorLog2(config.lineBytes)),
       dir_(homeMap_, lineBits_),
       nocTopo_(config.numNodes)
 {
-    config_.validate();
     mcBusyUntil_.assign(config_.numNodes, 0);
     nodes_.reserve(config_.numNodes);
     for (NodeId n = 0; n < config_.numNodes; ++n)
@@ -454,10 +475,10 @@ MemorySystem::access(NodeId core, RefType type, Addr paddr, Tick now)
     ++transitionCount_;
 #ifdef ISIM_CHECK_INVARIANTS
     verify::TransitionAudit audit(*this, core, type, paddr);
-    const AccessOutcome out = accessImpl<false>(core, type, paddr, now);
+    const AccessOutcome out = accessImpl(core, type, paddr, now);
     audit.finish(out);
 #else
-    const AccessOutcome out = accessImpl<false>(core, type, paddr, now);
+    const AccessOutcome out = accessImpl(core, type, paddr, now);
 #endif
     if (ISIM_OBS_ACTIVE(tracer_) && out.cls != MissClass::L1Hit) {
         const Addr line = paddr >> lineBits_;
@@ -482,23 +503,6 @@ MemorySystem::access(NodeId core, RefType type, Addr paddr, Tick now)
     return out;
 }
 
-AccessOutcome
-MemorySystem::accessAtomic(NodeId core, RefType type, Addr paddr)
-{
-    // Same audited state machine as access(); the protocol invariants
-    // hold in either mode, only the timing machinery is absent.
-    ++transitionCount_;
-#ifdef ISIM_CHECK_INVARIANTS
-    verify::TransitionAudit audit(*this, core, type, paddr);
-    const AccessOutcome out = accessImpl<true>(core, type, paddr, 0);
-    audit.finish(out);
-    return out;
-#else
-    return accessImpl<true>(core, type, paddr, 0);
-#endif
-}
-
-template <bool Atomic>
 AccessOutcome
 MemorySystem::accessImpl(NodeId core, RefType type, Addr paddr, Tick now)
 {
@@ -617,24 +621,20 @@ MemorySystem::accessImpl(NodeId core, RefType type, Addr paddr, Tick now)
     out.stall = latencyFor(out.cls, false, out.fromRemoteRac);
     {
         // NoC traffic accounting runs on every directory-path miss,
-        // tracer or not — and in both execution modes: it is pure
-        // counting, and keeping it on the atomic path is what makes
-        // an atomic warm image bit-identical to a timing one.
+        // tracer or not.
         NocLeg legs[3];
         const unsigned nlegs = nocLegsFor(node, home, dr.peer, legs);
         countNocLegs(legs, nlegs);
     }
-    if constexpr (!Atomic) {
-        if (config_.mcOccupancy > 0) {
-            // Every directory-path miss occupies the home's controller.
-            const Cycles queued = mcQueueDelay(home, now);
-            out.stall += queued;
-            nd.stats.mcQueueCycles += queued;
-        }
-        if (ISIM_OBS_ACTIVE(tracer_)) {
-            traceDirectoryMiss(core, node, home, dr.peer, type, out,
-                               line, now);
-        }
+    if (config_.mcOccupancy > 0) {
+        // Every directory-path miss occupies the home's controller.
+        const Cycles queued = mcQueueDelay(home, now);
+        out.stall += queued;
+        nd.stats.mcQueueCycles += queued;
+    }
+    if (ISIM_OBS_ACTIVE(tracer_)) {
+        traceDirectoryMiss(core, node, home, dr.peer, type, out, line,
+                           now);
     }
     if (config_.prefetchDegree > 0)
         issuePrefetches(node, line);

@@ -206,17 +206,6 @@ class MemorySystem
     AccessOutcome access(NodeId core, RefType type, Addr paddr,
                          Tick now = 0);
 
-    /**
-     * The atomic (fast-functional) access path: applies exactly the
-     * same cache-array / victim-buffer / RAC / directory state
-     * transitions and miss classification as access(), charging the
-     * table latency for the class, but with the timing-only machinery
-     * statically removed — no memory-controller queue model, no NoC
-     * leg accounting, no tracer emission. See docs/EXECMODE.md for
-     * the resulting equivalence guarantees.
-     */
-    AccessOutcome accessAtomic(NodeId core, RefType type, Addr paddr);
-
     unsigned totalCores() const
     {
         return config_.numNodes * config_.coresPerNode;
@@ -343,14 +332,7 @@ class MemorySystem
         return homeMap_.homeOfLine(line_addr, lineBits_);
     }
 
-    /**
-     * The access path proper (access() / accessAtomic() wrap it with
-     * auditing). The Atomic instantiation statically removes the
-     * timing-only machinery: MC queue contention, NoC leg accounting
-     * and tracer emission — state transitions and classification are
-     * shared, so the two paths cannot drift apart.
-     */
-    template <bool Atomic>
+    /** The access path proper (access() wraps it with auditing). */
     AccessOutcome accessImpl(NodeId core, RefType type, Addr paddr,
                              Tick now);
 

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -38,14 +40,25 @@ lower(std::string text)
     return text;
 }
 
+/** Parse an all-digit string; false if it does not fit 64 bits. */
+bool
+parseDigits(const std::string &digits, std::uint64_t &out)
+{
+    errno = 0;
+    out = std::strtoull(digits.c_str(), nullptr, 10);
+    return errno != ERANGE;
+}
+
 } // namespace
 
 std::uint64_t
-parseSize(const std::string &text)
+parseSize(const std::string &text, const std::string &key)
 {
+    const std::string where =
+        key.empty() ? "" : "config key '" + key + "': ";
     const std::string t = trim(text);
     if (t.empty())
-        isim_fatal("empty size value");
+        isim_fatal("%sempty size value", where.c_str());
     std::uint64_t scale = 1;
     std::string digits = t;
     const char suffix =
@@ -57,9 +70,15 @@ parseSize(const std::string &text)
     }
     if (digits.empty() ||
         digits.find_first_not_of("0123456789") != std::string::npos) {
-        isim_fatal("malformed size value '%s'", text.c_str());
+        isim_fatal("%smalformed size value '%s'", where.c_str(),
+                   text.c_str());
     }
-    return std::stoull(digits) * scale;
+    std::uint64_t n = 0;
+    if (!parseDigits(digits, n) || n > UINT64_MAX / scale) {
+        isim_fatal("%ssize value '%s' does not fit in 64 bits",
+                   where.c_str(), text.c_str());
+    }
+    return n * scale;
 }
 
 KvConfig
@@ -142,7 +161,12 @@ KvConfig::getUint(const std::string &key, std::uint64_t fallback) const
     if (v.find_first_not_of("0123456789") != std::string::npos)
         isim_fatal("config key '%s': expected integer, got '%s'",
                    key.c_str(), v.c_str());
-    return std::stoull(v);
+    std::uint64_t n = 0;
+    if (!parseDigits(v, n)) {
+        isim_fatal("config key '%s': value '%s' does not fit in 64 bits",
+                   key.c_str(), v.c_str());
+    }
+    return n;
 }
 
 double
@@ -185,7 +209,7 @@ KvConfig::getSize(const std::string &key, std::uint64_t fallback) const
 {
     markRead(key);
     auto it = map_.find(key);
-    return it == map_.end() ? fallback : parseSize(it->second);
+    return it == map_.end() ? fallback : parseSize(it->second, key);
 }
 
 void

@@ -62,8 +62,12 @@ class KvConfig
     mutable std::map<std::string, bool> read_;
 };
 
-/** Parse "64" / "32K" / "2M" / "1G" into bytes; fatal() on junk. */
-std::uint64_t parseSize(const std::string &text);
+/**
+ * Parse "64" / "32K" / "2M" / "1G" into bytes; fatal() on junk or on
+ * a value past 2^64-1. A non-empty `key` is named in the message.
+ */
+std::uint64_t parseSize(const std::string &text,
+                        const std::string &key = "");
 
 /**
  * Build a full machine configuration from a KvConfig. Unknown keys

@@ -6,6 +6,7 @@
 #include "src/config/run_options.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -19,15 +20,19 @@ namespace isim {
 
 namespace {
 
-/** Strict uint parse; nullopt on garbage (env values are lenient). */
+/**
+ * Strict uint parse; nullopt on garbage or on a value past 2^64-1
+ * (env values are lenient).
+ */
 std::optional<std::uint64_t>
 parseUint(const char *text)
 {
     if (!text || !*text)
         return std::nullopt;
     char *end = nullptr;
+    errno = 0;
     const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || text[0] == '-')
+    if (end == text || *end != '\0' || text[0] == '-' || errno == ERANGE)
         return std::nullopt;
     return static_cast<std::uint64_t>(v);
 }
@@ -41,17 +46,6 @@ parseUintOrDie(const char *flag, const std::string &text)
         isim_fatal("%s: expected an unsigned integer, got '%s'", flag,
                    text.c_str());
     return *v;
-}
-
-/** Like execModeFromName but fatal(): flag values must be valid. */
-ExecMode
-parseExecModeOrDie(const char *flag, const std::string &text)
-{
-    const std::optional<ExecMode> m = execModeFromName(text);
-    if (!m)
-        isim_fatal("%s: expected 'atomic' or 'timing', got '%s'", flag,
-                   text.c_str());
-    return *m;
 }
 
 } // namespace
@@ -88,14 +82,6 @@ RunOptions::fromEnv()
         opts.saveCkptDir = dir;
     if (const char *dir = std::getenv("ISIM_FROM_CKPT"))
         opts.fromCkptDir = dir;
-    if (const char *mode = std::getenv("ISIM_WARMUP_MODE")) {
-        if (const auto m = execModeFromName(mode))
-            opts.warmupMode = *m;
-    }
-    if (const char *mode = std::getenv("ISIM_EXEC_MODE")) {
-        if (const auto m = execModeFromName(mode))
-            opts.execMode = *m;
-    }
     if (const char *path = std::getenv("ISIM_PROF_OUT"))
         opts.profOut = path;
     if (const auto v = parseUint(std::getenv("ISIM_SAMPLE_FF")))
@@ -177,10 +163,6 @@ RunOptions::fromCommandLine(int &argc, char **argv)
             opts.saveCkptDir = value;
         } else if (matches(i, "--from-ckpt")) {
             opts.fromCkptDir = value;
-        } else if (matches(i, "--warmup-mode")) {
-            opts.warmupMode = parseExecModeOrDie("--warmup-mode", value);
-        } else if (matches(i, "--exec-mode")) {
-            opts.execMode = parseExecModeOrDie("--exec-mode", value);
         } else if (matches(i, "--prof-out")) {
             opts.profOut = value;
         } else if (matches(i, "--sample-ff")) {
@@ -271,10 +253,6 @@ runOptionsHelp()
            "into DIR after warm-up\n"
            "  --from-ckpt=DIR      restore warm checkpoints from DIR "
            "(skips warm-up)\n"
-           "  --warmup-mode=MODE   warm-up execution mode: atomic or "
-           "timing (default: the figure's)\n"
-           "  --exec-mode=MODE     measurement execution mode "
-           "(default timing; atomic has no event timing)\n"
            "  --prof-out=FILE      write the host self-profile "
            "(prof.json) to FILE\n"
            "  --sample-ff=N        sampled run: fast-forward N txns "
@@ -283,7 +261,7 @@ runOptionsHelp()
            "window (enables sampling)\n"
            "  --sample-windows=N   sampled run: window count "
            "(default: derived from --txns)\n"
-           "  --sample-warm=N      sampled run: atomic-warm txns "
+           "  --sample-warm=N      sampled run: warm-up txns "
            "before each window (default: min(ff, measure))\n"
            "  --sample-mode=MODE   sampled run: window placement, "
            "fixed or random\n"

@@ -16,7 +16,6 @@
 #include <optional>
 #include <string>
 
-#include "src/core/exec_mode.hh"
 #include "src/obs/observability.hh"
 #include "src/oltp/workload_params.hh"
 #include "src/sample/spec.hh"
@@ -75,16 +74,6 @@ struct RunOptions
      */
     std::string fromCkptDir;
     /**
-     * Warm-up execution-mode override (docs/EXECMODE.md). Unset: the
-     * figure spec's default (effectiveWarmupMode). With --from-ckpt,
-     * this is also the mode the restored image must have been warmed
-     * in — restoring an atomic image into a timing-warm-up run is
-     * fatal unless --warmup-mode atomic is given.
-     */
-    std::optional<ExecMode> warmupMode;
-    /** Measurement execution-mode override. Unset: Timing. */
-    std::optional<ExecMode> execMode;
-    /**
      * Host-profile output path ("" = off). Setting it runtime-enables
      * the self-profiler and writes a schema-versioned prof.json there
      * (docs/PROFILING.md). In a build without -DISIM_PROF=ON the file
@@ -100,25 +89,13 @@ struct RunOptions
      */
     sample::SampleSpec sample;
 
-    /** The warm-up mode a bar actually runs (override, else spec). */
-    ExecMode effectiveWarmupMode(ExecMode spec_default) const
-    {
-        return warmupMode.value_or(spec_default);
-    }
-    /** The measurement mode (override, else the paper's Timing). */
-    ExecMode effectiveExecMode() const
-    {
-        return execMode.value_or(ExecMode::Timing);
-    }
-
     /**
      * Resolve the environment: ISIM_TXNS, ISIM_WARMUP, ISIM_SEED,
      * ISIM_JSON_DIR, ISIM_JOBS, ISIM_PROCS, ISIM_AUDIT_PERIOD,
-     * ISIM_STATS_OUT,
-     * ISIM_STATS_EPOCH, ISIM_SAVE_CKPT, ISIM_FROM_CKPT,
-     * ISIM_WARMUP_MODE, ISIM_EXEC_MODE, ISIM_PROF_OUT,
-     * ISIM_SAMPLE_FF, ISIM_SAMPLE_MEASURE, ISIM_SAMPLE_WINDOWS,
-     * ISIM_SAMPLE_WARM, ISIM_SAMPLE_MODE. Malformed
+     * ISIM_STATS_OUT, ISIM_STATS_EPOCH, ISIM_SAVE_CKPT,
+     * ISIM_FROM_CKPT, ISIM_PROF_OUT, ISIM_SAMPLE_FF,
+     * ISIM_SAMPLE_MEASURE, ISIM_SAMPLE_WINDOWS, ISIM_SAMPLE_WARM,
+     * ISIM_SAMPLE_MODE. Malformed
      * values are ignored (the variables are convenience overrides,
      * often set globally in CI). This is the only getenv() site in
      * the tree.
@@ -141,14 +118,12 @@ struct RunOptions
      *   --stats-epoch TICKS      embed per-epoch rows on this grid
      *   --save-ckpt DIR          save a warm checkpoint per bar
      *   --from-ckpt DIR          restore warm checkpoints (skip warm-up)
-     *   --warmup-mode atomic|timing  warm-up execution mode
-     *   --exec-mode atomic|timing    measurement execution mode
      *   --prof-out FILE          write the host self-profile to FILE
      *   --sample-ff N            fast-forward N txns per sampling period
      *   --sample-measure N       measure M txns per window (enables
      *                            sampling; docs/SAMPLING.md)
      *   --sample-windows N       window count (default: derived)
-     *   --sample-warm N          atomic-warm txns before each window
+     *   --sample-warm N          warm txns before each window
      *                            (default: min(ff, measure))
      *   --sample-mode fixed|random  window placement within the period
      *   --quiet                  suppress per-run progress lines

@@ -69,12 +69,8 @@ ExperimentRunner::applyEnvOverrides(WorkloadParams &params)
 
 RunResult
 ExperimentRunner::runMachine(const MachineConfig &cfg,
-                             obs::Observability *o,
-                             ExecMode spec_warmup) const
+                             obs::Observability *o) const
 {
-    const ExecMode warmup_mode =
-        options_.effectiveWarmupMode(spec_warmup);
-    const ExecMode exec_mode = options_.effectiveExecMode();
     // Host wall time is only taken in self-profiling runs, so default
     // runs carry no nondeterministic bytes anywhere downstream.
     const bool prof_on = prof::enabled();
@@ -85,7 +81,7 @@ ExperimentRunner::runMachine(const MachineConfig &cfg,
     if (!options_.fromCkptDir.empty()) {
         const std::string path =
             checkpointPath(options_.fromCkptDir, cfg.name);
-        machine = Machine::fromCheckpoint(path, warmup_mode);
+        machine = Machine::fromCheckpoint(path);
         // Measuring a warm image under different knobs would silently
         // compare incomparable runs; insist on an exact config match.
         if (ckpt::configBytes(machine->config()) !=
@@ -101,7 +97,7 @@ ExperimentRunner::runMachine(const MachineConfig &cfg,
     if (o != nullptr)
         machine->attachObservability(o);
     if (!machine->isWarm()) {
-        machine->runWarmup(warmup_mode);
+        machine->runWarmup();
         if (!options_.saveCkptDir.empty()) {
             std::filesystem::create_directories(options_.saveCkptDir);
             machine->saveCheckpoint(
@@ -111,9 +107,9 @@ ExperimentRunner::runMachine(const MachineConfig &cfg,
     RunResult r;
     if (options_.sample.enabled()) {
         sample::SampleController controller(*machine, options_.sample);
-        r = controller.run(exec_mode);
+        r = controller.run();
     } else {
-        r = machine->runMeasurement(exec_mode);
+        r = machine->runMeasurement();
     }
     // Stamp the cell's content-address identity (META block of the
     // stats manifest; the cache key isim-campaign stores results
@@ -134,8 +130,7 @@ ExperimentRunner::runMachine(const MachineConfig &cfg,
 }
 
 RunResult
-ExperimentRunner::runOne(const MachineConfig &config,
-                         ExecMode spec_warmup) const
+ExperimentRunner::runOne(const MachineConfig &config) const
 {
     MachineConfig cfg = config;
     options_.applyTo(cfg.workload);
@@ -143,7 +138,7 @@ ExperimentRunner::runOne(const MachineConfig &config,
         const std::lock_guard<std::mutex> lock(logMutex);
         isim_inform("running %s ...", cfg.name.c_str());
     }
-    RunResult r = runMachine(cfg, nullptr, spec_warmup);
+    RunResult r = runMachine(cfg, nullptr);
     if (!r.dbConsistent) {
         const std::lock_guard<std::mutex> lock(logMutex);
         isim_warn("%s: TPC-B consistency check FAILED", cfg.name.c_str());
@@ -153,8 +148,7 @@ ExperimentRunner::runOne(const MachineConfig &config,
 
 RunResult
 ExperimentRunner::runObserved(const MachineConfig &config,
-                              obs::Observability &o,
-                              ExecMode spec_warmup) const
+                              obs::Observability &o) const
 {
     MachineConfig cfg = config;
     options_.applyTo(cfg.workload);
@@ -162,7 +156,7 @@ ExperimentRunner::runObserved(const MachineConfig &config,
         const std::lock_guard<std::mutex> lock(logMutex);
         isim_inform("running %s (observed) ...", cfg.name.c_str());
     }
-    RunResult r = runMachine(cfg, &o, spec_warmup);
+    RunResult r = runMachine(cfg, &o);
     if (!r.dbConsistent) {
         const std::lock_guard<std::mutex> lock(logMutex);
         isim_warn("%s: TPC-B consistency check FAILED", cfg.name.c_str());
@@ -189,7 +183,7 @@ ExperimentRunner::runBar(const FigureSpec &spec, std::size_t index,
                 cfg.epochTicks = options_.statsEpochTicks;
         }
         obs::Observability o(cfg);
-        return runObserved(spec.bars[index].config, o, spec.warmupMode);
+        return runObserved(spec.bars[index].config, o);
     }
     if (options_.statsEpochTicks > 0) {
         // Sampler-only bundle: no event tracing, no output files —
@@ -199,9 +193,9 @@ ExperimentRunner::runBar(const FigureSpec &spec, std::size_t index,
         cfg.epochTicks = options_.statsEpochTicks;
         cfg.sampleEpochs = true;
         obs::Observability o(cfg);
-        return runObserved(spec.bars[index].config, o, spec.warmupMode);
+        return runObserved(spec.bars[index].config, o);
     }
-    return runOne(spec.bars[index].config, spec.warmupMode);
+    return runOne(spec.bars[index].config);
 }
 
 FigureResult

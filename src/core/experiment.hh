@@ -47,14 +47,6 @@ struct FigureSpec
     std::vector<FigureBar> bars;
     std::size_t normalizeTo = 0; //!< bar whose value is 100
     bool multiprocessor = false;
-    /**
-     * Default warm-up execution mode of every bar (the registry sets
-     * it per figure; --warmup-mode overrides it). Atomic is only the
-     * default where it is provably result-identical to a timing
-     * warm-up — in-order cores without MC contention; see
-     * docs/EXECMODE.md.
-     */
-    ExecMode warmupMode = ExecMode::Timing;
 };
 
 /** Result of running a figure. */
@@ -96,16 +88,11 @@ class ExperimentRunner
     FigureResult run(const FigureSpec &spec) const;
     /** Expand the sweep's cross-product and run it like a figure. */
     FigureResult run(const SweepSpec &sweep) const;
-    /**
-     * Run one configuration. `spec_warmup` is the owning figure's
-     * default warm-up mode; the options' --warmup-mode wins over it.
-     */
-    RunResult runOne(const MachineConfig &config,
-                     ExecMode spec_warmup = ExecMode::Timing) const;
+    /** Run one configuration. */
+    RunResult runOne(const MachineConfig &config) const;
     /** Run one configuration with an observability bundle attached. */
     RunResult runObserved(const MachineConfig &config,
-                          obs::Observability &o,
-                          ExecMode spec_warmup = ExecMode::Timing) const;
+                          obs::Observability &o) const;
 
     const RunOptions &options() const { return options_; }
 
@@ -135,8 +122,7 @@ class ExperimentRunner
      * shared back end of runOne / runObserved.
      */
     RunResult runMachine(const MachineConfig &config,
-                         obs::Observability *o,
-                         ExecMode spec_warmup) const;
+                         obs::Observability *o) const;
 
     RunOptions options_;
 };

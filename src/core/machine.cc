@@ -37,6 +37,22 @@ Machine::Machine(const MachineConfig &config) : config_(config)
                    config_.coresPerNode);
     }
 
+    // The memory system validates the model limits (node and core
+    // counts, cache geometry), so build it before anything sized by
+    // them.
+    MemSysConfig msc;
+    msc.numNodes = config_.numNodes();
+    msc.coresPerNode = config_.coresPerNode;
+    msc.victimBufferEntries = config_.victimBufferEntries;
+    msc.prefetchDegree = config_.prefetchDegree;
+    msc.mcOccupancy = config_.mcOccupancy;
+    msc.l2 = config_.l2;
+    msc.racEnabled = config_.rac;
+    msc.rac = config_.racGeom;
+    msc.lat = config_.latencies();
+    msc.nodeShift = config_.nodeShift;
+    memSys_ = std::make_unique<MemorySystem>(msc);
+
     VmConfig vmc;
     vmc.homeMap = HomeMap{config_.nodeShift, config_.numNodes()};
     vmc.coresPerNode = config_.coresPerNode;
@@ -51,19 +67,6 @@ Machine::Machine(const MachineConfig &config) : config_(config)
     engine_ = std::make_unique<OltpEngine>(config_.workload, *vm_,
                                            *kernel_, config_.numCpus,
                                            config_.replicateCode);
-
-    MemSysConfig msc;
-    msc.numNodes = config_.numNodes();
-    msc.coresPerNode = config_.coresPerNode;
-    msc.victimBufferEntries = config_.victimBufferEntries;
-    msc.prefetchDegree = config_.prefetchDegree;
-    msc.mcOccupancy = config_.mcOccupancy;
-    msc.l2 = config_.l2;
-    msc.racEnabled = config_.rac;
-    msc.rac = config_.racGeom;
-    msc.lat = config_.latencies();
-    msc.nodeShift = config_.nodeShift;
-    memSys_ = std::make_unique<MemorySystem>(msc);
 
     cpus_.reserve(config_.numCpus);
     for (NodeId n = 0; n < config_.numCpus; ++n) {
@@ -330,14 +333,13 @@ Machine::snapshot() const
 }
 
 void
-Machine::ensureSim(TraceWriter *trace)
+Machine::ensureSim()
 {
     if (sim_ != nullptr)
         return;
     SimOptions opts;
     opts.quantum = config_.workload.quantum;
     opts.model = config_.cpuModel;
-    opts.trace = trace;
     opts.maxSteps = maxSteps_;
     opts.obs = obs_;
     sim_ = std::make_unique<Simulation>(*sched_, *kernel_, *engine_,
@@ -349,48 +351,40 @@ Machine::ensureSim(TraceWriter *trace)
 }
 
 void
-Machine::runWarmup(ExecMode mode, TraceWriter *trace)
+Machine::runWarmup(ExecMode)
 {
     isim_assert(!warmupRan_, "warm-up already ran (or was restored)");
     ISIM_PROF_PHASE(prof::Phase::Warmup);
     ISIM_PROF_SCOPE("warmup");
-    ensureSim(trace);
-    if (mode == ExecMode::Timing) {
-        // The observability window opens at time 0 only for a timing
-        // warm-up; the atomic path drives no timeline, so its window
-        // opens at the warm boundary instead (runMeasurement).
-        if (obs_ != nullptr)
-            obs_->beginRun(0);
-        obsBegun_ = true;
-    }
-    sim_->runUntilWarmupDone(mode);
+    ensureSim();
+    if (obs_ != nullptr)
+        obs_->beginRun(0);
+    obsBegun_ = true;
+    sim_->runUntilWarmupDone();
     warmEnd_ = sim_->wallTime();
     resetStats(); // rebases oltp.txn.committed via the registry hook
     warmupRan_ = true;
-    warmupMode_ = mode;
 }
 
 RunResult
-Machine::runMeasurement(ExecMode mode, TraceWriter *trace)
+Machine::runMeasurement()
 {
     isim_assert(warmupRan_, "runMeasurement before warm-up");
     ISIM_PROF_PHASE(prof::Phase::Measure);
     ISIM_PROF_SCOPE("measure");
-    ensureSim(trace);
+    ensureSim();
     if (!obsBegun_) {
-        // Atomic warm-up or checkpoint restore: the run is announced
-        // at the warm boundary.
+        // Checkpoint restore: the run is announced at the warm
+        // boundary.
         if (obs_ != nullptr)
             obs_->beginRun(warmEnd_);
         obsBegun_ = true;
     }
-    sim_->runUntilMeasurementDone(mode);
+    sim_->runUntilMeasurementDone();
     if (obs_ != nullptr)
         obs_->endRun(sim_->wallTime());
 
     RunResult r = snapshot();
-    r.warmupMode = warmupMode_;
-    r.execMode = mode;
     r.wallTime = sim_->wallTime() - warmEnd_;
     if (obs_ != nullptr && obs_->sampler() != nullptr)
         r.epochs = obs_->sampler()->rows();
@@ -398,30 +392,11 @@ Machine::runMeasurement(ExecMode mode, TraceWriter *trace)
 }
 
 RunResult
-Machine::run(ExecMode warmup_mode, ExecMode exec_mode, TraceWriter *trace)
+Machine::run()
 {
     if (!warmupRan_)
-        runWarmup(warmup_mode, trace);
-    return runMeasurement(exec_mode, trace);
-}
-
-std::uint64_t
-Machine::timingEvents() const
-{
-    return sim_ != nullptr ? sim_->timingEvents() : 0;
-}
-
-// Deprecated pre-ExecMode entry points (see machine.hh).
-RunResult
-Machine::run(TraceWriter *trace)
-{
-    return run(ExecMode::Timing, ExecMode::Timing, trace);
-}
-
-void
-Machine::runWarmup(TraceWriter *trace)
-{
-    runWarmup(ExecMode::Timing, trace);
+        runWarmup();
+    return runMeasurement();
 }
 
 } // namespace isim

@@ -16,7 +16,6 @@
 
 #include "src/ckpt/fwd.hh"
 #include "src/coherence/protocol.hh"
-#include "src/core/exec_mode.hh"
 #include "src/cpu/core.hh"
 #include "src/cpu/ooo.hh"
 #include "src/obs/sampler.hh"
@@ -30,9 +29,11 @@
 
 namespace isim {
 
+/** runWarmup()'s unused argument type; simbench/replay.cc passes it. */
+enum class ExecMode : std::uint8_t { Timing };
+
 class Simulation;
 struct SimState;
-class TraceWriter;
 
 namespace obs {
 class Observability;
@@ -118,14 +119,6 @@ struct RunResult
     /** Per-epoch counter deltas; filled only with --stats-epoch. */
     std::vector<obs::EpochRow> epochs;
 
-    // Execution modes of the run (docs/EXECMODE.md): the mode that
-    // produced the warm state (a restored machine reports its image's
-    // producing mode) and the measurement mode. Manifests only echo
-    // them when they differ from Timing, so pure-timing manifests are
-    // byte-identical to pre-ExecMode ones.
-    ExecMode warmupMode = ExecMode::Timing;
-    ExecMode execMode = ExecMode::Timing;
-
     // Content-address identity of this run's (config, seed) cell,
     // filled by ExperimentRunner::runMachine and echoed into the
     // stats manifest's META block (stats::resultKey semantics). Empty
@@ -161,55 +154,24 @@ class Machine
 
     /**
      * Run warm-up then the measured transaction count; returns the
-     * aggregated result for the measurement window. Each phase takes
-     * an explicit execution mode (docs/EXECMODE.md): warm-up is
-     * usually ExecMode::Atomic (fast-functional state warming, no
-     * timing events), measurement is usually ExecMode::Timing (the
-     * paper's cycle accounting). When `trace` is given, every consumed
-     * reference (warm-up included) is captured. On a machine restored
-     * from a checkpoint the warm-up phase is skipped — the image
-     * already contains the warm state.
+     * aggregated result for the measurement window. On a machine
+     * restored from a checkpoint the warm-up phase is skipped — the
+     * image already contains the warm state.
      */
-    RunResult run(ExecMode warmup_mode,
-                  ExecMode exec_mode = ExecMode::Timing,
-                  TraceWriter *trace = nullptr);
+    RunResult run();
 
     /**
      * The two phases of run(), exposed separately so a checkpoint can
      * be taken between them (SimOS-style: pay the warm-up once, seed
      * many measurement runs from the image). runWarmup() runs the
-     * warm-up transactions in the given mode and rebases the
-     * statistics; it must be called at most once, and not on a
-     * restored machine.
+     * warm-up transactions and rebases the statistics; it must be
+     * called at most once, and not on a restored machine.
      */
-    void runWarmup(ExecMode mode, TraceWriter *trace = nullptr);
-    RunResult runMeasurement(ExecMode mode = ExecMode::Timing,
-                             TraceWriter *trace = nullptr);
-
-    // Pre-ExecMode entry points. Kept one release so out-of-tree
-    // drivers keep compiling; in-tree callers must pass a mode (the CI
-    // warning gate rejects uses of these).
-    [[deprecated("pass an explicit ExecMode (docs/EXECMODE.md)")]]
-    RunResult run(TraceWriter *trace = nullptr);
-    [[deprecated("pass an explicit ExecMode (docs/EXECMODE.md)")]]
-    void runWarmup(TraceWriter *trace = nullptr);
-    [[deprecated("use isWarm()")]]
-    bool warm() const { return warmupRan_; }
+    void runWarmup(ExecMode = ExecMode::Timing);
+    RunResult runMeasurement();
 
     /** Whether the warm-up has run (or was restored from an image). */
     bool isWarm() const { return warmupRan_; }
-
-    /**
-     * The mode the warm-up phase executed in (Timing until a warm-up
-     * runs; restored machines report the producing image's mode).
-     */
-    ExecMode warmupMode() const { return warmupMode_; }
-
-    /**
-     * Timing-loop iterations taken so far. Stays zero across atomic
-     * phases — the "atomic schedules no timing events" guarantee.
-     */
-    std::uint64_t timingEvents() const;
 
     /** Simulated time at the end of warm-up (0 before it). */
     Tick warmupEndTime() const { return warmEnd_; }
@@ -236,24 +198,13 @@ class Machine
      * latency-override variant re-resolves the latency table for a
      * different integration level / L2 implementation — cache
      * *geometry* still has to match the image, only latencies change.
-     *
-     * `expected_warmup` guards mode provenance: the image records the
-     * ExecMode that produced it, and restoring an atomic-warmed image
-     * into a run expecting a timing-warmed one (or vice versa) is
-     * fatal unless the caller asked for that mode explicitly
-     * (--warmup-mode atomic). Silent mode mixing would blend two
-     * different warm-state definitions into one result series.
      */
     static std::unique_ptr<Machine>
-    fromCheckpointBytes(const std::vector<std::uint8_t> &bytes,
-                        ExecMode expected_warmup = ExecMode::Timing);
-    static std::unique_ptr<Machine>
-    fromCheckpoint(const std::string &path,
-                   ExecMode expected_warmup = ExecMode::Timing);
+    fromCheckpointBytes(const std::vector<std::uint8_t> &bytes);
+    static std::unique_ptr<Machine> fromCheckpoint(const std::string &path);
     static std::unique_ptr<Machine>
     fromCheckpoint(const std::string &path, IntegrationLevel level,
-                   L2Impl l2_impl,
-                   ExecMode expected_warmup = ExecMode::Timing);
+                   L2Impl l2_impl);
 
     // Component access (tests, examples).
     VirtualMemory &vm() { return *vm_; }
@@ -302,10 +253,10 @@ class Machine
      * so a restored machine can still attachObservability() first
      * (the loop binds its tracer at construction).
      */
-    void ensureSim(TraceWriter *trace);
+    void ensureSim();
 
     /** Restore component + loop state from an image (checkpoint.cc). */
-    void restoreFromImage(ckpt::Deserializer &d, ExecMode expected_warmup);
+    void restoreFromImage(ckpt::Deserializer &d);
 
     MachineConfig config_;
     stats::Registry registry_;
@@ -322,11 +273,10 @@ class Machine
     std::unique_ptr<SimState> pendingSim_;
     Tick warmEnd_ = 0;      //!< wall time at the warm-up boundary
     bool warmupRan_ = false;
-    ExecMode warmupMode_ = ExecMode::Timing;
     /**
-     * Whether obs_->beginRun() has been issued. A timing warm-up opens
-     * the observability window at time 0; atomic warm-ups and restored
-     * machines defer it to the warm boundary (runMeasurement).
+     * Whether obs_->beginRun() has been issued. A warm-up opens the
+     * observability window at time 0; a restored machine defers it to
+     * the warm boundary (runMeasurement).
      */
     bool obsBegun_ = false;
     std::uint64_t maxSteps_ = 0;

@@ -244,79 +244,61 @@ const char *const bandwidthNote =
 
 FigureRegistry::FigureRegistry()
 {
-    // Every registration names its warm-up mode explicitly. Atomic is
-    // chosen exactly where it is result-identical to a timing warm-up
-    // (in-order cores, no MC occupancy — docs/EXECMODE.md, enforced by
-    // tests/test_exec_mode.cc); the out-of-order figures and the MC
-    // occupancy sweep keep timing warm-up because their warm state
-    // depends on event timing.
     const auto add = [&](std::string id, std::string description,
-                         ExecMode warmup_mode,
                          std::function<FigureSpec()> make,
                          std::string note = "") {
-        entries_.push_back(
-            {std::move(id), std::move(description), std::move(note),
-             [make = std::move(make), warmup_mode] {
-                 FigureSpec spec = make();
-                 spec.warmupMode = warmup_mode;
-                 return spec;
-             }});
+        entries_.push_back({std::move(id), std::move(description),
+                            std::move(note), std::move(make)});
     };
 
     // The paper's figures.
     add("fig05", "Figure 5: off-chip L2 sweep, uniprocessor",
-        ExecMode::Atomic, figures::figure5);
+        figures::figure5);
     add("fig06", "Figure 6: off-chip L2 sweep, 8 processors",
-        ExecMode::Atomic, figures::figure6);
+        figures::figure6);
     add("fig07", "Figure 7: integrated L2, uniprocessor",
-        ExecMode::Atomic, figures::figure7);
+        figures::figure7);
     add("fig08", "Figure 8: integrated L2, 8 processors",
-        ExecMode::Atomic, figures::figure8);
+        figures::figure8);
     add("fig10-uni", "Figure 10: successive integration, uniprocessor",
-        ExecMode::Atomic, figures::figure10Uni);
+        figures::figure10Uni);
     add("fig10-mp", "Figure 10: successive integration, 8 processors",
-        ExecMode::Atomic, figures::figure10Mp);
+        figures::figure10Mp);
     add("fig11", "Figure 11: RAC miss mix, with/without replication",
-        ExecMode::Atomic, figures::figure11);
-    add("fig12", "Figure 12: RAC performance", ExecMode::Atomic,
-        figures::figure12);
+        figures::figure11);
+    add("fig12", "Figure 12: RAC performance", figures::figure12);
     add("fig13-uni", "Figure 13: out-of-order cores, uniprocessor",
-        ExecMode::Timing, figures::figure13Uni);
+        figures::figure13Uni);
     add("fig13-mp", "Figure 13: out-of-order cores, 8 processors",
-        ExecMode::Timing, figures::figure13Mp);
+        figures::figure13Mp);
 
     // Ablations.
     add("ablation-assoc-uni",
         "A1: associativity sweep, 2MB on-chip L2, uniprocessor",
-        ExecMode::Atomic, [] { return ablationAssoc(1); });
+        [] { return ablationAssoc(1); });
     add("ablation-assoc-mp",
         "A1: associativity sweep, 2MB on-chip L2, 8 processors",
-        ExecMode::Atomic, [] { return ablationAssoc(figures::mpNodes); });
+        [] { return ablationAssoc(figures::mpNodes); });
     add("ablation-coloring",
         "A3: OS page colouring vs direct-mapped conflicts",
-        ExecMode::Atomic, ablationColoring, coloringNote);
-    add("ablation-victim",
-        "A4: L2 victim buffers vs associativity", ExecMode::Atomic,
+        ablationColoring, coloringNote);
+    add("ablation-victim", "A4: L2 victim buffers vs associativity",
         ablationVictim);
     add("ablation-bandwidth",
         "A5: memory-controller occupancy sweep, 8 processors",
-        ExecMode::Timing, ablationBandwidth, bandwidthNote);
+        ablationBandwidth, bandwidthNote);
 
     // Extensions.
     add("ext-cmp", "E1: chip multiprocessing, 8 cores as chips x "
                    "cores/chip",
-        ExecMode::Atomic, extCmp, cmpNote);
+        extCmp, cmpNote);
     add("ext-dss-oltp", "E2: integration ladder under OLTP",
-        ExecMode::Atomic,
         [] { return extDss(WorkloadKind::TpcB, "OLTP"); });
     add("ext-dss-dss", "E2: integration ladder under DSS",
-        ExecMode::Atomic,
         [] { return extDss(WorkloadKind::DssScan, "DSS"); }, dssNote);
     add("ext-prefetch-oltp", "E3: sequential L2 prefetch under OLTP",
-        ExecMode::Atomic,
         [] { return extPrefetch(WorkloadKind::TpcB, "OLTP"); });
     add("ext-prefetch-dss", "E3: sequential L2 prefetch under DSS",
-        ExecMode::Atomic,
         [] { return extPrefetch(WorkloadKind::DssScan, "DSS"); });
 
     for (std::size_t i = 0; i < entries_.size(); ++i) {

@@ -231,10 +231,6 @@ figureStatsJson(const FigureResult &result)
             // Host time is nondeterministic; only self-profiling runs
             // echo it (keeps default manifests byte-comparable).
             bar.meta.hostWallMs = r.hostWallMs;
-            if (r.warmupMode != ExecMode::Timing)
-                bar.meta.warmupMode = execModeName(r.warmupMode);
-            if (r.execMode != ExecMode::Timing)
-                bar.meta.execMode = execModeName(r.execMode);
             if (r.sampling.enabled) {
                 bar.meta.sampleMode =
                     sample::sampleModeName(r.sampling.mode);

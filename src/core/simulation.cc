@@ -12,7 +12,6 @@
 #include "src/cpu/ooo.hh"
 #include "src/obs/observability.hh"
 #include "src/prof/profiler.hh"
-#include "src/trace/trace_io.hh"
 
 namespace isim {
 
@@ -92,8 +91,6 @@ Simulation::stepCpu(NodeId cpu)
     if (!cs.injected.empty()) {
         const MemRef ref = cs.injected.front();
         cs.injected.pop_front();
-        if (options_.trace != nullptr)
-            options_.trace->write(cpu, ref);
         cs.now = consumeOn(core, ref, cs.now);
         return;
     }
@@ -133,8 +130,6 @@ Simulation::stepCpu(NodeId cpu)
     const ProcessStep s = running->step(cs.now);
     switch (s.kind) {
       case StepKind::Ref:
-        if (options_.trace != nullptr)
-            options_.trace->write(cpu, s.ref);
         cs.now = consumeOn(core, s.ref, cs.now);
         return;
       case StepKind::BlockTimed:
@@ -158,7 +153,7 @@ Simulation::stepCpu(NodeId cpu)
 }
 
 void
-Simulation::runUntil(std::uint64_t target)
+Simulation::runUntilCommitted(std::uint64_t target)
 {
     while (engine_.committedTransactions() < target) {
         NodeId best = invalidNode;
@@ -187,188 +182,22 @@ Simulation::runUntil(std::uint64_t target)
             options_.obs->advance(best_time);
         stepCpu(best);
         ++steps_;
-        ++timingEvents_;
         if (options_.maxSteps != 0 && steps_ > options_.maxSteps)
             isim_fatal("step limit exceeded (runaway simulation?)");
     }
 }
 
 void
-Simulation::stepCpuAtomic(NodeId cpu, Tick horizon, NodeId horizon_cpu,
-                          std::uint64_t target)
+Simulation::runUntilWarmupDone()
 {
-    CpuState &cs = state_[cpu];
-    CpuCore &core = *cpus_[cpu];
-
-    // True while this CPU would still win the timing loop's min-scan
-    // (strict <, lowest index wins ties) against the cached runner-up.
-    const auto still_min = [&]() -> bool {
-        const Tick t = nextEventTime(cpu);
-        return t < horizon ||
-               (t == horizon && horizon != maxTick && cpu < horizon_cpu);
-    };
-    // Whether the burst may take another unit of work without a rescan.
-    const auto burst_on = [&]() -> bool {
-        if (options_.maxSteps != 0 && steps_ > options_.maxSteps)
-            isim_fatal("step limit exceeded (runaway simulation?)");
-        return engine_.committedTransactions() < target && still_min();
-    };
-
-    for (;;) {
-        // Pending kernel path (context switch) runs before anything
-        // else, exactly as in timing mode.
-        if (!cs.injected.empty()) {
-            const MemRef ref = cs.injected.front();
-            cs.injected.pop_front();
-            if (options_.trace != nullptr)
-                options_.trace->write(cpu, ref);
-            cs.now = core.consumeAtomic(ref, cs.now);
-            ++steps_;
-            if (burst_on())
-                continue;
-            return;
-        }
-
-        Process *running = sched_.running(cpu);
-        if (running == nullptr) {
-            Process *next = sched_.pickNext(cpu, cs.now);
-            if (next != nullptr) {
-                kernel_.contextSwitch(cpu, cs.injected);
-                cs.quantumStart = cs.now;
-            } else {
-                // Idle until the next timed wake.
-                const Tick wake = sched_.nextWake(cpu);
-                isim_assert(wake != maxTick, "stepCpu on a stalled CPU");
-                if (wake > cs.now) {
-                    core.stats().idle += wake - cs.now;
-                    cs.now = wake;
-                }
-            }
-            ++steps_;
-            if (burst_on())
-                continue;
-            return;
-        }
-
-        // Quantum preemption. Timing mode drains the core first; the
-        // atomic charge keeps no in-flight core state, so the drain is
-        // an identity here and is skipped.
-        if (options_.quantum > 0 &&
-            cs.now - cs.quantumStart >= options_.quantum &&
-            sched_.hasReady(cpu)) {
-            sched_.yieldCurrent(cpu);
-            ++steps_;
-            if (burst_on())
-                continue;
-            return;
-        }
-
-        // Batched reference drain: while generated references are
-        // queued, Process::step() is contractually a pop of the queue
-        // front with no other effect, so consume them directly and
-        // skip the per-reference virtual step dispatch.
-        if (running->hasPending()) {
-            const MemRef ref = running->popPendingRef();
-            if (options_.trace != nullptr)
-                options_.trace->write(cpu, ref);
-            cs.now = core.consumeAtomic(ref, cs.now);
-            ++steps_;
-            if (burst_on())
-                continue;
-            return;
-        }
-
-        // Refill / process state-machine advance. This may wake
-        // processes on OTHER CPUs (log group commits, lock releases),
-        // which stales the cached horizon — always return to the
-        // caller's rescan after it runs.
-        const ProcessStep s = running->step(cs.now);
-        ++steps_;
-        switch (s.kind) {
-          case StepKind::Ref:
-            if (options_.trace != nullptr)
-                options_.trace->write(cpu, s.ref);
-            cs.now = core.consumeAtomic(s.ref, cs.now);
-            return;
-          case StepKind::BlockTimed:
-            sched_.blockCurrent(cpu, cs.now + s.delay);
-            return;
-          case StepKind::BlockEvent:
-            sched_.blockCurrent(cpu, maxTick);
-            return;
-          case StepKind::Yield:
-            sched_.yieldCurrent(cpu);
-            return;
-          case StepKind::Done:
-            sched_.finishCurrent(cpu);
-            return;
-        }
-        isim_panic("unknown step kind");
-    }
+    runUntilCommitted(engine_.params().warmupTransactions);
 }
 
 void
-Simulation::runUntilAtomic(std::uint64_t target)
-{
-    while (engine_.committedTransactions() < target) {
-        // The timing scan, plus the runner-up: the burst below only
-        // needs to rescan once the chosen CPU falls behind it.
-        NodeId best = invalidNode;
-        Tick best_time = maxTick;
-        NodeId second = invalidNode;
-        Tick second_time = maxTick;
-        {
-            ISIM_PROF_SCOPE_PHASED("sched_scan");
-            for (NodeId cpu = 0; cpu < state_.size(); ++cpu) {
-                const Tick t = nextEventTime(cpu);
-                if (t < best_time) {
-                    second_time = best_time;
-                    second = best;
-                    best_time = t;
-                    best = cpu;
-                } else if (t < second_time) {
-                    second_time = t;
-                    second = cpu;
-                }
-            }
-        }
-        if (best == invalidNode) {
-            // Nothing can run anywhere: either all processes exited or
-            // every CPU is event-stalled (a workload deadlock).
-            bool any_live = false;
-            for (NodeId cpu = 0; cpu < state_.size(); ++cpu)
-                any_live = any_live || sched_.hasWork(cpu);
-            if (any_live)
-                isim_panic("simulation deadlock: all CPUs event-stalled");
-            break;
-        }
-        if (options_.maxSteps != 0 && steps_ > options_.maxSteps)
-            isim_fatal("step limit exceeded (runaway simulation?)");
-        stepCpuAtomic(best, second_time, second, target);
-    }
-}
-
-void
-Simulation::runUntilCommitted(std::uint64_t target, ExecMode mode)
-{
-    if (mode == ExecMode::Atomic)
-        runUntilAtomic(target);
-    else
-        runUntil(target);
-}
-
-void
-Simulation::runUntilWarmupDone(ExecMode mode)
-{
-    runUntilCommitted(engine_.params().warmupTransactions, mode);
-}
-
-void
-Simulation::runUntilMeasurementDone(ExecMode mode)
+Simulation::runUntilMeasurementDone()
 {
     runUntilCommitted(engine_.params().warmupTransactions +
-                          engine_.params().transactions,
-                      mode);
+                      engine_.params().transactions);
 }
 
 void

@@ -16,15 +16,12 @@
 #include <vector>
 
 #include "src/ckpt/fwd.hh"
-#include "src/core/exec_mode.hh"
 #include "src/cpu/core.hh"
 #include "src/oltp/workload.hh"
 #include "src/os/kernel.hh"
 #include "src/os/scheduler.hh"
 
 namespace isim {
-
-class TraceWriter;
 
 namespace obs {
 class Observability;
@@ -42,8 +39,6 @@ struct SimOptions
      * hottest path in the simulator.
      */
     CpuModel model = CpuModel::InOrder;
-    /** Optional trace capture of every consumed reference. */
-    TraceWriter *trace = nullptr;
     /** Hard step limit as a runaway backstop (0 = none). */
     std::uint64_t maxSteps = 0;
     /** Observability bundle the loop drives (may be nullptr). */
@@ -79,18 +74,11 @@ class Simulation
                std::vector<std::unique_ptr<CpuCore>> &cpus,
                const SimOptions &options);
 
-    /**
-     * Run until the engine's measured transaction count completes.
-     * ExecMode::Atomic takes the fast-functional path: cache, victim
-     * buffer, RAC and directory state advance reference by reference
-     * with correct miss classification, but no timing events are
-     * scheduled (no MC queue contention, no NoC leg accounting, no
-     * observability timeline).
-     */
-    void runUntilMeasurementDone(ExecMode mode = ExecMode::Timing);
+    /** Run until the engine's measured transaction count completes. */
+    void runUntilMeasurementDone();
 
     /** Run until the warm-up transaction count completes. */
-    void runUntilWarmupDone(ExecMode mode = ExecMode::Timing);
+    void runUntilWarmupDone();
 
     /**
      * Run until the engine's total committed count reaches `target`
@@ -99,8 +87,7 @@ class Simulation
      * carve the measurement phase into fast-forward and measurement
      * windows at arbitrary committed-count boundaries.
      */
-    void runUntilCommitted(std::uint64_t target,
-                           ExecMode mode = ExecMode::Timing);
+    void runUntilCommitted(std::uint64_t target);
 
     /** Local time of a CPU. */
     Tick cpuNow(NodeId cpu) const { return state_[cpu].now; }
@@ -109,13 +96,6 @@ class Simulation
     Tick wallTime() const;
 
     std::uint64_t steps() const { return steps_; }
-
-    /**
-     * Loop iterations taken by the timing-mode event loop. Stays zero
-     * across a pure-atomic phase — the hard "atomic schedules nothing"
-     * guarantee the exec-mode tests pin down.
-     */
-    std::uint64_t timingEvents() const { return timingEvents_; }
 
     /** Snapshot the loop state for a checkpoint. */
     SimState captureState() const;
@@ -137,31 +117,10 @@ class Simulation
     Tick nextEventTime(NodeId cpu) const;
     /** Execute one unit of work on the CPU. */
     void stepCpu(NodeId cpu);
-    /** Timing-mode loop until the committed count reaches `target`. */
-    void runUntil(std::uint64_t target);
 
     /** Devirtualized per-reference dispatch (see SimOptions::model). */
     Tick consumeOn(CpuCore &core, const MemRef &ref, Tick now);
     Tick drainOn(CpuCore &core, Tick now);
-
-    /**
-     * Atomic-mode loop: the same conservative min-clock schedule, but
-     * each pick bursts the chosen CPU until it stops being the global
-     * minimum (tracked against the runner-up's event time) instead of
-     * re-scanning every CPU per reference. References are consumed
-     * through CpuCore::consumeAtomic.
-     */
-    void runUntilAtomic(std::uint64_t target);
-    /**
-     * Burst units of work on `cpu` while it stays ahead of the
-     * runner-up (`horizon`, with `horizon_cpu` breaking ties by the
-     * scan's lowest-index-wins rule) and the committed count stays
-     * below `target`. Returns to the caller's rescan whenever
-     * Process::step() runs, since a refill may wake processes on
-     * OTHER CPUs and stale the horizon.
-     */
-    void stepCpuAtomic(NodeId cpu, Tick horizon, NodeId horizon_cpu,
-                       std::uint64_t target);
 
     Scheduler &sched_;
     KernelModel &kernel_;
@@ -171,7 +130,6 @@ class Simulation
     obs::Tracer *tracer_ = nullptr; //!< from options_.obs, may be null
     std::vector<CpuState> state_;
     std::uint64_t steps_ = 0;
-    std::uint64_t timingEvents_ = 0;
 };
 
 } // namespace isim

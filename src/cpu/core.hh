@@ -56,19 +56,6 @@ class CpuCore
     virtual Tick consume(const MemRef &ref, Tick now) = 0;
 
     /**
-     * The atomic (fast-functional) execution path, shared by every
-     * core model: performs the reference's memory access through
-     * MemorySystem::accessAtomic() and charges the in-order timing
-     * rules (one busy cycle per instruction, the table latency of the
-     * miss class as stall), without touching the model's own
-     * microarchitectural state. For an in-order core on a machine
-     * without MC contention this is cycle-identical to consume(); for
-     * the out-of-order model it deliberately replaces the scoreboard
-     * with the cheap functional charge (docs/EXECMODE.md).
-     */
-    Tick consumeAtomic(const MemRef &ref, Tick now);
-
-    /**
      * Complete all outstanding work (called before a context switch or
      * when the process blocks); returns the drained local time.
      */

@@ -5,48 +5,11 @@
 
 #include "src/cpu/cpu_stats.hh"
 
-#include "src/base/logging.hh"
 #include "src/ckpt/serializer.hh"
-#include "src/coherence/protocol.hh"
 #include "src/cpu/core.hh"
 #include "src/stats/registry.hh"
 
 namespace isim {
-
-Tick
-CpuCore::consumeAtomic(const MemRef &ref, Tick now)
-{
-    // The in-order charging rules (InOrderCpu::consume), applied over
-    // the functional access path.
-    Tick busy = 0;
-    RefType type;
-    switch (ref.kind) {
-      case RefKind::Instr:
-        type = RefType::IFetch;
-        busy = ref.instrCount;
-        stats_.instructions += ref.instrCount;
-        break;
-      case RefKind::Load:
-        type = RefType::Load;
-        ++stats_.loads;
-        break;
-      case RefKind::Store:
-        type = RefType::Store;
-        ++stats_.stores;
-        break;
-      default:
-        isim_panic("unknown ref kind");
-    }
-
-    const AccessOutcome out = mem_.accessAtomic(node_, type, ref.paddr);
-
-    stats_.busy += busy;
-    if (ref.kernel)
-        stats_.kernelTime += busy;
-    stats_.addStall(out.cls, out.stall, ref.kernel);
-
-    return now + busy + out.stall;
-}
 
 void
 CpuStats::registerStats(stats::Registry &r, const std::string &prefix) const

@@ -496,78 +496,6 @@ logging(const SourceFile &file, std::vector<Finding> &out)
 }
 
 // --------------------------------------------------------------------
-// Rule: atomic-path
-// --------------------------------------------------------------------
-
-namespace {
-
-/**
- * Timing machinery that must never run during an atomic
- * (fast-functional) phase. Touching any of these from an atomic-path
- * function either schedules timing work — voiding the zero-event
- * guarantee the warm-up speedup rests on — or mutates timing-only
- * state, breaking the bit-identical-warm-state guarantee
- * (docs/EXECMODE.md).
- */
-const std::map<std::string, std::string> &
-bannedTimingIdents()
-{
-    static const std::map<std::string, std::string> kBanned = {
-        {"runUntil", "the timing event loop"},
-        {"stepCpu", "the timing per-CPU step"},
-        {"consumeOn", "the timing charge dispatcher"},
-        {"drainOn", "the timing core drain"},
-        {"mcQueueDelay", "memory-controller contention state"},
-        {"timingEvents_", "the timing event counter"},
-        {"advance", "the observability timeline"},
-        {"traceDirectoryMiss", "timing-path trace emission"},
-    };
-    return kBanned;
-}
-
-} // namespace
-
-void
-atomicPath(const SourceFile &file, std::vector<Finding> &out)
-{
-    // Library code only: the rule guards the simulator's atomic
-    // execution path, not tests or CLI helpers that merely end a
-    // name in "Atomic" (e.g. writeFileAtomic is scanned too, but it
-    // has nothing banned to find).
-    if (!file.under("src/"))
-        return;
-    const Tokens &t = file.tokens();
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        const Token &tok = t[i];
-        if (tok.kind != TokKind::Identifier)
-            continue;
-        constexpr std::size_t kSuffix = 6; // "Atomic"
-        if (tok.text.size() < kSuffix ||
-            tok.text.compare(tok.text.size() - kSuffix, kSuffix,
-                             "Atomic") != 0)
-            continue;
-        // Definitions only; declarations and call sites have no body.
-        const auto [lb, rb] = functionBodyAt(t, i);
-        if (lb == 0 && rb == 0)
-            continue;
-        for (std::size_t j = lb + 1; j < rb; ++j) {
-            if (t[j].kind != TokKind::Identifier)
-                continue;
-            const auto &banned = bannedTimingIdents();
-            const auto it = banned.find(t[j].text);
-            if (it == banned.end())
-                continue;
-            out.push_back(
-                {file.path(), t[j].line, "atomic-path",
-                 t[j].text + " inside " + tok.text + "(): " +
-                     it->second +
-                     " must not be reached on the atomic "
-                     "(fast-functional) path; see docs/EXECMODE.md"});
-        }
-    }
-}
-
-// --------------------------------------------------------------------
 // Rule: prof-guard
 // --------------------------------------------------------------------
 
@@ -611,7 +539,7 @@ knownRules()
 {
     static const std::set<std::string> kRules = {
         "determinism", "ordered-output", "ckpt-coverage",
-        "stats-coverage", "logging", "atomic-path", "prof-guard",
+        "stats-coverage", "logging", "prof-guard",
     };
     return kRules;
 }

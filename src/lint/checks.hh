@@ -13,9 +13,6 @@
  *                   non-static, non-reference data member
  *   stats-coverage  *Stats / *Counters members must be registered
  *   logging         bare stdio outside src/base/logging and the CLIs
- *   atomic-path     timing/event machinery inside *Atomic function
- *                   bodies (the fast-functional path must stay
- *                   event-free; docs/EXECMODE.md)
  *   prof-guard      raw self-profiler primitives outside src/prof/
  *                   (library code must use the ISIM_PROF_SCOPE*
  *                   macros, which compile away; docs/PROFILING.md)
@@ -46,7 +43,6 @@ namespace checks {
 
 void determinism(const SourceFile &file, std::vector<Finding> &out);
 void logging(const SourceFile &file, std::vector<Finding> &out);
-void atomicPath(const SourceFile &file, std::vector<Finding> &out);
 void profGuard(const SourceFile &file, std::vector<Finding> &out);
 void suppressions(const SourceFile &file, std::vector<Finding> &out);
 void orderedOutput(const std::vector<SourceFile> &files,

@@ -14,7 +14,6 @@ Linter::run() const
     for (const SourceFile &file : files_) {
         checks::determinism(file, findings);
         checks::logging(file, findings);
-        checks::atomicPath(file, findings);
         checks::profGuard(file, findings);
         checks::suppressions(file, findings);
     }
@@ -99,16 +98,6 @@ Linter::rules()
          "src/base/logging.* and outside src/ (CLI mains, examples, "
          "bench, tests). Library diagnostics go through isim_inform/"
          "isim_warn so --quiet and test harnesses stay authoritative."},
-        {"atomic-path",
-         "no timing/event machinery inside *Atomic function bodies",
-         "Functions whose name ends in Atomic implement the "
-         "fast-functional execution mode (docs/EXECMODE.md): zero "
-         "event scheduling, no timing-only state. Calling runUntil, "
-         "stepCpu, consumeOn/drainOn, mcQueueDelay, obs advance or "
-         "timing-path trace emission from such a body either "
-         "schedules timing work (voiding the zero-event guarantee "
-         "tests/test_exec_mode.cc pins) or mutates state the timing "
-         "mode owns, breaking bit-identical warm-up."},
         {"prof-guard",
          "no raw self-profiler primitives outside src/prof/",
          "Library code must reach the host-side self-profiler only "

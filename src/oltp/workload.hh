@@ -62,7 +62,7 @@ class OltpEngine
      * references, advance no simulated time and sample no latency.
      * This is the sampled-simulation fast-forward tier: the database
      * trajectory stays TPC-B-consistent while the micro-architecture
-     * is left untouched (re-warmed by the atomic tier that follows).
+     * is left untouched (re-warmed by the warm tier that follows).
      * The parameter stream derives from the workload seed and the
      * committed count alone, so the skip is bit-reproducible across
      * jobs and checkpoint resume.

@@ -60,23 +60,6 @@ class Process
     /** Produce the next action. `now` is the CPU's local time. */
     virtual ProcessStep step(Tick now) = 0;
 
-    /**
-     * Direct access to the pending reference queue, used by the
-     * atomic execution path to drain generated references without a
-     * virtual step() round-trip per reference. The contract every
-     * subclass follows (and popPending() encodes): while pending_ is
-     * non-empty, step() returns exactly pending_.front() and has no
-     * other effect — so draining here is observably identical to
-     * stepping, it just skips the dispatch.
-     */
-    bool hasPending() const { return !pending_.empty(); }
-    MemRef popPendingRef()
-    {
-        const MemRef ref = pending_.front();
-        pending_.pop_front();
-        return ref;
-    }
-
     /** Scheduler bookkeeping (owned by the scheduler). */
     enum class SchedState : std::uint8_t { Ready, Running, Blocked, Done };
     // ckpt: transient(schedState): saved by Scheduler::saveState, which owns it

@@ -105,7 +105,7 @@ SampleController::SampleController(Machine &machine,
 }
 
 RunResult
-SampleController::run(ExecMode measure_mode)
+SampleController::run()
 {
     Machine &m = machine_;
     isim_assert(m.warmupRan_,
@@ -114,7 +114,7 @@ SampleController::run(ExecMode measure_mode)
     const std::uint64_t txns = m.config_.workload.transactions;
     const SamplePlan plan = derivePlan(spec_, txns);
 
-    m.ensureSim(nullptr);
+    m.ensureSim();
     ISIM_PROF_PHASE(prof::Phase::Measure);
     ISIM_PROF_SCOPE("measure");
     if (!m.obsBegun_) {
@@ -150,20 +150,17 @@ SampleController::run(ExecMode measure_mode)
         }
         const std::uint64_t warm = std::min(plan.warm, off);
 
-        // Functional skip, then atomic re-warm up to the window.
+        // Functional skip, then re-warm up to the window.
         engine.skipTransactions(off - warm);
-        if (warm > 0) {
-            sim.runUntilCommitted(engine.committedTransactions() + warm,
-                                  ExecMode::Atomic);
-        }
+        if (warm > 0)
+            sim.runUntilCommitted(engine.committedTransactions() + warm);
 
         // The measurement window: reset makes the window-end registry
         // snapshot the per-window observation.
         m.resetStats();
         const Tick wall0 = sim.wallTime();
         sim.runUntilCommitted(engine.committedTransactions() +
-                                  plan.measure,
-                              measure_mode);
+                              plan.measure);
         measuredWall += sim.wallTime() - wall0;
         covered += engine.measuredCommitted();
         windows.push_back(m.registry_.snapshot());
@@ -210,8 +207,6 @@ SampleController::run(ExecMode measure_mode)
     r.transactions = scaled(covered, expand);
     r.wallTime = scaled(measuredWall, expand);
     r.dbConsistent = engine.db().checkConsistency();
-    r.warmupMode = m.warmupMode_;
-    r.execMode = measure_mode;
 
     const auto latIt = pooled.find("oltp.txn.latency");
     if (latIt != pooled.end()) {

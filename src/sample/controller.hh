@@ -7,22 +7,20 @@
  *
  * Each sampling period of ff + measure transactions runs as
  *
- *   [functional skip][atomic warm][reset stats][timing measure]
+ *   [functional skip][warm][reset stats][measure]
  *
  * The skip tier advances the TPC-B database (and the committed count)
  * through a stateless seed-derived parameter stream without emitting a
  * single memory reference — that is where the >= 3x wall-clock saving
- * comes from, since the atomic interpreter's per-transaction cost is
- * nearly the timing loop's (docs/SAMPLING.md records the measurement).
- * The atomic warm tier then re-executes the servers' real reference
- * stream fast-functionally to re-warm short-history state (latches,
- * buffer cache, L2 recency) before the window's timing measurement.
+ * comes from (docs/SAMPLING.md records the measurement). The warm tier
+ * then re-executes the servers' real reference stream through the
+ * timing loop to re-warm short-history state (latches, buffer cache,
+ * L2 recency) before the window's measurement.
  */
 
 #ifndef ISIM_SAMPLE_CONTROLLER_HH
 #define ISIM_SAMPLE_CONTROLLER_HH
 
-#include "src/core/exec_mode.hh"
 #include "src/core/machine.hh"
 #include "src/sample/spec.hh"
 
@@ -49,7 +47,7 @@ class SampleController
      * index alone, so the result is bit-identical across --jobs and
      * across checkpoint save/resume.
      */
-    RunResult run(ExecMode measure_mode = ExecMode::Timing);
+    RunResult run();
 
   private:
     Machine &machine_;

@@ -45,10 +45,10 @@ struct SampleSpec
     /** Window count (0 = derive from the measured transaction count). */
     std::uint64_t windows = 0;
     /**
-     * Atomic-warm transactions immediately before each measurement
+     * Warm-up transactions immediately before each measurement
      * window, re-warming short-history state (latches, buffer-cache
      * and L2 recency) after the functional skip. kAutoWarm derives
-     * min(ff, measure); `ff` makes the whole fast-forward atomic.
+     * min(ff, measure); `ff` warms through the whole fast-forward.
      */
     std::uint64_t warm = kAutoWarm;
     SampleMode mode = SampleMode::Fixed;

@@ -34,10 +34,6 @@ writeBarMeta(JsonWriter &w, const BarMeta &meta)
         w.kv("host_wall_ms", meta.hostWallMs, 4);
     if (!meta.status.empty())
         w.kv("status", meta.status);
-    if (!meta.warmupMode.empty())
-        w.kv("warmup_mode", meta.warmupMode);
-    if (!meta.execMode.empty())
-        w.kv("exec_mode", meta.execMode);
     if (!meta.sampleMode.empty()) {
         w.kv("sample_mode", meta.sampleMode);
         w.kv("sample_ff", meta.sampleFf);
@@ -303,14 +299,6 @@ manifestMeta(const JsonValue &doc)
         if (const JsonValue *v = meta->get("status");
             v != nullptr && v->isString()) {
             view.meta.status = v->text;
-        }
-        if (const JsonValue *v = meta->get("warmup_mode");
-            v != nullptr && v->isString()) {
-            view.meta.warmupMode = v->text;
-        }
-        if (const JsonValue *v = meta->get("exec_mode");
-            v != nullptr && v->isString()) {
-            view.meta.execMode = v->text;
         }
         if (const JsonValue *v = meta->get("sample_mode");
             v != nullptr && v->isString()) {

@@ -44,10 +44,10 @@
  * nondeterministic: producers emit it only in self-profiling runs
  * (--prof-out in an ISIM_PROF build) and the campaign merge never
  * copies it into campaign.json, so every bit-identity guarantee
- * (--jobs, --procs, resume) is unaffected. "warmup_mode" /
- * "exec_mode" appear in META only when a phase ran in a non-default
- * (non-timing) execution mode (docs/EXECMODE.md). "epochs" is present
- * only when per-epoch sampling was requested (--stats-epoch).
+ * (--jobs, --procs, resume) is unaffected. Older manifests may carry
+ * "warmup_mode" / "exec_mode" in META; readers ignore them. "epochs"
+ * is present only when per-epoch sampling was requested
+ * (--stats-epoch).
  * Distribution values are nested objects; undefined quantiles (NaN)
  * serialize as JSON null.
  */
@@ -137,18 +137,9 @@ struct BarMeta
     /** Campaign merge only ("ok" / "failed"); "" = omit. */
     std::string status;
     /**
-     * Execution modes of the run ("atomic"); "" = omit. Producers set
-     * these only for non-default (non-timing) modes, so the manifest
-     * of a pure-timing run is byte-identical to one from a build that
-     * predates ExecMode — and a mode echo in the META block flags any
-     * bar whose numbers an atomic phase could have influenced.
-     */
-    std::string warmupMode;
-    std::string execMode;
-    /**
      * Sampled-run schedule echo (docs/SAMPLING.md); sampleMode "" =
-     * exact run, fields omitted. Like the mode echoes, emitted only
-     * when sampling actually shaped the bar's numbers.
+     * exact run, fields omitted: emitted only when sampling actually
+     * shaped the bar's numbers.
      */
     std::string sampleMode;
     std::uint64_t sampleFf = 0;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Memory-reference records: the unit of work the CPU timing models
- * consume and the unit the trace writer persists.
+ * consume.
  *
  * Instruction fetches are recorded as *chunks*: one record covers a run
  * of `instrCount` sequentially executed instructions residing in a

@@ -323,17 +323,8 @@ TEST(CampaignExpand, GroupKeyIgnoresExactlyTheRestoreOverrides)
     // the workload state in.
     MachineConfig reseeded = a.config;
     reseeded.workload.seed += 1;
-    EXPECT_NE(campaign::warmGroupKey(reseeded, a.warmupMode),
-              a.groupKey);
-    // ... and so must a different warm-up mode: the image's META
-    // records the mode that produced it and restore rejects any
-    // other, so the groups may never merge.
-    const ExecMode other = a.warmupMode == ExecMode::Atomic
-                               ? ExecMode::Timing
-                               : ExecMode::Atomic;
-    EXPECT_NE(campaign::warmGroupKey(a.config, other), a.groupKey);
-    EXPECT_EQ(campaign::warmGroupKey(a.config, a.warmupMode),
-              a.groupKey);
+    EXPECT_NE(campaign::warmGroupKey(reseeded), a.groupKey);
+    EXPECT_EQ(campaign::warmGroupKey(a.config), a.groupKey);
 }
 
 TEST(CampaignExpand, UnknownFigureIsFatal)

@@ -2,9 +2,10 @@
  * @file
  * Checkpoint/restore tests: round-trip digests, bit-identical
  * continued execution, byte-identical figure output from a warm
- * restore, latency-override restores, and corrupt-input robustness
+ * restore, latency-override restores, corrupt-input robustness
  * (truncation, bad magic, wrong version, flipped payload bytes must
- * all fail with a clean PanicError, never undefined behaviour).
+ * all fail with a clean PanicError, never undefined behaviour), and
+ * the read-only legacy META warm-up mode byte.
  */
 
 #include <gtest/gtest.h>
@@ -90,7 +91,7 @@ TEST(Checkpoint, RoundTripDigestIdentical)
          {CpuModel::InOrder, CpuModel::OutOfOrder}) {
         for (const std::uint64_t seed : {7ull, 1234ull, 0xdeadbeefull}) {
             Machine m(smallConfig(seed, model));
-            m.runWarmup(ExecMode::Timing);
+            m.runWarmup();
             const std::vector<std::uint8_t> image = m.checkpointBytes();
             const std::unique_ptr<Machine> restored =
                 Machine::fromCheckpointBytes(image);
@@ -107,7 +108,7 @@ TEST(Checkpoint, ContinuedExecutionBitIdentical)
     // The core contract: measuring from a restored image must produce
     // exactly the run the cold machine produces after its warm-up.
     Machine cold(smallConfig(42));
-    cold.runWarmup(ExecMode::Timing);
+    cold.runWarmup();
     const std::vector<std::uint8_t> image = cold.checkpointBytes();
     const RunResult a = cold.runMeasurement();
 
@@ -133,7 +134,7 @@ TEST(Checkpoint, SaveFileRestoreAndDigest)
     setQuiet(true);
     const std::string path = ::testing::TempDir() + "/isim_ckpt_rt.ckpt";
     Machine m(smallConfig(99, CpuModel::OutOfOrder, 1));
-    m.runWarmup(ExecMode::Timing);
+    m.runWarmup();
     m.saveCheckpoint(path);
     const std::unique_ptr<Machine> restored =
         Machine::fromCheckpoint(path);
@@ -156,7 +157,7 @@ TEST(Checkpoint, LatencyOverrideRestoreMeasuresFaster)
     cfg.level = IntegrationLevel::Base;
     cfg.l2Impl = L2Impl::OffchipDirect;
     Machine m(cfg);
-    m.runWarmup(ExecMode::Timing);
+    m.runWarmup();
     m.saveCheckpoint(path);
     const RunResult base = m.runMeasurement();
 
@@ -214,7 +215,7 @@ TEST(Checkpoint, RunnerRejectsMismatchedConfig)
     const MachineConfig cfg = smallConfig(7, CpuModel::InOrder, 1);
     {
         Machine m(cfg);
-        m.runWarmup(ExecMode::Timing);
+        m.runWarmup();
         m.saveCheckpoint(checkpointPath(dir, cfg.name));
     }
     RunOptions opts;
@@ -233,13 +234,107 @@ class CheckpointCorruption : public ::testing::Test
     {
         setQuiet(true);
         Machine m(smallConfig(3, CpuModel::InOrder, 1));
-        m.runWarmup(ExecMode::Timing);
+        m.runWarmup();
         image_ = m.checkpointBytes();
         ASSERT_GT(image_.size(), 64u);
     }
 
     std::vector<std::uint8_t> image_;
 };
+
+/** Little-endian field of `n` bytes at `at` (the image encoding). */
+std::uint64_t
+readLe(const std::vector<std::uint8_t> &b, std::size_t at, unsigned n)
+{
+    std::uint64_t v = 0;
+    for (unsigned i = n; i-- > 0;)
+        v = v << 8 | b[at + i];
+    return v;
+}
+
+void
+writeLe(std::vector<std::uint8_t> &b, std::size_t at, unsigned n,
+        std::uint64_t v)
+{
+    for (unsigned i = 0; i < n; ++i)
+        b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/** Offset of the META section header (tag, u64 length, u32 CRC). */
+std::size_t
+metaHeaderAt(const std::vector<std::uint8_t> &image)
+{
+    std::size_t at = ckpt::magicBytes + 4; // magic + format version
+    while (readLe(image, at, 4) != ckpt::tagMeta)
+        at += 16 + readLe(image, at + 4, 8);
+    return at;
+}
+
+/**
+ * The image with a 9th META byte appended, as images written while an
+ * atomic warm-up existed carried (the producing warm-up mode).
+ */
+std::vector<std::uint8_t>
+withMetaModeByte(std::vector<std::uint8_t> image, std::uint8_t mode)
+{
+    const std::size_t header = metaHeaderAt(image);
+    const std::size_t payload = header + 16;
+    const std::uint64_t len = readLe(image, header + 4, 8) + 1;
+    image.insert(image.begin() +
+                     static_cast<std::ptrdiff_t>(payload + len - 1),
+                 mode);
+    writeLe(image, header + 4, 8, len);
+    writeLe(image, header + 12, 4,
+            ckpt::crc32(image.data() + payload, len));
+    return image;
+}
+
+/** The isim_fatal message a restore of `image` raises ("" = none). */
+std::string
+restoreError(const std::vector<std::uint8_t> &image)
+{
+    try {
+        Machine::fromCheckpointBytes(image);
+    } catch (const PanicError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST_F(CheckpointCorruption, EightByteMetaRestores)
+{
+    const ScopedPanicThrow guard;
+    EXPECT_EQ(readLe(image_, metaHeaderAt(image_) + 4, 8), 8u);
+    const auto restored = Machine::fromCheckpointBytes(image_);
+    EXPECT_EQ(restored->checkpointBytes(), image_);
+}
+
+TEST_F(CheckpointCorruption, LegacyMetaModeByteTimingRestores)
+{
+    const ScopedPanicThrow guard;
+    const auto restored =
+        Machine::fromCheckpointBytes(withMetaModeByte(image_, 0));
+    // Re-saved without the legacy byte: the current image exactly.
+    EXPECT_EQ(restored->checkpointBytes(), image_);
+}
+
+TEST_F(CheckpointCorruption, LegacyMetaModeByteAtomicIsRefused)
+{
+    const ScopedPanicThrow guard;
+    const std::string err = restoreError(withMetaModeByte(image_, 1));
+    EXPECT_NE(err.find("removed atomic warm-up; rebuild the image"),
+              std::string::npos)
+        << err;
+}
+
+TEST_F(CheckpointCorruption, LegacyMetaModeByteOutOfRangeIsCorrupt)
+{
+    const ScopedPanicThrow guard;
+    const std::string err = restoreError(withMetaModeByte(image_, 2));
+    EXPECT_NE(err.find("warm-up exec mode value 2 out of range"),
+              std::string::npos)
+        << err;
+}
 
 TEST_F(CheckpointCorruption, TruncatedFileFailsCleanly)
 {

@@ -167,7 +167,7 @@ TEST(Cmp, MachineRunsConsistent)
     cfg.workload.warmupTransactions = 20;
 
     Machine m(cfg);
-    const RunResult r = m.run(ExecMode::Timing);
+    const RunResult r = m.run();
     EXPECT_EQ(r.transactions, 60u);
     EXPECT_TRUE(r.dbConsistent);
     EXPECT_GT(r.misses.intraNodeInvals, 0u);
@@ -190,7 +190,7 @@ TEST(Cmp, SharingL2ReducesOffChipCommunication)
         cfg.workload.blockBufferBytes = 64 * mib;
         cfg.workload.transactions = 100;
         cfg.workload.warmupTransactions = 40;
-        return Machine(cfg).run(ExecMode::Timing);
+        return Machine(cfg).run();
     };
     const RunResult smp = run(1); // 4 chips x 1 core
     const RunResult cmp = run(4); // 1 chip  x 4 cores

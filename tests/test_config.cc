@@ -30,6 +30,11 @@ TEST(ParseSizeDeathTest, Junk)
                 "malformed size");
     EXPECT_EXIT(parseSize(""), ::testing::ExitedWithCode(1),
                 "empty size");
+    // Past 2^64-1, in the digits or through the suffix multiplication.
+    EXPECT_EXIT(parseSize("99999999999999999999"),
+                ::testing::ExitedWithCode(1), "does not fit in 64 bits");
+    EXPECT_EXIT(parseSize("17179869184G"), ::testing::ExitedWithCode(1),
+                "does not fit in 64 bits");
 }
 
 TEST(KvConfig, ParsesCommentsAndWhitespace)
@@ -69,6 +74,17 @@ TEST(KvConfigDeathTest, MalformedInput)
     const KvConfig kv = KvConfig::fromString("a = x\n");
     EXPECT_EXIT(kv.getUint("a", 0), ::testing::ExitedWithCode(1),
                 "expected integer");
+    const KvConfig huge =
+        KvConfig::fromString("machine.cpus = 99999999999999999999999\n"
+                             "machine.l2.size = 17179869184G\n");
+    EXPECT_EXIT(huge.getUint("machine.cpus", 0),
+                ::testing::ExitedWithCode(1),
+                "config key 'machine.cpus': value "
+                "'99999999999999999999999' does not fit in 64 bits");
+    EXPECT_EXIT(huge.getSize("machine.l2.size", 0),
+                ::testing::ExitedWithCode(1),
+                "config key 'machine.l2.size': size value "
+                "'17179869184G' does not fit in 64 bits");
     EXPECT_EXIT(kv.getBool("a", false), ::testing::ExitedWithCode(1),
                 "expected boolean");
     EXPECT_EXIT((void)kv.get("nope"), ::testing::ExitedWithCode(1),
@@ -190,6 +206,25 @@ TEST(MachineFromConfigDeathTest, InvalidCombinationIsFatal)
                     "machine.level = base\n"
                     "machine.l2.impl = sram\n")),
                 ::testing::ExitedWithCode(1), "cannot use");
+}
+
+TEST(MachineFromConfigDeathTest, MoreThan32NodesIsFatal)
+{
+    // The directory's sharer set is a 32-bit mask.
+    EXPECT_EXIT(Machine(machineFromConfig(
+                    KvConfig::fromString("machine.cpus = 64\n"))),
+                ::testing::ExitedWithCode(1),
+                "64 nodes: the model supports 1..32 nodes");
+}
+
+TEST(MachineFromConfigDeathTest, MoreThan16CoresPerChipIsFatal)
+{
+    const KvConfig kv = KvConfig::fromString(
+        "machine.cpus = 32\n"
+        "machine.cores_per_node = 32\n");
+    EXPECT_EXIT(Machine(machineFromConfig(kv)),
+                ::testing::ExitedWithCode(1),
+                "32 cores per node: the model supports 1..16 cores");
 }
 
 TEST(MachineConfigText, RoundTrips)

@@ -106,7 +106,7 @@ TEST(McContention, MachineFeelsTheQueueing)
         cfg.workload.blockBufferBytes = 64 * mib;
         cfg.workload.transactions = 60;
         cfg.workload.warmupTransactions = 20;
-        const RunResult r = Machine(cfg).run(ExecMode::Timing);
+        const RunResult r = Machine(cfg).run();
         EXPECT_TRUE(r.dbConsistent);
         return r;
     };

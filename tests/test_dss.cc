@@ -36,8 +36,8 @@ TEST(Dss, QueriesCompleteDeterministically)
     setQuiet(true);
     Machine a(dssConfig(2));
     Machine b(dssConfig(2));
-    const RunResult ra = a.run(ExecMode::Timing);
-    const RunResult rb = b.run(ExecMode::Timing);
+    const RunResult ra = a.run();
+    const RunResult rb = b.run();
     EXPECT_EQ(ra.transactions, 12u);
     EXPECT_EQ(ra.execTime(), rb.execTime());
     EXPECT_EQ(ra.misses.totalL2Misses(), rb.misses.totalL2Misses());
@@ -48,7 +48,7 @@ TEST(Dss, ReadOnlyAndBarelyShared)
 {
     setQuiet(true);
     Machine m(dssConfig(4));
-    const RunResult r = m.run(ExecMode::Timing);
+    const RunResult r = m.run();
     // Scans produce almost no write sharing: dirty 3-hop misses are a
     // sliver compared with OLTP's >50%.
     const double dirty_share =
@@ -68,8 +68,8 @@ TEST(Dss, StreamingMissesDontCareAboutCacheSize)
     small.l2Impl = L2Impl::OffchipDirect;
     MachineConfig big = dssConfig(1, 16);
     big.l2 = CacheGeometry{8 * mib, 4, 64};
-    const RunResult rs = Machine(small).run(ExecMode::Timing);
-    const RunResult rb = Machine(big).run(ExecMode::Timing);
+    const RunResult rs = Machine(small).run();
+    const RunResult rb = Machine(big).run();
     // An 8x bigger, 4x more associative cache barely moves the miss
     // count: there is no reuse for it to capture.
     const double ratio =
@@ -102,8 +102,8 @@ TEST(Dss, LessSensitiveToIntegrationThanOltp)
         full.level = IntegrationLevel::FullInt;
         full.l2Impl = L2Impl::OnchipSram;
         full.l2 = CacheGeometry{2 * mib, 8, 64};
-        const RunResult rb = Machine(base).run(ExecMode::Timing);
-        const RunResult rf = Machine(full).run(ExecMode::Timing);
+        const RunResult rb = Machine(base).run();
+        const RunResult rf = Machine(full).run();
         return static_cast<double>(rb.execTime()) /
                static_cast<double>(rf.execTime());
     };
@@ -117,7 +117,7 @@ TEST(Dss, InstructionFootprintIsTiny)
 {
     setQuiet(true);
     Machine m(dssConfig(1, 16));
-    const RunResult r = m.run(ExecMode::Timing);
+    const RunResult r = m.run();
     // Scan loops live in a handful of I-lines: instruction misses are
     // negligible next to data misses.
     EXPECT_LT(r.misses.instrLocal + r.misses.instrRemote,

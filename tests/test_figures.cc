@@ -30,7 +30,7 @@ runCfg(const MachineConfig &cfg)
 {
     setQuiet(true);
     Machine m(cfg);
-    return m.run(ExecMode::Timing);
+    return m.run();
 }
 
 TEST(Claims, AssociativityBeatsDirectMappedAtSameSize)

@@ -249,44 +249,6 @@ TEST(LintLogging, DoesNotConstrainCliMains)
 }
 
 // ---------------------------------------------------------------- //
-// atomic-path
-
-TEST(LintAtomicPath, FlagsTimingMachineryInAtomicBodies)
-{
-    const auto findings = lintFixtures({"src/atomic_bad.cc"});
-    EXPECT_EQ(countRule(findings, "atomic-path"), 4u);
-    EXPECT_EQ(findings.size(), 4u);
-    EXPECT_TRUE(anyMessageContains(findings, "stepCpuAtomic()"));
-    EXPECT_TRUE(anyMessageContains(findings, "runUntilAtomic()"));
-    EXPECT_TRUE(anyMessageContains(findings, "mcQueueDelay"));
-    EXPECT_TRUE(anyMessageContains(findings, "timingEvents_"));
-}
-
-TEST(LintAtomicPath, AcceptsFunctionalPathAndTimingOwnCode)
-{
-    EXPECT_TRUE(lintFixtures({"src/atomic_good.cc"}).empty());
-}
-
-TEST(LintAtomicPath, DoesNotConstrainTestsAndTools)
-{
-    // The rule guards src/ only; a test may drive the timing loop
-    // from a helper that happens to end in Atomic.
-    const auto findings = lintText({{"tests/test_x.cc",
-        "void warmAtomic(Sim &s) { s.runUntil(0); }\n"}});
-    EXPECT_EQ(countRule(findings, "atomic-path"), 0u);
-}
-
-TEST(LintAtomicPath, IgnoresDeclarationsAndCallSites)
-{
-    const auto findings = lintText({{"src/x.hh",
-        "struct S {\n"
-        "  void stepCpuAtomic(int cpu);\n"
-        "};\n"
-        "inline void drive(S &s) { s.stepCpuAtomic(0); }\n"}});
-    EXPECT_EQ(countRule(findings, "atomic-path"), 0u);
-}
-
-// ---------------------------------------------------------------- //
 // prof-guard
 
 TEST(LintProfGuard, FlagsRawProfilerPrimitivesInLibraryCode)
@@ -370,7 +332,7 @@ TEST(LintSuppression, ReasonlessAllowStillSuppressesNothing)
 TEST(LintDriver, CatalogueListsEveryRule)
 {
     const auto &rules = Linter::rules();
-    ASSERT_EQ(rules.size(), 8u);
+    ASSERT_EQ(rules.size(), 7u);
     std::vector<std::string> ids;
     for (const RuleInfo &rule : rules) {
         ids.emplace_back(rule.id);
@@ -379,8 +341,8 @@ TEST(LintDriver, CatalogueListsEveryRule)
     }
     const std::vector<std::string> expected = {
         "determinism",    "ordered-output", "ckpt-coverage",
-        "stats-coverage", "logging",        "atomic-path",
-        "prof-guard",     "suppression",
+        "stats-coverage", "logging",        "prof-guard",
+        "suppression",
     };
     for (const std::string &id : expected)
         EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end())

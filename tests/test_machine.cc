@@ -51,7 +51,7 @@ TEST(Machine, UniprocessorRunCompletes)
 {
     setQuiet(true);
     Machine m(uniConfig());
-    const RunResult r = m.run(ExecMode::Timing);
+    const RunResult r = m.run();
     EXPECT_EQ(r.transactions, 60u);
     EXPECT_TRUE(r.dbConsistent);
     EXPECT_GT(r.cpu.instructions, 0u);
@@ -70,7 +70,7 @@ TEST(Machine, MultiprocessorHasCommunication)
 {
     setQuiet(true);
     Machine m(mpConfig());
-    const RunResult r = m.run(ExecMode::Timing);
+    const RunResult r = m.run();
     EXPECT_EQ(r.transactions, 60u);
     EXPECT_TRUE(r.dbConsistent);
     EXPECT_GT(r.misses.dataRemoteClean, 0u);
@@ -85,8 +85,8 @@ TEST(Machine, DeterministicAcrossIdenticalRuns)
     setQuiet(true);
     Machine a(mpConfig());
     Machine b(mpConfig());
-    const RunResult ra = a.run(ExecMode::Timing);
-    const RunResult rb = b.run(ExecMode::Timing);
+    const RunResult ra = a.run();
+    const RunResult rb = b.run();
     EXPECT_EQ(ra.cpu.instructions, rb.cpu.instructions);
     EXPECT_EQ(ra.execTime(), rb.execTime());
     EXPECT_EQ(ra.wallTime, rb.wallTime);
@@ -100,8 +100,8 @@ TEST(Machine, SeedChangesResults)
     setQuiet(true);
     MachineConfig c1 = mpConfig(), c2 = mpConfig();
     c2.workload.seed ^= 0x1234;
-    const RunResult r1 = Machine(c1).run(ExecMode::Timing);
-    const RunResult r2 = Machine(c2).run(ExecMode::Timing);
+    const RunResult r1 = Machine(c1).run();
+    const RunResult r2 = Machine(c2).run();
     EXPECT_NE(r1.execTime(), r2.execTime());
 }
 
@@ -109,7 +109,7 @@ TEST(Machine, KernelShareInPlausibleRange)
 {
     setQuiet(true);
     Machine m(uniConfig(150));
-    const RunResult r = m.run(ExecMode::Timing);
+    const RunResult r = m.run();
     // Paper: the kernel is ~25% of execution time for OLTP.
     EXPECT_GT(r.cpu.kernelFraction(), 0.10);
     EXPECT_LT(r.cpu.kernelFraction(), 0.45);
@@ -120,7 +120,7 @@ TEST(Machine, WarmupExcludedFromMeasurement)
     setQuiet(true);
     MachineConfig cfg = uniConfig(90);
     Machine m(cfg);
-    const RunResult r = m.run(ExecMode::Timing);
+    const RunResult r = m.run();
     // Measured transactions only (engine committed warmup + measured).
     EXPECT_EQ(r.transactions, 90u);
     EXPECT_EQ(m.engine().committedTransactions(),
@@ -135,8 +135,8 @@ TEST(Machine, ReplicationLocalizesInstructionMisses)
     repl.replicateCode = true;
     // Small L2 so instruction misses exist at all.
     plain.l2 = repl.l2 = CacheGeometry{256 * kib, 2, 64};
-    const RunResult rp = Machine(plain).run(ExecMode::Timing);
-    const RunResult rr = Machine(repl).run(ExecMode::Timing);
+    const RunResult rp = Machine(plain).run();
+    const RunResult rr = Machine(repl).run();
     EXPECT_GT(rp.misses.instrRemote, 0u);
     // With per-node text copies, instruction misses are local.
     EXPECT_EQ(rr.misses.instrRemote, 0u);
@@ -153,8 +153,8 @@ TEST(Machine, RacMachineRunsAndFiltersRemoteTraffic)
     norac.l2 = withrac.l2 = CacheGeometry{256 * kib, 2, 64};
     withrac.rac = true;
     withrac.racGeom = CacheGeometry{4 * mib, 8, 64};
-    const RunResult rn = Machine(norac).run(ExecMode::Timing);
-    const RunResult rw = Machine(withrac).run(ExecMode::Timing);
+    const RunResult rn = Machine(norac).run();
+    const RunResult rw = Machine(withrac).run();
     EXPECT_GT(rw.rac.lookups, 0u);
     EXPECT_GT(rw.rac.hits, 0u);
     // RAC hits convert remote misses into local ones (Figure 11).
@@ -173,7 +173,7 @@ TEST(Machine, OooModelRuns)
     MachineConfig cfg = uniConfig(80);
     cfg.cpuModel = CpuModel::OutOfOrder;
     Machine m(cfg);
-    const RunResult r = m.run(ExecMode::Timing);
+    const RunResult r = m.run();
     EXPECT_EQ(r.transactions, 80u);
     EXPECT_TRUE(r.dbConsistent);
     EXPECT_GT(r.cpu.busy, 0u);
@@ -183,7 +183,7 @@ TEST(Machine, SnapshotAggregatesAllCpus)
 {
     setQuiet(true);
     Machine m(mpConfig());
-    m.run(ExecMode::Timing);
+    m.run();
     CpuStats manual;
     for (NodeId n = 0; n < 4; ++n)
         manual += m.cpu(n).stats();

@@ -5,7 +5,8 @@
  * last epochs, rebase after a stats reset), exporter well-formedness
  * (Chrome JSON parses back, CSV headers), the binary capture round
  * trip, and — end to end — that attaching observability to a machine
- * records events without perturbing the simulated results.
+ * records events without perturbing the simulated results, and that
+ * host-side instrumentation leaves figure JSON byte-identical.
  */
 
 #include <gtest/gtest.h>
@@ -20,13 +21,16 @@
 
 #include "src/base/json.hh"
 #include "src/base/logging.hh"
+#include "src/core/experiment.hh"
 #include "src/core/machine.hh"
+#include "src/core/report.hh"
 #include "src/obs/event.hh"
 #include "src/obs/export.hh"
 #include "src/obs/observability.hh"
 #include "src/obs/ring.hh"
 #include "src/obs/sampler.hh"
 #include "src/obs/tracer.hh"
+#include "src/prof/profiler.hh"
 
 namespace isim {
 namespace {
@@ -368,12 +372,12 @@ TEST(ObservedMachine, TracingDoesNotPerturbResults)
 {
     setQuiet(true);
     Machine plain(mpConfig());
-    const RunResult a = plain.run(ExecMode::Timing);
+    const RunResult a = plain.run();
 
     Machine observed(mpConfig());
     obs::Observability o(observeEverything());
     observed.attachObservability(&o);
-    const RunResult b = observed.run(ExecMode::Timing);
+    const RunResult b = observed.run();
 
     EXPECT_EQ(a.transactions, b.transactions);
     EXPECT_EQ(a.wallTime, b.wallTime);
@@ -403,7 +407,7 @@ TEST(ObservedMachine, RecordsAllEventFamilies)
     Machine m(mpConfig());
     obs::Observability o(observeEverything());
     m.attachObservability(&o);
-    const RunResult r = m.run(ExecMode::Timing);
+    const RunResult r = m.run();
     EXPECT_TRUE(r.dbConsistent);
 
     // The timeline covers the whole run in contiguous epochs.
@@ -455,12 +459,52 @@ TEST(ObservedMachine, UniprocessorHasNoNocTraffic)
     Machine m(cfg);
     obs::Observability o(observeEverything());
     m.attachObservability(&o);
-    const RunResult r = m.run(ExecMode::Timing);
+    const RunResult r = m.run();
     EXPECT_TRUE(r.dbConsistent);
 #ifdef ISIM_OBS
     EXPECT_EQ(o.tracer().count(EventKind::NocEnqueue), 0u);
     EXPECT_GT(o.tracer().count(EventKind::MissCompleted), 0u);
 #endif
+}
+
+TEST(ObservedMachine, HostInstrumentationKeepsFigureJsonBitIdentical)
+{
+    setQuiet(true);
+    // Host-side observability — runtime-enabled self-profiling AND an
+    // attached trace/timeline bundle — must leave the figure JSON
+    // BYTE-identical to a bare run. Host data goes to prof.json and
+    // the trace files, never into figure outputs.
+    FigureSpec spec;
+    spec.id = "TestFig";
+    spec.title = "host instrumentation bit-identity";
+    for (const char *name : {"bar-a", "bar-b"}) {
+        FigureBar bar;
+        bar.config = mpConfig(30);
+        bar.config.name = name;
+        spec.bars.push_back(bar);
+    }
+
+    RunOptions options;
+    options.verbose = false;
+    options.jobs = 2;
+    const FigureResult bare = ExperimentRunner(options).run(spec);
+    const std::string bareJson = figureToJson(bare);
+
+    const bool wasEnabled = prof::enabled();
+    prof::setEnabled(true);
+    RunOptions instrumented = options;
+    instrumented.obs.traceOutPath =
+        testing::TempDir() + "/obs_host_trace.json";
+    instrumented.obs.timelineOutPath =
+        testing::TempDir() + "/obs_host_timeline.csv";
+    instrumented.obs.epochTicks = 200000;
+    const FigureResult observed =
+        ExperimentRunner(instrumented).run(spec);
+    prof::setEnabled(wasEnabled);
+    std::remove(instrumented.obs.traceOutPath.c_str());
+    std::remove(instrumented.obs.timelineOutPath.c_str());
+
+    EXPECT_EQ(bareJson, figureToJson(observed));
 }
 
 } // namespace

@@ -115,7 +115,7 @@ TEST(Prefetch, StreamingWorkloadBenefitsOltpBarely)
             kind == WorkloadKind::DssScan ? 16 : 150;
         cfg.workload.warmupTransactions =
             cfg.workload.transactions / 3;
-        return Machine(cfg).run(ExecMode::Timing);
+        return Machine(cfg).run();
     };
     const RunResult dss0 = run(WorkloadKind::DssScan, 0);
     const RunResult dss2 = run(WorkloadKind::DssScan, 2);

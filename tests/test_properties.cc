@@ -67,7 +67,7 @@ TEST_P(MachineSweep, RunEndsConsistent)
     cfg.workload.warmupTransactions = 16;
 
     Machine m(cfg);
-    const RunResult r = m.run(ExecMode::Timing);
+    const RunResult r = m.run();
 
     // (a) Protocol invariants.
     m.memSys().checkInvariants();
@@ -155,7 +155,7 @@ TEST_P(CapacitySweep, BiggerAssociativeCacheMissesLess)
         cfg.workload.blockBufferBytes = 64 * mib;
         cfg.workload.transactions = 120;
         cfg.workload.warmupTransactions = 60;
-        const RunResult r = Machine(cfg).run(ExecMode::Timing);
+        const RunResult r = Machine(cfg).run();
         // Allow a sliver of noise; capacity growth must not increase
         // misses materially.
         EXPECT_LT(r.misses.totalL2Misses(),

@@ -104,9 +104,11 @@ TEST(RunOptions, FromEnvIgnoresGarbage)
     EnvGuard warm("ISIM_WARMUP", "-3");
     EnvGuard jobs("ISIM_JOBS", "2x");
     EnvGuard audit("ISIM_AUDIT_PERIOD", "0");
+    EnvGuard seed("ISIM_SEED", "99999999999999999999"); // > 2^64-1
     const RunOptions opts = RunOptions::fromEnv();
     EXPECT_FALSE(opts.txns);
     EXPECT_FALSE(opts.warmup);
+    EXPECT_FALSE(opts.seed);
     EXPECT_EQ(opts.jobs, 0u);
     EXPECT_EQ(opts.auditPeriod, std::uint64_t{1} << 20);
 }
@@ -126,6 +128,15 @@ TEST(RunOptions, FlagsWinOverEnvironment)
     EXPECT_EQ(opts.jsonDir, "/tmp/j");
     EXPECT_FALSE(opts.verbose);
     EXPECT_TRUE(args.rest().empty()); // everything was consumed
+}
+
+TEST(RunOptionsDeathTest, OutOfRangeFlagIsFatal)
+{
+    // strtoull clamps to 2^64-1 on overflow; the flag must not.
+    Args args({"--txns", "99999999999999999999"});
+    EXPECT_EXIT(RunOptions::fromCommandLine(args.argc(), args.argv()),
+                ::testing::ExitedWithCode(1),
+                "--txns: expected an unsigned integer");
 }
 
 TEST(RunOptions, BothFlagFormsParse)

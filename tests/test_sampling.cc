@@ -238,7 +238,7 @@ TEST(SampledRun, ReportsScheduleCoverageAndPerStatBounds)
 {
     setQuiet(true);
     Machine m(sampleTestConfig(7));
-    m.runWarmup(ExecMode::Timing);
+    m.runWarmup();
     sample::SampleController controller(m, smallSampleSpec());
     const RunResult r = controller.run();
 
@@ -370,7 +370,7 @@ TEST(SampledAccuracy, CpiWithinOwnCiOfFullTimingRunTwoSeeds)
     for (const std::uint64_t seed : {7ull, 1234ull}) {
         MachineConfig cfg = sampleTestConfig(seed, 400, 40);
         Machine full(cfg);
-        full.runWarmup(ExecMode::Timing);
+        full.runWarmup();
         const RunResult exact = full.runMeasurement();
         const stats::Sample *cpiExact =
             stats::findSample(exact.stats, "cpu.cpi");
@@ -380,7 +380,7 @@ TEST(SampledAccuracy, CpiWithinOwnCiOfFullTimingRunTwoSeeds)
         spec.ff = 40;
         spec.measure = 10;
         Machine sampled(cfg);
-        sampled.runWarmup(ExecMode::Timing);
+        sampled.runWarmup();
         const RunResult est =
             sample::SampleController(sampled, spec).run();
         ASSERT_EQ(est.sampling.windows, 8u);

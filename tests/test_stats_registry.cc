@@ -262,7 +262,7 @@ TEST(MachineStats, SnapshotAgreesWithLegacyAggregates)
     cfg.workload.warmupTransactions = 10;
 
     Machine machine(cfg);
-    const RunResult r = machine.run(ExecMode::Timing);
+    const RunResult r = machine.run();
     ASSERT_FALSE(r.stats.empty());
 
     const auto value = [&](const char *name) {

@@ -13,19 +13,14 @@
  *   isim-bench --sampled               also time a sampled pass
  *   isim-bench --out=bench.json        explicit output path
  *
- * Per figure, the report separates the phases of the warm-up story
- * (docs/EXECMODE.md):
+ * Per figure, the report separates the phases of the warm-up story:
  *
- *   wall_ms          cold run under the figure's default warm-up mode
- *   timing_wall_ms   cold run with --warmup-mode timing (only when
- *                    the default differs — the pre-ExecMode baseline)
- *   warmup_speedup   timing_wall_ms / wall_ms (the atomic-warm-up
- *                    end-to-end win, honest: ~1.05-1.2x)
+ *   wall_ms          cold run (warm-up + measurement)
  *   image_build_ms   --warm-restore: cold run that also saves a warm
  *                    image per bar (the pipeline's one-time cost)
  *   restore_ms       --warm-restore: the same figure measured from
  *                    those images (warm-up paid by deserialization)
- *   warm_speedup     baseline wall / restore_ms — the pipeline payoff
+ *   warm_speedup     wall_ms / restore_ms — the pipeline payoff
  *                    that dominates warm-up-heavy figures (>= 5x)
  *
  * With --sampled (or any explicit --sample-* flag) each figure also
@@ -42,7 +37,7 @@
  * answers not just "how slow" but "where".
  *
  * The shared run flags (--txns, --warmup, --seed, --jobs, --quiet,
- * --warmup-mode, ...) apply; --quick is shorthand for a small fixed
+ * ...) apply; --quick is shorthand for a small fixed
  * workload (explicit --txns/--warmup still win). Reports are
  * suppressed — the product is the timing JSON.
  */
@@ -154,13 +149,9 @@ struct BenchRow
 {
     std::string id;
     std::size_t bars = 0;
-    /** The figure's default warm-up mode after --warmup-mode. */
-    ExecMode warmupMode = ExecMode::Timing;
     double wallMs = 0.0;
     std::uint64_t committedTxns = 0;
     std::uint64_t simulatedNs = 0;
-    /** Forced-timing-warm-up rerun; < 0 when it IS the default. */
-    double timingWallMs = -1.0;
     /** Image-building pass of --warm-restore; < 0 = not measured. */
     double imageBuildMs = -1.0;
     /** Restored rerun of --warm-restore; < 0 = not measured. */
@@ -171,12 +162,6 @@ struct BenchRow
     double sampledWallMs = -1.0;
     sample::SampleSpec sampleSpec;
     std::vector<SampledBar> sampledBars;
-
-    /** Cold-timing baseline every speedup is quoted against. */
-    double baselineMs() const
-    {
-        return timingWallMs >= 0.0 ? timingWallMs : wallMs;
-    }
 };
 
 std::string
@@ -189,8 +174,9 @@ benchToJson(const std::string &date, const RunOptions &options,
     json.beginObject()
         .kv("schema", "isim-bench")
         // Version 3 added the per-figure "prof" breakdown; version 4
-        // the "sampled" accuracy/speedup block (--sampled).
-        .kv("version", std::uint64_t{4})
+        // the "sampled" accuracy/speedup block (--sampled); version 5
+        // dropped "warmup_mode", "timing_wall_ms" and "warmup_speedup".
+        .kv("version", std::uint64_t{5})
         .kv("date", date)
         .kv("quick", quick)
         .kv("warm_restore", warm_restore)
@@ -213,20 +199,10 @@ benchToJson(const std::string &date, const RunOptions &options,
         json.beginObject()
             .kv("id", row.id)
             .kv("bars", std::uint64_t{row.bars})
-            .kv("warmup_mode", execModeName(row.warmupMode))
             .kv("wall_ms", row.wallMs, 2)
             .kv("committed_txns", row.committedTxns)
             .kv("txns_per_sec", txnsPerSec, 1)
             .kv("simulated_ns", row.simulatedNs);
-        if (row.timingWallMs >= 0.0) {
-            // Same figure, warm-up forced back to the timing model:
-            // the pre-ExecMode cost the atomic default is up against.
-            json.kv("timing_wall_ms", row.timingWallMs, 2)
-                .kv("warmup_speedup",
-                    row.wallMs > 0.0 ? row.timingWallMs / row.wallMs
-                                     : 0.0,
-                    2);
-        }
         if (row.imageBuildMs >= 0.0) {
             // The pipeline split (formerly one warm_wall_ms number):
             // pay image_build_ms once, then every rerun costs
@@ -234,9 +210,8 @@ benchToJson(const std::string &date, const RunOptions &options,
             json.kv("image_build_ms", row.imageBuildMs, 2)
                 .kv("restore_ms", row.restoreMs, 2)
                 .kv("warm_speedup",
-                    row.restoreMs > 0.0
-                        ? row.baselineMs() / row.restoreMs
-                        : 0.0,
+                    row.restoreMs > 0.0 ? row.wallMs / row.restoreMs
+                                        : 0.0,
                     2);
         }
         if (row.sampledWallMs >= 0.0) {
@@ -427,12 +402,11 @@ main(int argc, char **argv)
         BenchRow row;
         row.id = entry->id;
         row.bars = spec.bars.size();
-        row.warmupMode = opts.effectiveWarmupMode(spec.warmupMode);
 
-        // Cold run under the figure's effective warm-up mode. In a
-        // profiling build, bracket it with global snapshots so the
-        // row's "prof" breakdown covers exactly this run (the pool is
-        // joined inside run(), so both snapshots are quiescent).
+        // Cold run. In a profiling build, bracket it with global
+        // snapshots so the row's "prof" breakdown covers exactly this
+        // run (the pool is joined inside run(), so both snapshots are
+        // quiescent).
         const prof::ProfSnapshot before = prof::collectGlobal();
         FigureResult result;
         row.wallMs = timedRun(spec, opts, &result);
@@ -441,14 +415,6 @@ main(int argc, char **argv)
         for (const RunResult &r : result.runs) {
             row.committedTxns += r.transactions;
             row.simulatedNs += r.wallTime;
-        }
-
-        if (row.warmupMode != ExecMode::Timing) {
-            // The atomic-warm-up speedup column: same figure, warm-up
-            // forced back to the timing model.
-            RunOptions timingOpts = opts;
-            timingOpts.warmupMode = ExecMode::Timing;
-            row.timingWallMs = timedRun(spec, timingOpts);
         }
 
         if (warmRestore) {
@@ -470,7 +436,7 @@ main(int argc, char **argv)
             // fast-forward and timing windows. Without explicit
             // --sample-* flags the schedule derives from the
             // transaction count: 8 periods, each measuring 1/8 of its
-            // span after a half-window atomic re-warm.
+            // span after a half-window re-warm.
             const std::uint64_t txns =
                 opts.txns ? *opts.txns
                           : spec.bars.front().config.workload
@@ -540,12 +506,10 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(
                             row.committedTxns));
         } else {
-            std::printf("%-12s %8.1f ms  (%zu bars, %llu txns, "
-                        "%s warm-up)\n",
+            std::printf("%-12s %8.1f ms  (%zu bars, %llu txns)\n",
                         row.id.c_str(), row.wallMs, row.bars,
                         static_cast<unsigned long long>(
-                            row.committedTxns),
-                        execModeName(row.warmupMode));
+                            row.committedTxns));
         }
     }
 
