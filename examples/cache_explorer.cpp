@@ -49,10 +49,8 @@ main(int argc, char **argv)
             cfg.workload.warmupTransactions = txns / 2;
             Machine m(cfg);
             const RunResult r = m.run();
-            const double mpki =
-                1000.0 *
-                static_cast<double>(r.misses.totalL2Misses()) /
-                static_cast<double>(r.cpu.instructions);
+            const double mpki = 1000.0 * r.stat("l2.miss.total") /
+                                 r.stat("cpu.instructions");
             row.num(mpki, 2);
         }
     }

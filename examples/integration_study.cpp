@@ -62,10 +62,9 @@ main(int argc, char **argv)
     const FigureResult result = runner.run(spec);
     printFigureReport(std::cout, result);
 
-    const double cons_time = static_cast<double>(result.runs[0].execTime());
-    const double base_time = static_cast<double>(result.runs[1].execTime());
-    const double full_time =
-        static_cast<double>(result.runs.back().execTime());
+    const double cons_time = result.runs[0].stat("cpu.exec_time");
+    const double base_time = result.runs[1].stat("cpu.exec_time");
+    const double full_time = result.runs.back().stat("cpu.exec_time");
     std::cout << "Speedup of full integration: "
               << formatNum(base_time / full_time, 2) << "x vs Base, "
               << formatNum(cons_time / full_time, 2)

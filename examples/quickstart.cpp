@@ -6,6 +6,7 @@
  * Usage: quickstart [num_cpus] [transactions]
  */
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 
@@ -35,26 +36,32 @@ main(int argc, char **argv)
     Machine machine(cfg);
     const RunResult r = machine.run();
 
-    const double exec = static_cast<double>(r.execTime());
+    // Every number below is a named stat of the run (docs/METRICS.md).
+    auto count = [&r](const char *stat) {
+        return static_cast<std::uint64_t>(r.stat(stat));
+    };
+    const double exec = r.stat("cpu.exec_time");
     std::cout << "\ntransactions: " << r.transactions
               << "  (throughput " << r.tps() << " tps)\n";
     std::cout << "TPC-B consistency: "
               << (r.dbConsistent ? "ok" : "FAILED") << "\n";
-    std::cout << "instructions: " << r.cpu.instructions << "\n";
+    std::cout << "instructions: " << count("cpu.instructions") << "\n";
     std::cout << "execution time breakdown (% of non-idle):\n";
-    auto pct = [&](Tick t) {
-        return exec > 0 ? 100.0 * static_cast<double>(t) / exec : 0.0;
-    };
-    std::cout << "  CPU busy:   " << pct(r.cpu.busy) << "\n";
-    std::cout << "  L2 hit:     " << pct(r.cpu.l2HitStall) << "\n";
-    std::cout << "  local mem:  " << pct(r.cpu.localStall) << "\n";
-    std::cout << "  remote mem: " << pct(r.cpu.remStall()) << "\n";
-    std::cout << "kernel share: " << 100.0 * r.cpu.kernelFraction()
+    auto pct = [&](double t) { return exec > 0 ? 100.0 * t / exec : 0.0; };
+    std::cout << "  CPU busy:   " << pct(r.stat("cpu.busy")) << "\n";
+    std::cout << "  L2 hit:     " << pct(r.stat("cpu.l2hit_stall")) << "\n";
+    std::cout << "  local mem:  " << pct(r.stat("cpu.local_stall")) << "\n";
+    std::cout << "  remote mem: "
+              << pct(r.stat("cpu.remote_stall") +
+                     r.stat("cpu.remote_dirty_stall"))
+              << "\n";
+    std::cout << "kernel share: " << 100.0 * r.stat("cpu.kernel_frac")
               << "%\n";
-    std::cout << "L2 misses: total " << r.misses.totalL2Misses()
-              << "  (I-loc " << r.misses.instrLocal << ", I-rem "
-              << r.misses.instrRemote << ", D-loc " << r.misses.dataLocal
-              << ", D-2hop " << r.misses.dataRemoteClean << ", D-3hop "
-              << r.misses.dataRemoteDirty << ")\n";
+    std::cout << "L2 misses: total " << count("l2.miss.total")
+              << "  (I-loc " << count("l2.miss.instr_local") << ", I-rem "
+              << count("l2.miss.instr_remote") << ", D-loc "
+              << count("l2.miss.local") << ", D-2hop "
+              << count("l2.miss.remote_clean") << ", D-3hop "
+              << count("l2.miss.remote_dirty") << ")\n";
     return 0;
 }

@@ -59,7 +59,7 @@ main(int argc, char **argv)
     t.row().cell("Context switches")
         .count(machine.sched().contextSwitches());
     t.row().cell("Kernel share of time (%)")
-        .num(100.0 * r.cpu.kernelFraction());
+        .num(100.0 * r.stat("cpu.kernel_frac"));
     t.print(std::cout);
 
     std::cout << "\nSample balances (accounts really moved):\n";

@@ -9,6 +9,7 @@
  * Usage: workload_profile [num_cpus] [transactions]
  */
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 
@@ -49,7 +50,8 @@ main(int argc, char **argv)
     const RunResult r = machine.run();
 
     std::cout << "profiled " << r.transactions << " transactions on "
-              << cpus << " cpu(s); " << r.cpu.instructions
+              << cpus << " cpu(s); "
+              << static_cast<std::uint64_t>(r.stat("cpu.instructions"))
               << " instructions\n\n";
 
     Table t({"Region", "Policy", "Size(KB)", "Accesses", "Acc/txn",

@@ -22,9 +22,9 @@
 #include "src/base/logging.hh"
 #include "src/campaign/cache.hh"
 #include "src/campaign/protocol.hh"
+#include "src/core/report.hh"
 #include "src/prof/profiler.hh"
 #include "src/sample/controller.hh"
-#include "src/stats/manifest.hh"
 
 namespace isim {
 namespace campaign {
@@ -138,37 +138,22 @@ runLeasedBar(const CampaignPlan &plan, const Lease &lease,
         }
         // A restored machine reports under the image's (builder's)
         // name; the result belongs to this bar.
-        r.name = bar.config.name;
+        r.name = bar.name;
         r.resultKey = bar.key;
         r.configDigest = bar.configDigest;
         r.seed = bar.seed;
         if (!r.dbConsistent)
             return {false, "TPC-B consistency check failed"};
 
-        stats::Manifest m;
-        m.figure = bar.figureId;
-        m.title = "campaign cell";
-        stats::ManifestBar mb;
-        mb.name = bar.name;
-        mb.meta.present = true;
-        mb.meta.key = bar.key;
-        mb.meta.configDigest = bar.configDigest;
-        mb.meta.seed = bar.seed;
-        mb.meta.simWallMs = static_cast<double>(r.wallTime) / 1e6;
-        // hostWallMs stays unset: the cached bar file must be
-        // byte-stable across resumes (docs/CAMPAIGN.md).
-        if (r.sampling.enabled) {
-            mb.meta.sampleMode = sample::sampleModeName(r.sampling.mode);
-            mb.meta.sampleFf = r.sampling.ff;
-            mb.meta.sampleMeasure = r.sampling.measure;
-            mb.meta.sampleWarm = r.sampling.warm;
-            mb.meta.sampleWindows = r.sampling.windows;
-        }
-        mb.stats = r.stats;
-        mb.sampling = r.sampling;
-        m.bars.push_back(std::move(mb));
+        // The cached bar file is a one-bar figure manifest. hostWallMs
+        // stays unset (a worker never profiles the run): the file must
+        // be byte-stable across resumes (docs/CAMPAIGN.md).
+        FigureResult cell;
+        cell.spec.id = bar.figureId;
+        cell.spec.title = "campaign cell";
+        cell.runs.push_back(std::move(r));
         writeFileAtomic(barStatsPath(out_dir, bar.key),
-                        stats::manifestToJson(m));
+                        figureStatsJson(cell));
         if (prof_on) {
             writeFileAtomic(barProfPath(out_dir, bar.key),
                             prof::profJson(prof::threadSnapshot()));

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "src/base/logging.hh"
@@ -300,6 +301,34 @@ implName(L2Impl impl)
     return "?";
 }
 
+/** getUint narrowed to unsigned; fatal instead of wrapping. */
+unsigned
+getUnsigned(const KvConfig &kv, const std::string &key, unsigned fallback)
+{
+    const std::uint64_t v = kv.getUint(key, fallback);
+    if (v > std::numeric_limits<unsigned>::max()) {
+        isim_fatal("config key '%s': %llu exceeds the limit %u",
+                   key.c_str(), static_cast<unsigned long long>(v),
+                   std::numeric_limits<unsigned>::max());
+    }
+    return static_cast<unsigned>(v);
+}
+
+/** CacheGeometry::validate's conditions, as a config-time fatal. */
+void
+checkGeometry(const CacheGeometry &g, const char *prefix)
+{
+    const std::uint64_t way_bytes =
+        static_cast<std::uint64_t>(g.assoc) * g.lineBytes;
+    if (way_bytes == 0 || g.sizeBytes == 0 || g.sizeBytes % way_bytes) {
+        isim_fatal("config keys '%s.size' = %llu, '%s.assoc' = %u: the "
+                   "size must be a nonzero multiple of assoc x %u-byte "
+                   "lines",
+                   prefix, static_cast<unsigned long long>(g.sizeBytes),
+                   prefix, g.assoc, g.lineBytes);
+    }
+}
+
 } // namespace
 
 MachineConfig
@@ -307,10 +336,9 @@ machineFromConfig(const KvConfig &kv)
 {
     MachineConfig cfg;
     cfg.name = kv.getOr("machine.name", "from-config");
-    cfg.numCpus = static_cast<unsigned>(
-        kv.getUint("machine.cpus", cfg.numCpus));
-    cfg.coresPerNode = static_cast<unsigned>(
-        kv.getUint("machine.cores_per_node", cfg.coresPerNode));
+    cfg.numCpus = getUnsigned(kv, "machine.cpus", cfg.numCpus);
+    cfg.coresPerNode =
+        getUnsigned(kv, "machine.cores_per_node", cfg.coresPerNode);
 
     const std::string model =
         lower(kv.getOr("machine.cpu_model", "inorder"));
@@ -322,12 +350,10 @@ machineFromConfig(const KvConfig &kv)
         isim_fatal("unknown cpu model '%s' (want inorder | ooo)",
                    model.c_str());
     }
-    cfg.oooParams.width = static_cast<unsigned>(
-        kv.getUint("ooo.width", cfg.oooParams.width));
-    cfg.oooParams.window = static_cast<unsigned>(
-        kv.getUint("ooo.window", cfg.oooParams.window));
-    cfg.oooParams.lsPorts = static_cast<unsigned>(
-        kv.getUint("ooo.ls_ports", cfg.oooParams.lsPorts));
+    cfg.oooParams.width = getUnsigned(kv, "ooo.width", cfg.oooParams.width);
+    cfg.oooParams.window = getUnsigned(kv, "ooo.window", cfg.oooParams.window);
+    cfg.oooParams.lsPorts =
+        getUnsigned(kv, "ooo.ls_ports", cfg.oooParams.lsPorts);
     cfg.oooParams.mispredictEveryInstrs =
         kv.getDouble("ooo.mispredict_every",
                      cfg.oooParams.mispredictEveryInstrs);
@@ -337,24 +363,22 @@ machineFromConfig(const KvConfig &kv)
     if (kv.has("machine.l2.impl"))
         cfg.l2Impl = implFromName(kv.get("machine.l2.impl"));
     cfg.l2.sizeBytes = kv.getSize("machine.l2.size", cfg.l2.sizeBytes);
-    cfg.l2.assoc = static_cast<unsigned>(
-        kv.getUint("machine.l2.assoc", cfg.l2.assoc));
+    cfg.l2.assoc = getUnsigned(kv, "machine.l2.assoc", cfg.l2.assoc);
 
     cfg.rac = kv.getBool("machine.rac.enabled", cfg.rac);
     cfg.racGeom.sizeBytes =
         kv.getSize("machine.rac.size", cfg.racGeom.sizeBytes);
-    cfg.racGeom.assoc = static_cast<unsigned>(
-        kv.getUint("machine.rac.assoc", cfg.racGeom.assoc));
+    cfg.racGeom.assoc =
+        getUnsigned(kv, "machine.rac.assoc", cfg.racGeom.assoc);
     cfg.replicateCode =
         kv.getBool("machine.replicate_code", cfg.replicateCode);
-    cfg.victimBufferEntries = static_cast<unsigned>(
-        kv.getUint("machine.victim_buffer", cfg.victimBufferEntries));
-    cfg.prefetchDegree = static_cast<unsigned>(
-        kv.getUint("machine.prefetch_degree", cfg.prefetchDegree));
+    cfg.victimBufferEntries =
+        getUnsigned(kv, "machine.victim_buffer", cfg.victimBufferEntries);
+    cfg.prefetchDegree =
+        getUnsigned(kv, "machine.prefetch_degree", cfg.prefetchDegree);
     cfg.mcOccupancy =
         kv.getUint("machine.mc_occupancy", cfg.mcOccupancy);
-    cfg.pageColors = static_cast<unsigned>(
-        kv.getUint("machine.page_colors", cfg.pageColors));
+    cfg.pageColors = getUnsigned(kv, "machine.page_colors", cfg.pageColors);
 
     WorkloadParams &w = cfg.workload;
     const std::string kind = lower(kv.getOr("workload.kind", "tpcb"));
@@ -366,19 +390,18 @@ machineFromConfig(const KvConfig &kv)
         isim_fatal("unknown workload kind '%s' (want tpcb | dss)",
                    kind.c_str());
     }
-    w.dssStreamsPerCpu = static_cast<unsigned>(
-        kv.getUint("workload.dss_streams_per_cpu", w.dssStreamsPerCpu));
+    w.dssStreamsPerCpu =
+        getUnsigned(kv, "workload.dss_streams_per_cpu", w.dssStreamsPerCpu);
     w.dssBlocksPerQuery =
         kv.getUint("workload.dss_blocks_per_query", w.dssBlocksPerQuery);
     w.transactions = kv.getUint("workload.transactions", w.transactions);
     w.warmupTransactions =
         kv.getUint("workload.warmup", w.warmupTransactions);
-    w.branches = static_cast<unsigned>(
-        kv.getUint("workload.branches", w.branches));
-    w.accountsPerBranch = static_cast<unsigned>(
-        kv.getUint("workload.accounts_per_branch", w.accountsPerBranch));
-    w.serversPerCpu = static_cast<unsigned>(
-        kv.getUint("workload.servers_per_cpu", w.serversPerCpu));
+    w.branches = getUnsigned(kv, "workload.branches", w.branches);
+    w.accountsPerBranch =
+        getUnsigned(kv, "workload.accounts_per_branch", w.accountsPerBranch);
+    w.serversPerCpu =
+        getUnsigned(kv, "workload.servers_per_cpu", w.serversPerCpu);
     w.blockBufferBytes =
         kv.getSize("workload.block_buffer", w.blockBufferBytes);
     w.seed = kv.getUint("workload.seed", w.seed);
@@ -390,6 +413,12 @@ machineFromConfig(const KvConfig &kv)
     const std::string unread = kv.firstUnread();
     if (!unread.empty())
         isim_fatal("unknown config key '%s'", unread.c_str());
+
+    if (cfg.coresPerNode == 0)
+        isim_fatal("config key 'machine.cores_per_node': must be >= 1");
+    checkGeometry(cfg.l2, "machine.l2");
+    if (cfg.rac)
+        checkGeometry(cfg.racGeom, "machine.rac");
 
     if (!validCombination(cfg.level, cfg.l2Impl)) {
         isim_fatal("config: %s cannot use a %s L2",

@@ -19,6 +19,16 @@ MachineConfig::label() const
     return name;
 }
 
+double
+RunResult::stat(const std::string &stat_name) const
+{
+    const stats::Sample *s = stats::findSample(stats, stat_name);
+    if (s == nullptr)
+        isim_panic("run '%s' has no stat '%s'", name.c_str(),
+                   stat_name.c_str());
+    return s->number();
+}
+
 Machine::~Machine() = default;
 
 Machine::Machine(const MachineConfig &config) : config_(config)
@@ -316,18 +326,8 @@ Machine::snapshot() const
 {
     RunResult r;
     r.name = config_.name;
-    for (const auto &core : cpus_)
-        r.cpu += core->stats();
-    r.misses = memSys_->aggregateStats();
-    if (memSys_->hasRac())
-        r.rac = memSys_->aggregateRacCounters();
     r.transactions = engine_->measuredCommitted();
     r.dbConsistent = engine_->db().checkConsistency();
-    const Histogram &lat = engine_->txnLatency();
-    r.txnLatMeanUs = lat.mean();
-    r.txnLatP50Us = lat.quantile(0.50);
-    r.txnLatP95Us = lat.quantile(0.95);
-    r.txnLatP99Us = lat.quantile(0.99);
     r.stats = registry_.snapshot();
     return r;
 }

@@ -88,24 +88,16 @@ struct MachineConfig
     std::string label() const;
 };
 
-/** Aggregated outcome of one measured run. */
+/**
+ * Outcome of one measured run. Every simulated number lives in the
+ * registry snapshot `stats`; read it by name with stat().
+ */
 struct RunResult
 {
     std::string name;
-    CpuStats cpu;             //!< summed over CPUs (measurement window)
-    NodeProtocolStats misses; //!< summed over nodes
-    RacCounters rac;
     std::uint64_t transactions = 0;
     Tick wallTime = 0; //!< elapsed simulated time of the window
     bool dbConsistent = false;
-
-    // Transaction commit latency over the window (microseconds).
-    // Quantiles are NaN when unresolvable (no samples, or the mass
-    // sits in the histogram's overflow bucket).
-    double txnLatMeanUs = 0.0;
-    double txnLatP50Us = 0.0;
-    double txnLatP95Us = 0.0;
-    double txnLatP99Us = 0.0;
 
     /** Full registry snapshot (every named stat, sorted by name). */
     stats::Snapshot stats;
@@ -133,8 +125,13 @@ struct RunResult
     // must never leak into default manifests (docs/PROFILING.md).
     double hostWallMs = -1.0;
 
-    /** The figures' y-axis: total non-idle execution time. */
-    Tick execTime() const { return cpu.nonIdle(); }
+    /**
+     * The named stat's value (docs/METRICS.md lists the names, e.g.
+     * "cpu.exec_time", "l2.miss.total"). A missing name is a wiring
+     * bug and panics.
+     */
+    double stat(const std::string &name) const;
+
     double tps() const
     {
         return wallTime

@@ -26,17 +26,6 @@ norm(double value, double reference)
     return reference > 0.0 ? 100.0 * value / reference : 0.0;
 }
 
-/** Registry-snapshot lookup; a missing name is a wiring bug. */
-double
-stat(const RunResult &r, const std::string &name)
-{
-    const stats::Sample *s = stats::findSample(r.stats, name);
-    if (s == nullptr)
-        isim_panic("run '%s' has no stat '%s'", r.name.c_str(),
-                   name.c_str());
-    return s->number();
-}
-
 /** Lookup for stats that exist only in some configs (RAC). */
 double
 statOr(const RunResult &r, const std::string &name, double fallback)
@@ -49,7 +38,7 @@ statOr(const RunResult &r, const std::string &name, double fallback)
 double
 remStall(const RunResult &r)
 {
-    return stat(r, "cpu.remote_stall") + stat(r, "cpu.remote_dirty_stall");
+    return r.stat("cpu.remote_stall") + r.stat("cpu.remote_dirty_stall");
 }
 
 const stats::DistSummary &
@@ -69,8 +58,7 @@ executionTable(const FigureResult &result)
 {
     const FigureSpec &spec = result.spec;
     isim_assert(spec.normalizeTo < result.runs.size());
-    const double ref =
-        stat(result.runs[spec.normalizeTo], "cpu.exec_time");
+    const double ref = result.runs[spec.normalizeTo].stat("cpu.exec_time");
 
     Table t({"Config", "CPU", "L2Hit", "LocStall", "RemStall", "Total",
              "Paper"});
@@ -78,11 +66,11 @@ executionTable(const FigureResult &result)
         const RunResult &r = result.runs[i];
         t.row()
             .cell(r.name)
-            .num(norm(stat(r, "cpu.busy"), ref))
-            .num(norm(stat(r, "cpu.l2hit_stall"), ref))
-            .num(norm(stat(r, "cpu.local_stall"), ref))
+            .num(norm(r.stat("cpu.busy"), ref))
+            .num(norm(r.stat("cpu.l2hit_stall"), ref))
+            .num(norm(r.stat("cpu.local_stall"), ref))
             .num(norm(remStall(r), ref))
-            .num(norm(stat(r, "cpu.exec_time"), ref))
+            .num(norm(r.stat("cpu.exec_time"), ref))
             .cell(spec.bars[i].paperExecTime
                       ? formatNum(*spec.bars[i].paperExecTime)
                       : "-");
@@ -94,8 +82,7 @@ Table
 missTable(const FigureResult &result)
 {
     const FigureSpec &spec = result.spec;
-    const double ref =
-        stat(result.runs[spec.normalizeTo], "l2.miss.total");
+    const double ref = result.runs[spec.normalizeTo].stat("l2.miss.total");
 
     Table t({"Config", "I-Loc", "I-Rem", "D-Loc", "D-RemCl", "D-RemDrt",
              "Total", "Paper"});
@@ -103,12 +90,12 @@ missTable(const FigureResult &result)
         const RunResult &r = result.runs[i];
         t.row()
             .cell(r.name)
-            .num(norm(stat(r, "l2.miss.instr_local"), ref))
-            .num(norm(stat(r, "l2.miss.instr_remote"), ref))
-            .num(norm(stat(r, "l2.miss.local"), ref))
-            .num(norm(stat(r, "l2.miss.remote_clean"), ref))
-            .num(norm(stat(r, "l2.miss.remote_dirty"), ref))
-            .num(norm(stat(r, "l2.miss.total"), ref))
+            .num(norm(r.stat("l2.miss.instr_local"), ref))
+            .num(norm(r.stat("l2.miss.instr_remote"), ref))
+            .num(norm(r.stat("l2.miss.local"), ref))
+            .num(norm(r.stat("l2.miss.remote_clean"), ref))
+            .num(norm(r.stat("l2.miss.remote_dirty"), ref))
+            .num(norm(r.stat("l2.miss.total"), ref))
             .cell(spec.bars[i].paperMisses
                       ? formatNum(*spec.bars[i].paperMisses)
                       : "-");
@@ -123,22 +110,22 @@ detailTable(const FigureResult &result)
              "Lat-p95us", "Lat-p99us", "Kernel%", "Busy%",
              "Inval/Store%", "RACHit%", "Consist"});
     for (const RunResult &r : result.runs) {
-        const double stores = stat(r, "l2.store_refs");
+        const double stores = r.stat("l2.store_refs");
         const double inval_rate =
             stores > 0.0
-                ? 100.0 * stat(r, "l2.stores_causing_inval") / stores
+                ? 100.0 * r.stat("l2.stores_causing_inval") / stores
                 : 0.0;
         const stats::DistSummary &lat = txnLatency(r);
         t.row()
             .cell(r.name)
-            .num(stat(r, "cpu.instructions") / 1e6)
-            .num(stat(r, "l2.mpki"), 2)
+            .num(r.stat("cpu.instructions") / 1e6)
+            .num(r.stat("l2.mpki"), 2)
             .num(r.tps(), 0)
             .num(lat.p50, 0)
             .num(lat.p95, 0)
             .num(lat.p99, 0)
-            .num(100.0 * stat(r, "cpu.kernel_frac"))
-            .num(100.0 * stat(r, "cpu.busy_frac"))
+            .num(100.0 * r.stat("cpu.kernel_frac"))
+            .num(100.0 * r.stat("cpu.busy_frac"))
             .num(inval_rate, 2)
             .num(100.0 * statOr(r, "rac.hit_rate", 0.0))
             .cell(r.dbConsistent ? "ok" : "FAIL");
@@ -165,10 +152,9 @@ std::string
 figureToJson(const FigureResult &result)
 {
     const FigureSpec &spec = result.spec;
-    const double ref =
-        stat(result.runs[spec.normalizeTo], "cpu.exec_time");
+    const double ref = result.runs[spec.normalizeTo].stat("cpu.exec_time");
     const double ref_miss =
-        stat(result.runs[spec.normalizeTo], "l2.miss.total");
+        result.runs[spec.normalizeTo].stat("l2.miss.total");
 
     std::ostringstream os;
     JsonWriter w(os, /*pretty_depth=*/2);
@@ -181,18 +167,18 @@ figureToJson(const FigureResult &result)
         const stats::DistSummary &lat = txnLatency(r);
         w.beginObject();
         w.kv("name", r.name);
-        w.kv("exec_norm", norm(stat(r, "cpu.exec_time"), ref));
-        w.kv("exec_cycles", stat(r, "cpu.exec_time"));
-        w.kv("busy", stat(r, "cpu.busy"));
-        w.kv("l2hit_stall", stat(r, "cpu.l2hit_stall"));
-        w.kv("local_stall", stat(r, "cpu.local_stall"));
+        w.kv("exec_norm", norm(r.stat("cpu.exec_time"), ref));
+        w.kv("exec_cycles", r.stat("cpu.exec_time"));
+        w.kv("busy", r.stat("cpu.busy"));
+        w.kv("l2hit_stall", r.stat("cpu.l2hit_stall"));
+        w.kv("local_stall", r.stat("cpu.local_stall"));
         w.kv("remote_stall", remStall(r));
-        w.kv("misses_norm", norm(stat(r, "l2.miss.total"), ref_miss));
-        w.kv("miss_instr_local", stat(r, "l2.miss.instr_local"));
-        w.kv("miss_instr_remote", stat(r, "l2.miss.instr_remote"));
-        w.kv("miss_data_local", stat(r, "l2.miss.local"));
-        w.kv("miss_data_2hop", stat(r, "l2.miss.remote_clean"));
-        w.kv("miss_data_3hop", stat(r, "l2.miss.remote_dirty"));
+        w.kv("misses_norm", norm(r.stat("l2.miss.total"), ref_miss));
+        w.kv("miss_instr_local", r.stat("l2.miss.instr_local"));
+        w.kv("miss_instr_remote", r.stat("l2.miss.instr_remote"));
+        w.kv("miss_data_local", r.stat("l2.miss.local"));
+        w.kv("miss_data_2hop", r.stat("l2.miss.remote_clean"));
+        w.kv("miss_data_3hop", r.stat("l2.miss.remote_dirty"));
         w.kv("tps", r.tps());
         w.kv("txn_lat_mean_us", lat.mean);
         w.kv("txn_lat_p50_us", lat.p50); // null when unresolvable
@@ -253,11 +239,11 @@ summaryLine(const FigureResult &result)
 {
     std::ostringstream os;
     const double ref =
-        stat(result.runs[result.spec.normalizeTo], "cpu.exec_time");
+        result.runs[result.spec.normalizeTo].stat("cpu.exec_time");
     os << result.spec.id << ":";
     for (const RunResult &r : result.runs) {
         os << " " << r.name << "="
-           << formatNum(norm(stat(r, "cpu.exec_time"), ref));
+           << formatNum(norm(r.stat("cpu.exec_time"), ref));
     }
     return os.str();
 }

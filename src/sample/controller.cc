@@ -31,71 +31,6 @@ scaled(std::uint64_t v, double e)
         std::llround(e * static_cast<double>(v)));
 }
 
-CpuStats
-scaleCpu(const CpuStats &s, double e)
-{
-    CpuStats out;
-    out.busy = scaled(s.busy, e);
-    out.l2HitStall = scaled(s.l2HitStall, e);
-    out.localStall = scaled(s.localStall, e);
-    out.remoteStall = scaled(s.remoteStall, e);
-    out.remoteDirtyStall = scaled(s.remoteDirtyStall, e);
-    out.idle = scaled(s.idle, e);
-    out.kernelTime = scaled(s.kernelTime, e);
-    out.instructions = scaled(s.instructions, e);
-    out.loads = scaled(s.loads, e);
-    out.stores = scaled(s.stores, e);
-    return out;
-}
-
-NodeProtocolStats
-scaleMisses(const NodeProtocolStats &s, double e)
-{
-    NodeProtocolStats out;
-    out.instrLocal = scaled(s.instrLocal, e);
-    out.instrRemote = scaled(s.instrRemote, e);
-    out.dataLocal = scaled(s.dataLocal, e);
-    out.dataRemoteClean = scaled(s.dataRemoteClean, e);
-    out.dataRemoteDirty = scaled(s.dataRemoteDirty, e);
-    out.upgrades = scaled(s.upgrades, e);
-    out.intraNodeInvals = scaled(s.intraNodeInvals, e);
-    out.storeRefs = scaled(s.storeRefs, e);
-    out.storesCausingInval = scaled(s.storesCausingInval, e);
-    out.invalidationsSent = scaled(s.invalidationsSent, e);
-    out.writebacksToHome = scaled(s.writebacksToHome, e);
-    out.replacementHints = scaled(s.replacementHints, e);
-    out.victimHits = scaled(s.victimHits, e);
-    out.racUpgrades = scaled(s.racUpgrades, e);
-    out.prefetchesIssued = scaled(s.prefetchesIssued, e);
-    out.prefetchHits = scaled(s.prefetchHits, e);
-    out.mcQueueCycles = scaled(s.mcQueueCycles, e);
-    return out;
-}
-
-RacCounters
-scaleRac(const RacCounters &s, double e)
-{
-    RacCounters out;
-    out.lookups = scaled(s.lookups, e);
-    out.hits = scaled(s.hits, e);
-    out.allocations = scaled(s.allocations, e);
-    out.dirtyInsertions = scaled(s.dirtyInsertions, e);
-    out.dirtyServicesToRemote = scaled(s.dirtyServicesToRemote, e);
-    out.writebacksToHome = scaled(s.writebacksToHome, e);
-    return out;
-}
-
-void
-accumulateRac(RacCounters &into, const RacCounters &s)
-{
-    into.lookups += s.lookups;
-    into.hits += s.hits;
-    into.allocations += s.allocations;
-    into.dirtyInsertions += s.dirtyInsertions;
-    into.dirtyServicesToRemote += s.dirtyServicesToRemote;
-    into.writebacksToHome += s.writebacksToHome;
-}
-
 } // namespace
 
 SampleController::SampleController(Machine &machine,
@@ -132,9 +67,6 @@ SampleController::run()
     // std::map: the pooled histograms are iterated into the final
     // snapshot, so the container must be ordered.
     std::map<std::string, Histogram> pooled;
-    CpuStats cpuSum;
-    NodeProtocolStats missSum;
-    RacCounters racSum;
     std::uint64_t covered = 0;
     Tick measuredWall = 0;
 
@@ -172,11 +104,6 @@ SampleController::run()
                 else
                     it->second.merge(h);
             });
-        for (const auto &core : m.cpus_)
-            cpuSum += core->stats();
-        missSum += m.memSys_->aggregateStats();
-        if (m.memSys_->hasRac())
-            accumulateRac(racSum, m.memSys_->aggregateRacCounters());
 
         // Skip the tail of the period.
         engine.skipTransactions(plan.ff - off);
@@ -201,21 +128,9 @@ SampleController::run()
 
     RunResult r;
     r.name = m.config_.name;
-    r.cpu = scaleCpu(cpuSum, expand);
-    r.misses = scaleMisses(missSum, expand);
-    r.rac = scaleRac(racSum, expand);
     r.transactions = scaled(covered, expand);
     r.wallTime = scaled(measuredWall, expand);
     r.dbConsistent = engine.db().checkConsistency();
-
-    const auto latIt = pooled.find("oltp.txn.latency");
-    if (latIt != pooled.end()) {
-        const Histogram &lat = latIt->second;
-        r.txnLatMeanUs = lat.mean();
-        r.txnLatP50Us = lat.quantile(0.50);
-        r.txnLatP95Us = lat.quantile(0.95);
-        r.txnLatP99Us = lat.quantile(0.99);
-    }
 
     r.sampling.enabled = true;
     r.sampling.mode = plan.mode;

@@ -170,7 +170,9 @@ TEST(Cmp, MachineRunsConsistent)
     const RunResult r = m.run();
     EXPECT_EQ(r.transactions, 60u);
     EXPECT_TRUE(r.dbConsistent);
-    EXPECT_GT(r.misses.intraNodeInvals, 0u);
+    EXPECT_GT(r.stat("node0.l2.intra_node_invals") +
+                  r.stat("node1.l2.intra_node_invals"),
+              0u);
     m.memSys().checkInvariants();
 }
 
@@ -195,9 +197,12 @@ TEST(Cmp, SharingL2ReducesOffChipCommunication)
     const RunResult smp = run(1); // 4 chips x 1 core
     const RunResult cmp = run(4); // 1 chip  x 4 cores
     // On one chip there is nobody remote to communicate with.
-    EXPECT_GT(smp.misses.dataRemoteDirty, 0u);
-    EXPECT_EQ(cmp.misses.dataRemoteDirty, 0u);
-    EXPECT_GT(smp.cpu.remStall(), cmp.cpu.remStall());
+    EXPECT_GT(smp.stat("l2.miss.remote_dirty"), 0u);
+    EXPECT_EQ(cmp.stat("l2.miss.remote_dirty"), 0u);
+    const auto rem = [](const RunResult &r) {
+        return r.stat("cpu.remote_stall") + r.stat("cpu.remote_dirty_stall");
+    };
+    EXPECT_GT(rem(smp), rem(cmp));
 }
 
 TEST(CmpDeathTest, IndivisibleCoreCountIsFatal)

@@ -85,6 +85,13 @@ TEST(KvConfigDeathTest, MalformedInput)
                 ::testing::ExitedWithCode(1),
                 "config key 'machine.l2.size': size value "
                 "'17179869184G' does not fit in 64 bits");
+    // Fits in 64 bits but not in the unsigned field: 2^32 + 2 used to
+    // wrap silently to a 2-CPU machine.
+    EXPECT_EXIT(machineFromConfig(
+                    KvConfig::fromString("machine.cpus = 4294967298\n")),
+                ::testing::ExitedWithCode(1),
+                "config key 'machine.cpus': 4294967298 exceeds the "
+                "limit 4294967295");
     EXPECT_EXIT(kv.getBool("a", false), ::testing::ExitedWithCode(1),
                 "expected boolean");
     EXPECT_EXIT((void)kv.get("nope"), ::testing::ExitedWithCode(1),
@@ -225,6 +232,34 @@ TEST(MachineFromConfigDeathTest, MoreThan16CoresPerChipIsFatal)
     EXPECT_EXIT(Machine(machineFromConfig(kv)),
                 ::testing::ExitedWithCode(1),
                 "32 cores per node: the model supports 1..16 cores");
+}
+
+TEST(MachineFromConfigDeathTest, BadGeometryIsFatal)
+{
+    const auto parse = [](const char *text) {
+        return machineFromConfig(KvConfig::fromString(text));
+    };
+    // Would otherwise divide by zero when the machine is built.
+    EXPECT_EXIT(parse("machine.cores_per_node = 0\n"),
+                ::testing::ExitedWithCode(1),
+                "config key 'machine.cores_per_node': must be >= 1");
+    EXPECT_EXIT(parse("machine.l2.size = 0\n"),
+                ::testing::ExitedWithCode(1),
+                "config keys 'machine.l2.size' = 0, 'machine.l2.assoc' = "
+                "1: the size must be a nonzero multiple of assoc x "
+                "64-byte lines");
+    EXPECT_EXIT(parse("machine.l2.assoc = 0\n"),
+                ::testing::ExitedWithCode(1),
+                "'machine.l2.size' = 8388608, 'machine.l2.assoc' = 0:");
+    EXPECT_EXIT(parse("machine.l2.size = 64K\nmachine.l2.assoc = 3\n"),
+                ::testing::ExitedWithCode(1),
+                "'machine.l2.size' = 65536, 'machine.l2.assoc' = 3:");
+    EXPECT_EXIT(parse("machine.rac.enabled = true\n"
+                      "machine.level = full\n"
+                      "machine.l2.impl = sram\n"
+                      "machine.rac.size = 0\n"),
+                ::testing::ExitedWithCode(1),
+                "'machine.rac.size' = 0, 'machine.rac.assoc' = 8:");
 }
 
 TEST(MachineConfigText, RoundTrips)

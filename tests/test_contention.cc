@@ -113,10 +113,16 @@ TEST(McContention, MachineFeelsTheQueueing)
     const RunResult none = run(0);
     const RunResult some = run(40);
     const RunResult heavy = run(400);
-    EXPECT_EQ(none.misses.mcQueueCycles, 0u);
-    EXPECT_GT(some.misses.mcQueueCycles, 0u);
-    EXPECT_GT(heavy.misses.mcQueueCycles, some.misses.mcQueueCycles);
-    EXPECT_GT(heavy.execTime(), none.execTime());
+    auto queued = [](const RunResult &r) {
+        double cycles = 0.0;
+        for (const char *n : {"node0", "node1", "node2", "node3"})
+            cycles += r.stat(std::string(n) + ".l2.mc_queue_cycles");
+        return cycles;
+    };
+    EXPECT_EQ(queued(none), 0u);
+    EXPECT_GT(queued(some), 0u);
+    EXPECT_GT(queued(heavy), queued(some));
+    EXPECT_GT(heavy.stat("cpu.exec_time"), none.stat("cpu.exec_time"));
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/base/logging.hh"
 #include "src/core/machine.hh"
 
@@ -39,8 +41,8 @@ TEST(Dss, QueriesCompleteDeterministically)
     const RunResult ra = a.run();
     const RunResult rb = b.run();
     EXPECT_EQ(ra.transactions, 12u);
-    EXPECT_EQ(ra.execTime(), rb.execTime());
-    EXPECT_EQ(ra.misses.totalL2Misses(), rb.misses.totalL2Misses());
+    EXPECT_EQ(ra.stat("cpu.exec_time"), rb.stat("cpu.exec_time"));
+    EXPECT_EQ(ra.stat("l2.miss.total"), rb.stat("l2.miss.total"));
     a.memSys().checkInvariants();
 }
 
@@ -52,12 +54,11 @@ TEST(Dss, ReadOnlyAndBarelyShared)
     // Scans produce almost no write sharing: dirty 3-hop misses are a
     // sliver compared with OLTP's >50%.
     const double dirty_share =
-        static_cast<double>(r.misses.dataRemoteDirty) /
-        static_cast<double>(r.misses.totalL2Misses());
+        r.stat("l2.miss.remote_dirty") / r.stat("l2.miss.total");
     EXPECT_LT(dirty_share, 0.05);
     // And invalidations are rare.
-    EXPECT_LT(r.misses.invalidationsSent,
-              r.misses.totalL2Misses() / 20);
+    EXPECT_LT(r.stat("l2.invals_sent"),
+              std::floor(r.stat("l2.miss.total") / 20));
 }
 
 TEST(Dss, StreamingMissesDontCareAboutCacheSize)
@@ -72,9 +73,7 @@ TEST(Dss, StreamingMissesDontCareAboutCacheSize)
     const RunResult rb = Machine(big).run();
     // An 8x bigger, 4x more associative cache barely moves the miss
     // count: there is no reuse for it to capture.
-    const double ratio =
-        static_cast<double>(rs.misses.totalL2Misses()) /
-        static_cast<double>(rb.misses.totalL2Misses());
+    const double ratio = rs.stat("l2.miss.total") / rb.stat("l2.miss.total");
     EXPECT_LT(ratio, 1.6);
     // Contrast: OLTP moves by an order of magnitude across the same
     // pair (see test_figures.cc MissReductionFromSmallDmToBigAssoc).
@@ -104,8 +103,7 @@ TEST(Dss, LessSensitiveToIntegrationThanOltp)
         full.l2 = CacheGeometry{2 * mib, 8, 64};
         const RunResult rb = Machine(base).run();
         const RunResult rf = Machine(full).run();
-        return static_cast<double>(rb.execTime()) /
-               static_cast<double>(rf.execTime());
+        return rb.stat("cpu.exec_time") / rf.stat("cpu.exec_time");
     };
     const double oltp_gain = gain(WorkloadKind::TpcB);
     const double dss_gain = gain(WorkloadKind::DssScan);
@@ -120,10 +118,10 @@ TEST(Dss, InstructionFootprintIsTiny)
     const RunResult r = m.run();
     // Scan loops live in a handful of I-lines: instruction misses are
     // negligible next to data misses.
-    EXPECT_LT(r.misses.instrLocal + r.misses.instrRemote,
-              r.misses.totalL2Misses() / 10);
+    EXPECT_LT(r.stat("l2.miss.instr_local") + r.stat("l2.miss.instr_remote"),
+              std::floor(r.stat("l2.miss.total") / 10));
     // But the queries did real work.
-    EXPECT_GT(r.cpu.instructions, 400000u);
+    EXPECT_GT(r.stat("cpu.instructions"), 400000u);
 }
 
 } // namespace

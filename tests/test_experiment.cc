@@ -99,8 +99,8 @@ TEST(Experiment, IdenticalConfigsGiveIdenticalRuns)
     ExperimentRunner runner(/*verbose=*/false);
     const RunResult a = runner.runOne(cfg);
     const RunResult b = runner.runOne(cfg);
-    EXPECT_EQ(a.execTime(), b.execTime());
-    EXPECT_EQ(a.misses.totalL2Misses(), b.misses.totalL2Misses());
+    EXPECT_EQ(a.stat("cpu.exec_time"), b.stat("cpu.exec_time"));
+    EXPECT_EQ(a.stat("l2.miss.total"), b.stat("l2.miss.total"));
 }
 
 } // namespace

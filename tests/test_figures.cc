@@ -39,8 +39,8 @@ TEST(Claims, AssociativityBeatsDirectMappedAtSameSize)
     // direct-mapped L2" (1-2MB range).
     const RunResult dm = runCfg(shrink(figures::offchip(1, 1 * mib, 1)));
     const RunResult sa = runCfg(shrink(figures::offchip(1, 1 * mib, 4)));
-    EXPECT_LT(sa.misses.totalL2Misses(), dm.misses.totalL2Misses());
-    EXPECT_LT(sa.execTime(), dm.execTime());
+    EXPECT_LT(sa.stat("l2.miss.total"), dm.stat("l2.miss.total"));
+    EXPECT_LT(sa.stat("cpu.exec_time"), dm.stat("cpu.exec_time"));
 }
 
 TEST(Claims, SmallAssociativeOnChipBeatsBigDirectMappedOffChip)
@@ -52,13 +52,12 @@ TEST(Claims, SmallAssociativeOnChipBeatsBigDirectMappedOffChip)
         shrink(figures::onchip(1, 2 * mib, 4, IntegrationLevel::L2Int)));
     const RunResult onchip8 = runCfg(
         shrink(figures::onchip(1, 2 * mib, 8, IntegrationLevel::L2Int)));
-    EXPECT_LT(onchip4.misses.totalL2Misses(),
-              base.misses.totalL2Misses());
-    EXPECT_LT(onchip8.misses.totalL2Misses(),
-              onchip4.misses.totalL2Misses() + 1);
+    EXPECT_LT(onchip4.stat("l2.miss.total"), base.stat("l2.miss.total"));
+    EXPECT_LT(onchip8.stat("l2.miss.total"),
+              onchip4.stat("l2.miss.total") + 1);
     // And the lower hit latency gives a solid uniprocessor speedup.
-    EXPECT_LT(static_cast<double>(onchip8.execTime()),
-              0.85 * static_cast<double>(base.execTime()));
+    EXPECT_LT(onchip8.stat("cpu.exec_time"),
+              0.85 * base.stat("cpu.exec_time"));
 }
 
 TEST(Claims, MissReductionFromSmallDmToBigAssocIsDramatic)
@@ -68,8 +67,7 @@ TEST(Claims, MissReductionFromSmallDmToBigAssocIsDramatic)
     // magnitude.
     const RunResult small = runCfg(shrink(figures::offchip(1, 1 * mib, 1)));
     const RunResult big = runCfg(shrink(figures::offchip(1, 8 * mib, 4)));
-    EXPECT_GT(small.misses.totalL2Misses(),
-              10 * big.misses.totalL2Misses());
+    EXPECT_GT(small.stat("l2.miss.total"), 10 * big.stat("l2.miss.total"));
 }
 
 TEST(Claims, ConservativeBaseHurtsMultiprocessorsMost)
@@ -79,11 +77,11 @@ TEST(Claims, ConservativeBaseHurtsMultiprocessorsMost)
         runCfg(shrink(figures::offchip(4, 8 * mib, 4), 160));
     const RunResult cons =
         runCfg(shrink(figures::offchip(4, 8 * mib, 4, true), 160));
-    EXPECT_GT(cons.execTime(), base.execTime());
+    EXPECT_GT(cons.stat("cpu.exec_time"), base.stat("cpu.exec_time"));
     // Same caches: miss counts must be (nearly) identical; only the
     // latency charging differs.
-    const double m1 = static_cast<double>(base.misses.totalL2Misses());
-    const double m2 = static_cast<double>(cons.misses.totalL2Misses());
+    const double m1 = base.stat("l2.miss.total");
+    const double m2 = cons.stat("l2.miss.total");
     EXPECT_NEAR(m1, m2, 0.1 * m1);
 }
 
@@ -96,10 +94,10 @@ TEST(Claims, FullIntegrationDeliversTheHeadlineSpeedups)
         figures::onchip(4, 2 * mib, 8, IntegrationLevel::L2Int), 160));
     const RunResult full = runCfg(shrink(
         figures::onchip(4, 2 * mib, 8, IntegrationLevel::FullInt), 160));
-    EXPECT_LT(l2.execTime(), base.execTime());
-    EXPECT_LT(full.execTime(), l2.execTime());
-    const double gain = static_cast<double>(base.execTime()) /
-                        static_cast<double>(full.execTime());
+    EXPECT_LT(l2.stat("cpu.exec_time"), base.stat("cpu.exec_time"));
+    EXPECT_LT(full.stat("cpu.exec_time"), l2.stat("cpu.exec_time"));
+    const double gain =
+        base.stat("cpu.exec_time") / full.stat("cpu.exec_time");
     EXPECT_GT(gain, 1.2);
     EXPECT_LT(gain, 1.9);
 }
@@ -109,8 +107,10 @@ TEST(Claims, MpIsDominatedByRemoteStall)
     // Figures 6/8: communication misses make remote stall the largest
     // execution-time component at large cache sizes.
     const RunResult r = runCfg(shrink(figures::baseMachine(4), 160));
-    EXPECT_GT(r.cpu.remStall(), r.cpu.localStall);
-    EXPECT_GT(r.cpu.remStall(), r.cpu.busy);
+    const double rem =
+        r.stat("cpu.remote_stall") + r.stat("cpu.remote_dirty_stall");
+    EXPECT_GT(rem, r.stat("cpu.local_stall"));
+    EXPECT_GT(rem, r.stat("cpu.busy"));
 }
 
 TEST(Claims, OooIsFasterButIntegrationGainIsSimilar)
@@ -122,7 +122,7 @@ TEST(Claims, OooIsFasterButIntegrationGainIsSimilar)
         runCfg(shrink(figures::baseMachine(1, CpuModel::InOrder), txns));
     const RunResult ooo_base = runCfg(
         shrink(figures::baseMachine(1, CpuModel::OutOfOrder), txns));
-    EXPECT_LT(ooo_base.execTime(), in_base.execTime());
+    EXPECT_LT(ooo_base.stat("cpu.exec_time"), in_base.stat("cpu.exec_time"));
 
     const RunResult in_l2 = runCfg(shrink(
         figures::onchip(1, 2 * mib, 8, IntegrationLevel::L2Int,
@@ -132,10 +132,10 @@ TEST(Claims, OooIsFasterButIntegrationGainIsSimilar)
         figures::onchip(1, 2 * mib, 8, IntegrationLevel::L2Int,
                         L2Impl::OnchipSram, CpuModel::OutOfOrder),
         txns));
-    const double gain_in = static_cast<double>(in_base.execTime()) /
-                           static_cast<double>(in_l2.execTime());
-    const double gain_ooo = static_cast<double>(ooo_base.execTime()) /
-                            static_cast<double>(ooo_l2.execTime());
+    const double gain_in =
+        in_base.stat("cpu.exec_time") / in_l2.stat("cpu.exec_time");
+    const double gain_ooo =
+        ooo_base.stat("cpu.exec_time") / ooo_l2.stat("cpu.exec_time");
     EXPECT_GT(gain_in, 1.0);
     EXPECT_GT(gain_ooo, 1.0);
     EXPECT_NEAR(gain_in, gain_ooo, 0.25 * gain_in);

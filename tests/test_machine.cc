@@ -54,15 +54,16 @@ TEST(Machine, UniprocessorRunCompletes)
     const RunResult r = m.run();
     EXPECT_EQ(r.transactions, 60u);
     EXPECT_TRUE(r.dbConsistent);
-    EXPECT_GT(r.cpu.instructions, 0u);
-    EXPECT_GT(r.execTime(), 0u);
+    EXPECT_GT(r.stat("cpu.instructions"), 0u);
+    EXPECT_GT(r.stat("cpu.exec_time"), 0u);
     EXPECT_GT(r.wallTime, 0u);
-    EXPECT_GT(r.misses.totalL2Misses(), 0u);
+    EXPECT_GT(r.stat("l2.miss.total"), 0u);
     EXPECT_GT(r.tps(), 0.0);
     // Uniprocessor: no remote misses at all.
-    EXPECT_EQ(r.misses.dataRemoteClean, 0u);
-    EXPECT_EQ(r.misses.dataRemoteDirty, 0u);
-    EXPECT_EQ(r.cpu.remStall(), 0u);
+    EXPECT_EQ(r.stat("l2.miss.remote_clean"), 0u);
+    EXPECT_EQ(r.stat("l2.miss.remote_dirty"), 0u);
+    EXPECT_EQ(r.stat("cpu.remote_stall") + r.stat("cpu.remote_dirty_stall"),
+              0u);
     m.memSys().checkInvariants();
 }
 
@@ -73,10 +74,11 @@ TEST(Machine, MultiprocessorHasCommunication)
     const RunResult r = m.run();
     EXPECT_EQ(r.transactions, 60u);
     EXPECT_TRUE(r.dbConsistent);
-    EXPECT_GT(r.misses.dataRemoteClean, 0u);
-    EXPECT_GT(r.misses.dataRemoteDirty, 0u);
-    EXPECT_GT(r.misses.invalidationsSent, 0u);
-    EXPECT_GT(r.cpu.remStall(), 0u);
+    EXPECT_GT(r.stat("l2.miss.remote_clean"), 0u);
+    EXPECT_GT(r.stat("l2.miss.remote_dirty"), 0u);
+    EXPECT_GT(r.stat("l2.invals_sent"), 0u);
+    EXPECT_GT(r.stat("cpu.remote_stall") + r.stat("cpu.remote_dirty_stall"),
+              0u);
     m.memSys().checkInvariants();
 }
 
@@ -87,12 +89,13 @@ TEST(Machine, DeterministicAcrossIdenticalRuns)
     Machine b(mpConfig());
     const RunResult ra = a.run();
     const RunResult rb = b.run();
-    EXPECT_EQ(ra.cpu.instructions, rb.cpu.instructions);
-    EXPECT_EQ(ra.execTime(), rb.execTime());
+    EXPECT_EQ(ra.stat("cpu.instructions"), rb.stat("cpu.instructions"));
+    EXPECT_EQ(ra.stat("cpu.exec_time"), rb.stat("cpu.exec_time"));
     EXPECT_EQ(ra.wallTime, rb.wallTime);
-    EXPECT_EQ(ra.misses.totalL2Misses(), rb.misses.totalL2Misses());
-    EXPECT_EQ(ra.misses.dataRemoteDirty, rb.misses.dataRemoteDirty);
-    EXPECT_EQ(ra.misses.invalidationsSent, rb.misses.invalidationsSent);
+    EXPECT_EQ(ra.stat("l2.miss.total"), rb.stat("l2.miss.total"));
+    EXPECT_EQ(ra.stat("l2.miss.remote_dirty"),
+              rb.stat("l2.miss.remote_dirty"));
+    EXPECT_EQ(ra.stat("l2.invals_sent"), rb.stat("l2.invals_sent"));
 }
 
 TEST(Machine, SeedChangesResults)
@@ -102,7 +105,7 @@ TEST(Machine, SeedChangesResults)
     c2.workload.seed ^= 0x1234;
     const RunResult r1 = Machine(c1).run();
     const RunResult r2 = Machine(c2).run();
-    EXPECT_NE(r1.execTime(), r2.execTime());
+    EXPECT_NE(r1.stat("cpu.exec_time"), r2.stat("cpu.exec_time"));
 }
 
 TEST(Machine, KernelShareInPlausibleRange)
@@ -111,8 +114,8 @@ TEST(Machine, KernelShareInPlausibleRange)
     Machine m(uniConfig(150));
     const RunResult r = m.run();
     // Paper: the kernel is ~25% of execution time for OLTP.
-    EXPECT_GT(r.cpu.kernelFraction(), 0.10);
-    EXPECT_LT(r.cpu.kernelFraction(), 0.45);
+    EXPECT_GT(r.stat("cpu.kernel_frac"), 0.10);
+    EXPECT_LT(r.stat("cpu.kernel_frac"), 0.45);
 }
 
 TEST(Machine, WarmupExcludedFromMeasurement)
@@ -137,10 +140,10 @@ TEST(Machine, ReplicationLocalizesInstructionMisses)
     plain.l2 = repl.l2 = CacheGeometry{256 * kib, 2, 64};
     const RunResult rp = Machine(plain).run();
     const RunResult rr = Machine(repl).run();
-    EXPECT_GT(rp.misses.instrRemote, 0u);
+    EXPECT_GT(rp.stat("l2.miss.instr_remote"), 0u);
     // With per-node text copies, instruction misses are local.
-    EXPECT_EQ(rr.misses.instrRemote, 0u);
-    EXPECT_GT(rr.misses.instrLocal, 0u);
+    EXPECT_EQ(rr.stat("l2.miss.instr_remote"), 0u);
+    EXPECT_GT(rr.stat("l2.miss.instr_local"), 0u);
 }
 
 TEST(Machine, RacMachineRunsAndFiltersRemoteTraffic)
@@ -155,15 +158,15 @@ TEST(Machine, RacMachineRunsAndFiltersRemoteTraffic)
     withrac.racGeom = CacheGeometry{4 * mib, 8, 64};
     const RunResult rn = Machine(norac).run();
     const RunResult rw = Machine(withrac).run();
-    EXPECT_GT(rw.rac.lookups, 0u);
-    EXPECT_GT(rw.rac.hits, 0u);
+    // hits / lookups: positive only when both counts are.
+    EXPECT_GT(rw.stat("rac.hit_rate"), 0.0);
     // RAC hits convert remote misses into local ones (Figure 11).
-    const double local_share_n =
-        static_cast<double>(rn.misses.instrLocal + rn.misses.dataLocal) /
-        static_cast<double>(rn.misses.totalL2Misses());
-    const double local_share_w =
-        static_cast<double>(rw.misses.instrLocal + rw.misses.dataLocal) /
-        static_cast<double>(rw.misses.totalL2Misses());
+    const auto local_share = [](const RunResult &r) {
+        return (r.stat("l2.miss.instr_local") + r.stat("l2.miss.local")) /
+               r.stat("l2.miss.total");
+    };
+    const double local_share_n = local_share(rn);
+    const double local_share_w = local_share(rw);
     EXPECT_GT(local_share_w, local_share_n);
 }
 
@@ -176,7 +179,7 @@ TEST(Machine, OooModelRuns)
     const RunResult r = m.run();
     EXPECT_EQ(r.transactions, 80u);
     EXPECT_TRUE(r.dbConsistent);
-    EXPECT_GT(r.cpu.busy, 0u);
+    EXPECT_GT(r.stat("cpu.busy"), 0u);
 }
 
 TEST(Machine, SnapshotAggregatesAllCpus)
@@ -188,8 +191,11 @@ TEST(Machine, SnapshotAggregatesAllCpus)
     for (NodeId n = 0; n < 4; ++n)
         manual += m.cpu(n).stats();
     const RunResult snap = m.snapshot();
-    EXPECT_EQ(snap.cpu.instructions, manual.instructions);
-    EXPECT_EQ(snap.cpu.nonIdle(), manual.nonIdle());
+    EXPECT_EQ(snap.stat("cpu.instructions"), manual.instructions);
+    EXPECT_EQ(snap.stat("cpu.busy"), manual.busy);
+    EXPECT_EQ(snap.stat("cpu.exec_time"), manual.nonIdle());
+    EXPECT_EQ(snap.stat("l2.miss.total"),
+              m.memSys().aggregateStats().totalL2Misses());
 }
 
 TEST(MachineDeathTest, InvalidLevelImplComboIsFatal)

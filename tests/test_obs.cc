@@ -381,23 +381,16 @@ TEST(ObservedMachine, TracingDoesNotPerturbResults)
 
     EXPECT_EQ(a.transactions, b.transactions);
     EXPECT_EQ(a.wallTime, b.wallTime);
-    EXPECT_EQ(a.cpu.instructions, b.cpu.instructions);
-    EXPECT_EQ(a.cpu.busy, b.cpu.busy);
-    EXPECT_EQ(a.cpu.idle, b.cpu.idle);
-    EXPECT_EQ(a.cpu.kernelTime, b.cpu.kernelTime);
-    EXPECT_EQ(a.misses.totalL2Misses(), b.misses.totalL2Misses());
-    EXPECT_EQ(a.misses.dataRemoteClean, b.misses.dataRemoteClean);
-    EXPECT_EQ(a.misses.dataRemoteDirty, b.misses.dataRemoteDirty);
-    EXPECT_EQ(a.misses.invalidationsSent, b.misses.invalidationsSent);
-    // Quantiles are doubles that may be NaN (unresolvable); NaN on
-    // both sides counts as equal here.
-    const auto sameLat = [](double x, double y) {
-        return (std::isnan(x) && std::isnan(y)) || x == y;
+    // Every registry stat must match. The manifest rendering compares
+    // all of a stat's fields, with unresolvable (NaN) quantiles as null.
+    const auto rendered = [](const RunResult &r) {
+        stats::Manifest m;
+        m.bars.resize(1);
+        m.bars[0].stats = r.stats;
+        return stats::manifestToJson(m);
     };
-    EXPECT_TRUE(sameLat(a.txnLatP50Us, b.txnLatP50Us));
-    EXPECT_TRUE(sameLat(a.txnLatP95Us, b.txnLatP95Us));
-    EXPECT_TRUE(sameLat(a.txnLatP99Us, b.txnLatP99Us));
-    EXPECT_DOUBLE_EQ(a.txnLatMeanUs, b.txnLatMeanUs);
+    ASSERT_FALSE(a.stats.empty());
+    EXPECT_EQ(rendered(a), rendered(b));
     EXPECT_EQ(a.dbConsistent, b.dbConsistent);
 }
 

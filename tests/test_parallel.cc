@@ -121,10 +121,10 @@ TEST(Parallel, ConcurrentMachinesShareNoMutableState)
     ta.join();
     tb.join();
 
-    EXPECT_EQ(conA.execTime(), refA.execTime());
-    EXPECT_EQ(conA.misses.totalL2Misses(), refA.misses.totalL2Misses());
-    EXPECT_EQ(conB.execTime(), refB.execTime());
-    EXPECT_EQ(conB.misses.totalL2Misses(), refB.misses.totalL2Misses());
+    EXPECT_EQ(conA.stat("cpu.exec_time"), refA.stat("cpu.exec_time"));
+    EXPECT_EQ(conA.stat("l2.miss.total"), refA.stat("l2.miss.total"));
+    EXPECT_EQ(conB.stat("cpu.exec_time"), refB.stat("cpu.exec_time"));
+    EXPECT_EQ(conB.stat("l2.miss.total"), refB.stat("l2.miss.total"));
 }
 
 TEST(Parallel, WorkerExceptionsPropagateInSpecOrder)

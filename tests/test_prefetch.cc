@@ -122,16 +122,16 @@ TEST(Prefetch, StreamingWorkloadBenefitsOltpBarely)
     const RunResult oltp0 = run(WorkloadKind::TpcB, 0);
     const RunResult oltp2 = run(WorkloadKind::TpcB, 2);
 
-    const double dss_gain = static_cast<double>(dss0.execTime()) /
-                            static_cast<double>(dss2.execTime());
-    const double oltp_gain = static_cast<double>(oltp0.execTime()) /
-                             static_cast<double>(oltp2.execTime());
+    const double dss_gain =
+        dss0.stat("cpu.exec_time") / dss2.stat("cpu.exec_time");
+    const double oltp_gain =
+        oltp0.stat("cpu.exec_time") / oltp2.stat("cpu.exec_time");
     // Scans prefetch perfectly; OLTP's pointer-dense traffic does not.
     EXPECT_GT(dss_gain, 1.3);
     EXPECT_GT(dss_gain, oltp_gain + 0.2);
     // And the prefetcher actually fired usefully for the scans.
-    EXPECT_GT(dss2.misses.prefetchHits,
-              dss2.misses.totalL2Misses() / 2);
+    EXPECT_GT(dss2.stat("node0.l2.prefetch_hits"),
+              dss2.stat("l2.miss.total") / 2);
 }
 
 } // namespace

@@ -126,8 +126,10 @@ TEST_F(Prof, ThreadResetOpensAFreshWindow)
         ProfScope scope(node);
     }
     setEnabled(false);
-    const ProfEntry *e =
-        findEntry(threadSnapshot(), "test_prof/window");
+    // findEntry points into the snapshot: keep it alive past the
+    // lookup.
+    const ProfSnapshot snap = threadSnapshot();
+    const ProfEntry *e = findEntry(snap, "test_prof/window");
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->enters, 1u);
 }

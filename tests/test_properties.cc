@@ -86,17 +86,18 @@ TEST_P(MachineSweep, RunEndsConsistent)
               m.engine().committedTransactions() + servers);
 
     // (c) Stat identities.
-    EXPECT_GT(r.cpu.instructions, 0u);
-    EXPECT_GT(r.cpu.loads, 0u);
-    EXPECT_GT(r.cpu.stores, 0u);
-    EXPECT_EQ(r.execTime(),
-              r.cpu.busy + r.cpu.l2HitStall + r.cpu.localStall +
-                  r.cpu.remStall());
-    EXPECT_LE(r.cpu.kernelTime, r.execTime());
+    EXPECT_GT(r.stat("cpu.instructions"), 0u);
+    EXPECT_GT(r.stat("cpu.loads"), 0u);
+    EXPECT_GT(r.stat("cpu.stores"), 0u);
+    EXPECT_EQ(r.stat("cpu.exec_time"),
+              r.stat("cpu.busy") + r.stat("cpu.l2hit_stall") +
+                  r.stat("cpu.local_stall") + r.stat("cpu.remote_stall") +
+                  r.stat("cpu.remote_dirty_stall"));
+    EXPECT_LE(r.stat("cpu.kernel_time"), r.stat("cpu.exec_time"));
     if (param.cpus == 1) {
-        EXPECT_EQ(r.misses.dataRemoteClean +
-                      r.misses.dataRemoteDirty +
-                      r.misses.instrRemote,
+        EXPECT_EQ(r.stat("l2.miss.remote_clean") +
+                      r.stat("l2.miss.remote_dirty") +
+                      r.stat("l2.miss.instr_remote"),
                   0u);
     }
     // Every CPU did some work.
@@ -158,9 +159,10 @@ TEST_P(CapacitySweep, BiggerAssociativeCacheMissesLess)
         const RunResult r = Machine(cfg).run();
         // Allow a sliver of noise; capacity growth must not increase
         // misses materially.
-        EXPECT_LT(r.misses.totalL2Misses(),
-                  prev_misses + prev_misses / 16);
-        prev_misses = r.misses.totalL2Misses();
+        const auto misses =
+            static_cast<std::uint64_t>(r.stat("l2.miss.total"));
+        EXPECT_LT(misses, prev_misses + prev_misses / 16);
+        prev_misses = misses;
     }
 }
 

@@ -52,15 +52,15 @@ TEST(Simulation, IdleAccountedWhenCpuStarves)
     cfg.workload.serversPerCpu = 1;
     Machine m(cfg);
     const RunResult r = m.run();
-    EXPECT_GT(r.cpu.idle, 0u);
+    EXPECT_GT(r.stat("cpu.idle"), 0u);
     // With 8 servers the same CPU should be busier (less idle per txn).
     MachineConfig cfg8 = config(1);
     Machine m8(cfg8);
     const RunResult r8 = m8.run();
-    const double idle1 = static_cast<double>(r.cpu.idle) /
-                         static_cast<double>(r.transactions);
-    const double idle8 = static_cast<double>(r8.cpu.idle) /
-                         static_cast<double>(r8.transactions);
+    const double idle1 =
+        r.stat("cpu.idle") / static_cast<double>(r.transactions);
+    const double idle8 =
+        r8.stat("cpu.idle") / static_cast<double>(r8.transactions);
     EXPECT_LT(idle8, idle1);
 }
 
@@ -93,7 +93,8 @@ TEST(Simulation, WallTimeIsMaxOfCpuClocks)
     const RunResult r = m.run();
     EXPECT_GT(r.wallTime, 0u);
     // Wall time of the window cannot exceed summed non-idle + idle.
-    EXPECT_LE(r.wallTime, r.cpu.nonIdle() + r.cpu.idle + 1);
+    EXPECT_LE(r.wallTime,
+              r.stat("cpu.exec_time") + r.stat("cpu.idle") + 1);
 }
 
 /** A process that event-blocks forever; nothing will ever wake it. */

@@ -62,7 +62,6 @@
 #include "src/core/registry.hh"
 #include "src/prof/profiler.hh"
 #include "src/sample/spec.hh"
-#include "src/stats/registry.hh"
 
 namespace {
 
@@ -459,18 +458,10 @@ main(int argc, char **argv)
                 const RunResult &f = result.runs[i];
                 SampledBar sb;
                 sb.name = s.name;
-                if (const stats::Sample *v =
-                        stats::findSample(f.stats, "cpu.cpi"))
-                    sb.cpiFull = v->number();
-                if (const stats::Sample *v =
-                        stats::findSample(s.stats, "cpu.cpi"))
-                    sb.cpiSampled = v->number();
-                if (const stats::Sample *v =
-                        stats::findSample(f.stats, "l2.miss.total"))
-                    sb.missFull = v->number();
-                if (const stats::Sample *v =
-                        stats::findSample(s.stats, "l2.miss.total"))
-                    sb.missSampled = v->number();
+                sb.cpiFull = f.stat("cpu.cpi");
+                sb.cpiSampled = s.stat("cpu.cpi");
+                sb.missFull = f.stat("l2.miss.total");
+                sb.missSampled = s.stat("l2.miss.total");
                 if (const sample::StatCi *ci =
                         s.sampling.find("cpu.cpi"))
                     sb.cpiCi95 = ci->ci95;
