@@ -503,15 +503,15 @@ obsOptionsHelp()
            "  --trace-bin=FILE     write a binary capture for "
            "tools/itrace\n"
            "  --timeline-out=FILE  write the epoch timeline CSV\n"
-           "  --epoch=TICKS        sampler epoch in simulated ns "
-           "(default 1000000)\n"
+           "  --epoch=TICKS        timeline epoch in simulated ns "
+           "(default 1000000, or the --stats-epoch grid)\n"
            "  --trace-ring=N       event-ring capacity in events "
            "(default 262144)\n"
            "  --trace-bar=N        figure bar to observe (default 0)\n";
 }
 
 obs::ObsConfig
-obsFromCommandLine(int &argc, char **argv)
+obsFromCommandLine(int &argc, char **argv, Tick stats_epoch)
 {
     obs::ObsConfig cfg;
     int out = 1;
@@ -528,6 +528,12 @@ obsFromCommandLine(int &argc, char **argv)
             cfg.epochTicks = parseUintFlag("--epoch", v);
             if (cfg.epochTicks == 0)
                 isim_fatal("--epoch must be positive");
+            if (stats_epoch > 0 && cfg.epochTicks != stats_epoch) {
+                isim_fatal("--epoch=%llu disagrees with --stats-epoch=%llu:"
+                           " a run has one epoch grid (drop --epoch)",
+                           static_cast<unsigned long long>(cfg.epochTicks),
+                           static_cast<unsigned long long>(stats_epoch));
+            }
         } else if (flagValue(arg, "--trace-ring", v)) {
             cfg.ringCapacity = parseUintFlag("--trace-ring", v);
             if (cfg.ringCapacity == 0)
@@ -539,6 +545,8 @@ obsFromCommandLine(int &argc, char **argv)
         }
     }
     argc = out;
+    if (stats_epoch > 0)
+        cfg.epochTicks = stats_epoch;
     return cfg;
 }
 

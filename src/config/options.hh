@@ -87,15 +87,18 @@ std::string machineToConfigText(const MachineConfig &config);
  *   --trace-out=FILE     write a Chrome trace_event JSON trace
  *   --trace-bin=FILE     write a binary capture for tools/itrace
  *   --timeline-out=FILE  write the epoch timeline CSV
- *   --epoch=TICKS        sampler epoch in simulated ns
+ *   --epoch=TICKS        timeline epoch in simulated ns
  *   --trace-ring=N       event-ring capacity (events, power of two
  *                        not required)
  *   --trace-bar=N        which bar of the figure to observe
  *
- * fatal() on a malformed value. `--help`/`-h` prints usage (including
- * obsOptionsHelp()) and exits.
+ * A nonzero `stats_epoch` (--stats-epoch) is the run's one epoch
+ * grid: it becomes the timeline epoch, and an --epoch that differs
+ * is fatal. fatal() on a malformed value. `--help`/`-h` prints usage
+ * (including obsOptionsHelp()) and exits.
  */
-obs::ObsConfig obsFromCommandLine(int &argc, char **argv);
+obs::ObsConfig obsFromCommandLine(int &argc, char **argv,
+                                  Tick stats_epoch);
 
 /** One-per-line description of the observability flags. */
 const char *obsOptionsHelp();

@@ -103,7 +103,6 @@ RunOptions
 RunOptions::fromCommandLine(int &argc, char **argv)
 {
     RunOptions opts = fromEnv();
-    opts.obs = obsFromCommandLine(argc, argv);
 
     // `--flag=value` or `--flag value`; consumed arguments are
     // dropped so the caller sees only what is left.
@@ -190,6 +189,8 @@ RunOptions::fromCommandLine(int &argc, char **argv)
         }
     }
     argc = out;
+    // After --stats-epoch is known: it fixes the timeline's grid too.
+    opts.obs = obsFromCommandLine(argc, argv, opts.statsEpochTicks);
     // Degenerate sampling configurations (measure without ff, a
     // single window, warm > ff) must fail at the command line, not
     // deep inside a half-finished run.
@@ -248,7 +249,7 @@ runOptionsHelp()
            "  --stats-out=FILE     write the stats manifest to FILE "
            "(default: <json-dir>/<stem>.stats.json)\n"
            "  --stats-epoch=TICKS  embed per-epoch stat rows on this "
-           "tick grid\n"
+           "tick grid (also the --timeline-out grid)\n"
            "  --save-ckpt=DIR      save a warm checkpoint per bar "
            "into DIR after warm-up\n"
            "  --from-ckpt=DIR      restore warm checkpoints from DIR "

@@ -54,9 +54,9 @@ struct RunOptions
      */
     std::string statsOut;
     /**
-     * Embed per-epoch counter rows in the manifest, sampled on this
-     * tick grid (0 = off). Runs the timeline sampler on EVERY bar —
-     * unlike the timeline CSV, which observes a single bar.
+     * Embed per-epoch counter rows in the manifest, recorded on this
+     * tick grid (0 = off), for EVERY bar, sampled runs included. It
+     * is also the timeline CSV's grid: one grid per run.
      */
     Tick statsEpochTicks = 0;
     /** What to capture and where (one observed bar per figure). */

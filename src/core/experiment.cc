@@ -96,6 +96,13 @@ ExperimentRunner::runMachine(const MachineConfig &cfg,
     }
     if (o != nullptr)
         machine->attachObservability(o);
+    // One epoch grid per run: --stats-epoch records every bar, and
+    // the observed bar's timeline CSV renders the same rows.
+    Tick epoch = options_.statsEpochTicks;
+    if (epoch == 0 && o != nullptr && o->config().wantsTimeline())
+        epoch = o->config().epochTicks;
+    if (epoch > 0)
+        machine->recordEpochs(epoch);
     if (!machine->isWarm()) {
         machine->runWarmup();
         if (!options_.saveCkptDir.empty()) {
@@ -161,7 +168,7 @@ ExperimentRunner::runObserved(const MachineConfig &config,
         const std::lock_guard<std::mutex> lock(logMutex);
         isim_warn("%s: TPC-B consistency check FAILED", cfg.name.c_str());
     }
-    const std::string written = o.writeOutputs();
+    const std::string written = o.writeOutputs(r.epochs);
     if (options_.verbose && !written.empty()) {
         const std::lock_guard<std::mutex> lock(logMutex);
         isim_inform("%s: wrote %s", cfg.name.c_str(), written.c_str());
@@ -174,25 +181,7 @@ ExperimentRunner::runBar(const FigureSpec &spec, std::size_t index,
                          std::size_t observed_index) const
 {
     if (index == observed_index) {
-        obs::ObsConfig cfg = options_.obs;
-        if (options_.statsEpochTicks > 0) {
-            cfg.sampleEpochs = true;
-            // The timeline CSV (when requested) keeps its own grid;
-            // the manifest's epoch rows then share it.
-            if (!cfg.wantsTimeline())
-                cfg.epochTicks = options_.statsEpochTicks;
-        }
-        obs::Observability o(cfg);
-        return runObserved(spec.bars[index].config, o);
-    }
-    if (options_.statsEpochTicks > 0) {
-        // Sampler-only bundle: no event tracing, no output files —
-        // just the epoch rows the stats manifest embeds. Every bar
-        // gets one, unlike the single observed bar above.
-        obs::ObsConfig cfg;
-        cfg.epochTicks = options_.statsEpochTicks;
-        cfg.sampleEpochs = true;
-        obs::Observability o(cfg);
+        obs::Observability o(options_.obs);
         return runObserved(spec.bars[index].config, o);
     }
     return runOne(spec.bars[index].config);

@@ -280,8 +280,8 @@ void
 Machine::resetStats()
 {
     registry_.resetAll();
-    if (obs_ != nullptr)
-        obs_->onStatsReset();
+    if (epochs_ != nullptr)
+        epochs_->rebase();
 }
 
 void
@@ -291,34 +291,39 @@ Machine::attachObservability(obs::Observability *o)
     obs::Tracer *tracer = o != nullptr ? &o->tracer() : nullptr;
     memSys_->setTracer(tracer);
     engine_->setTracer(tracer);
-    if (o == nullptr)
+}
+
+void
+Machine::recordEpochs(Tick epoch_ticks)
+{
+    isim_assert(sim_ == nullptr && !obsBegun_,
+                "recordEpochs after the run started");
+    epochs_ = std::make_unique<stats::EpochRecorder>(
+        epoch_ticks, registry_,
+        [this] { return sched_->contextSwitches(); });
+}
+
+void
+Machine::beginObservation(Tick now)
+{
+    if (obsBegun_)
         return;
-    o->setCounterSource([this] {
-        obs::CounterSnapshot s;
-        CpuStats cpu;
-        for (const auto &core : cpus_)
-            cpu += core->stats();
-        s.committedTxns = engine_->committedTransactions();
-        s.instructions = cpu.instructions;
-        s.busy = cpu.busy;
-        s.idle = cpu.idle;
-        s.kernelTime = cpu.kernelTime;
-        const NodeProtocolStats m = memSys_->aggregateStats();
-        s.missInstrLocal = m.instrLocal;
-        s.missInstrRemote = m.instrRemote;
-        s.missDataLocal = m.dataLocal;
-        s.missDataRemoteClean = m.dataRemoteClean;
-        s.missDataRemoteDirty = m.dataRemoteDirty;
-        s.latchAcquires = engine_->latches().acquires();
-        s.latchContended = engine_->latches().contended();
-        s.ctxSwitches = obs_->tracer().count(obs::EventKind::CtxSwitch);
-        // NoC load comes from the always-on protocol counters, so
-        // epoch rows report it even when event tracing is off
-        // (--stats-epoch without --trace-*).
-        s.nocMsgs = memSys_->nocStats().messages;
-        s.nocBytes = memSys_->nocStats().bytes;
-        return s;
-    });
+    obsBegun_ = true;
+    if (obs_ != nullptr)
+        obs_->beginRun();
+    if (epochs_ != nullptr)
+        epochs_->start(now);
+}
+
+void
+Machine::endObservation(RunResult &r)
+{
+    if (obs_ != nullptr)
+        obs_->endRun();
+    if (epochs_ != nullptr) {
+        epochs_->finish(sim_->wallTime());
+        r.epochs = epochs_->rows();
+    }
 }
 
 RunResult
@@ -341,7 +346,8 @@ Machine::ensureSim()
     opts.quantum = config_.workload.quantum;
     opts.model = config_.cpuModel;
     opts.maxSteps = maxSteps_;
-    opts.obs = obs_;
+    opts.tracer = obs_ != nullptr ? &obs_->tracer() : nullptr;
+    opts.epochs = epochs_.get();
     sim_ = std::make_unique<Simulation>(*sched_, *kernel_, *engine_,
                                         cpus_, opts);
     if (pendingSim_ != nullptr) {
@@ -357,9 +363,7 @@ Machine::runWarmup(ExecMode)
     ISIM_PROF_PHASE(prof::Phase::Warmup);
     ISIM_PROF_SCOPE("warmup");
     ensureSim();
-    if (obs_ != nullptr)
-        obs_->beginRun(0);
-    obsBegun_ = true;
+    beginObservation(0);
     sim_->runUntilWarmupDone();
     warmEnd_ = sim_->wallTime();
     resetStats(); // rebases oltp.txn.committed via the registry hook
@@ -373,21 +377,12 @@ Machine::runMeasurement()
     ISIM_PROF_PHASE(prof::Phase::Measure);
     ISIM_PROF_SCOPE("measure");
     ensureSim();
-    if (!obsBegun_) {
-        // Checkpoint restore: the run is announced at the warm
-        // boundary.
-        if (obs_ != nullptr)
-            obs_->beginRun(warmEnd_);
-        obsBegun_ = true;
-    }
+    beginObservation(warmEnd_); // no-op unless restored from an image
     sim_->runUntilMeasurementDone();
-    if (obs_ != nullptr)
-        obs_->endRun(sim_->wallTime());
 
     RunResult r = snapshot();
     r.wallTime = sim_->wallTime() - warmEnd_;
-    if (obs_ != nullptr && obs_->sampler() != nullptr)
-        r.epochs = obs_->sampler()->rows();
+    endObservation(r);
     return r;
 }
 

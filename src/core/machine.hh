@@ -18,12 +18,12 @@
 #include "src/coherence/protocol.hh"
 #include "src/cpu/core.hh"
 #include "src/cpu/ooo.hh"
-#include "src/obs/sampler.hh"
 #include "src/oltp/workload.hh"
 #include "src/sample/report.hh"
 #include "src/os/kernel.hh"
 #include "src/os/scheduler.hh"
 #include "src/os/vm.hh"
+#include "src/stats/epoch.hh"
 #include "src/stats/registry.hh"
 #include "src/timing/latency_config.hh"
 
@@ -108,8 +108,8 @@ struct RunResult
      * exact run's manifest is byte-identical to pre-sampling ones.
      */
     sample::SampleReport sampling;
-    /** Per-epoch counter deltas; filled only with --stats-epoch. */
-    std::vector<obs::EpochRow> epochs;
+    /** Per-epoch counter deltas; empty unless epochs were recorded. */
+    std::vector<stats::EpochRow> epochs;
 
     // Content-address identity of this run's (config, seed) cell,
     // filled by ExperimentRunner::runMachine and echoed into the
@@ -228,11 +228,18 @@ class Machine
 
     /**
      * Attach (or with nullptr, detach) an observability bundle: wires
-     * the tracer into the memory system and the engine and installs
-     * the counter source the timeline sampler snapshots. The bundle
-     * must outlive the machine's run() calls.
+     * the tracer into the memory system, the engine and the loop. The
+     * bundle must outlive the machine's run() calls.
      */
     void attachObservability(obs::Observability *o);
+
+    /**
+     * Record epoch rows on an `epoch_ticks` grid from the start of
+     * the run (warm-up, or the warm boundary of a restored machine)
+     * to its end; the measured result carries them in
+     * RunResult::epochs. Call before the first run call.
+     */
+    void recordEpochs(Tick epoch_ticks);
 
   private:
     // The sampled-simulation controller drives the loop through
@@ -255,6 +262,18 @@ class Machine
     /** Restore component + loop state from an image (checkpoint.cc). */
     void restoreFromImage(ckpt::Deserializer &d);
 
+    /**
+     * Open the observed window at `now`: event tracing and epoch
+     * recording start. A warm-up opens it at time 0; a restored
+     * machine at the warm boundary. Later calls are no-ops.
+     */
+    void beginObservation(Tick now);
+    /**
+     * Close the observed window at the loop's current time and hand
+     * the recorded epoch rows to `r` (exact and sampled runs alike).
+     */
+    void endObservation(RunResult &r);
+
     MachineConfig config_;
     stats::Registry registry_;
     std::unique_ptr<VirtualMemory> vm_;
@@ -264,18 +283,14 @@ class Machine
     std::unique_ptr<MemorySystem> memSys_;
     std::vector<std::unique_ptr<CpuCore>> cpus_;
     obs::Observability *obs_ = nullptr;
+    std::unique_ptr<stats::EpochRecorder> epochs_; //!< null = off
 
     std::unique_ptr<Simulation> sim_; //!< persists across run phases
     /** Loop state restored from an image before sim_ exists. */
     std::unique_ptr<SimState> pendingSim_;
     Tick warmEnd_ = 0;      //!< wall time at the warm-up boundary
     bool warmupRan_ = false;
-    /**
-     * Whether obs_->beginRun() has been issued. A warm-up opens the
-     * observability window at time 0; a restored machine defers it to
-     * the warm boundary (runMeasurement).
-     */
-    bool obsBegun_ = false;
+    bool obsBegun_ = false; //!< beginObservation() has run
     std::uint64_t maxSteps_ = 0;
 };
 

@@ -10,8 +10,9 @@
 #include "src/coherence/protocol.hh"
 #include "src/cpu/inorder.hh"
 #include "src/cpu/ooo.hh"
-#include "src/obs/observability.hh"
+#include "src/obs/tracer.hh"
 #include "src/prof/profiler.hh"
+#include "src/stats/epoch.hh"
 
 namespace isim {
 
@@ -20,10 +21,8 @@ Simulation::Simulation(Scheduler &sched, KernelModel &kernel,
                        std::vector<std::unique_ptr<CpuCore>> &cpus,
                        const SimOptions &options)
     : sched_(sched), kernel_(kernel), engine_(engine), cpus_(cpus),
-      options_(options), state_(cpus.size())
+      options_(options), tracer_(options.tracer), state_(cpus.size())
 {
-    if (options_.obs != nullptr)
-        tracer_ = &options_.obs->tracer();
 }
 
 Tick
@@ -178,8 +177,8 @@ Simulation::runUntilCommitted(std::uint64_t target)
                 isim_panic("simulation deadlock: all CPUs event-stalled");
             break;
         }
-        if (options_.obs != nullptr && best_time != maxTick)
-            options_.obs->advance(best_time);
+        if (options_.epochs != nullptr && options_.epochs->due(best_time))
+            options_.epochs->advance(best_time);
         stepCpu(best);
         ++steps_;
         if (options_.maxSteps != 0 && steps_ > options_.maxSteps)

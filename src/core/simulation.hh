@@ -24,7 +24,11 @@
 namespace isim {
 
 namespace obs {
-class Observability;
+class Tracer;
+}
+
+namespace stats {
+class EpochRecorder;
 }
 
 /** Options of a simulation run. */
@@ -41,8 +45,10 @@ struct SimOptions
     CpuModel model = CpuModel::InOrder;
     /** Hard step limit as a runaway backstop (0 = none). */
     std::uint64_t maxSteps = 0;
-    /** Observability bundle the loop drives (may be nullptr). */
-    obs::Observability *obs = nullptr;
+    /** Event tracer the loop stamps and feeds (may be nullptr). */
+    obs::Tracer *tracer = nullptr;
+    /** Epoch recorder the loop advances (may be nullptr). */
+    stats::EpochRecorder *epochs = nullptr;
 };
 
 /**
@@ -127,7 +133,7 @@ class Simulation
     OltpEngine &engine_;
     std::vector<std::unique_ptr<CpuCore>> &cpus_;
     SimOptions options_;
-    obs::Tracer *tracer_ = nullptr; //!< from options_.obs, may be null
+    obs::Tracer *tracer_ = nullptr; //!< options_.tracer, may be null
     std::vector<CpuState> state_;
     std::uint64_t steps_ = 0;
 };

@@ -161,37 +161,38 @@ writeChromeTrace(std::ostream &os, const Tracer &tracer)
     writeChromeTrace(os, events, tracer.ring().dropped());
 }
 
-const char *
+std::string
 timelineCsvHeader()
 {
-    return "epoch,start_ns,end_ns,commits,tps,instructions,busy_ns,"
-           "idle_ns,kernel_ns,miss_instr_local,miss_instr_remote,"
-           "miss_data_local,miss_data_2hop,miss_data_3hop,"
-           "latch_acquires,latch_contended,ctx_switches,noc_msgs,"
-           "noc_bytes,noc_gbps";
+    // tps follows the commits it is derived from; noc_gbps closes the
+    // line.
+    std::string header = "epoch,start_ns,end_ns";
+    for (std::size_t i = 0; i < stats::numEpochColumns; ++i) {
+        header += ',';
+        header += stats::epochColumns[i].csv;
+        if (i == stats::commitsColumn)
+            header += ",tps";
+    }
+    return header + ",noc_gbps";
 }
 
 void
-writeTimelineCsv(std::ostream &os, const TimelineSampler &sampler)
+writeTimelineCsv(std::ostream &os,
+                 const std::vector<stats::EpochRow> &rows)
 {
     os << timelineCsvHeader() << "\n";
     char buf[64];
-    for (const EpochRow &row : sampler.rows()) {
-        const CounterSnapshot &d = row.delta;
-        const double dur = static_cast<double>(row.end - row.start);
-        const double gbps =
-            dur > 0 ? static_cast<double>(d.nocBytes) / dur : 0.0;
-        os << row.epoch << ',' << row.start << ',' << row.end << ','
-           << d.committedTxns << ',';
-        std::snprintf(buf, sizeof(buf), "%.3f", row.tps());
-        os << buf << ',' << d.instructions << ',' << d.busy << ','
-           << d.idle << ',' << d.kernelTime << ',' << d.missInstrLocal
-           << ',' << d.missInstrRemote << ',' << d.missDataLocal << ','
-           << d.missDataRemoteClean << ',' << d.missDataRemoteDirty
-           << ',' << d.latchAcquires << ',' << d.latchContended << ','
-           << d.ctxSwitches << ',' << d.nocMsgs << ',' << d.nocBytes
-           << ',';
-        std::snprintf(buf, sizeof(buf), "%.6f", gbps);
+    for (const stats::EpochRow &row : rows) {
+        os << row.epoch << ',' << row.start << ',' << row.end;
+        for (std::size_t i = 0; i < stats::numEpochColumns; ++i) {
+            os << ',' << row.delta[i];
+            if (i == stats::commitsColumn) {
+                std::snprintf(buf, sizeof(buf), ",%.3f", row.tps());
+                os << buf;
+            }
+        }
+        std::snprintf(buf, sizeof(buf), ",%.6f",
+                      row.rate(stats::nocBytesColumn));
         os << buf << "\n";
     }
 }

@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "src/obs/event.hh"
-#include "src/obs/sampler.hh"
 #include "src/obs/tracer.hh"
+#include "src/stats/epoch.hh"
 
 namespace isim::obs {
 
@@ -33,10 +33,11 @@ void writeChromeTrace(std::ostream &os,
 void writeChromeTrace(std::ostream &os, const Tracer &tracer);
 
 /** Header line of the timeline CSV (no trailing newline). */
-const char *timelineCsvHeader();
+std::string timelineCsvHeader();
 
-/** Write the sampler's rows as CSV (header + one line per epoch). */
-void writeTimelineCsv(std::ostream &os, const TimelineSampler &sampler);
+/** Write epoch rows as CSV (header + one line per epoch). */
+void writeTimelineCsv(std::ostream &os,
+                      const std::vector<stats::EpochRow> &rows);
 
 /** Write events as a flat CSV (header + one line per event). */
 void writeEventCsv(std::ostream &os,

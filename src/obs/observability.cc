@@ -6,7 +6,7 @@
 #include "src/obs/observability.hh"
 
 #include <fstream>
-#include <utility>
+#include <functional>
 
 #include "src/base/logging.hh"
 #include "src/obs/export.hh"
@@ -16,40 +16,6 @@ namespace isim::obs {
 Observability::Observability(const ObsConfig &config)
     : config_(config), tracer_(config.ringCapacity)
 {
-}
-
-void
-Observability::setCounterSource(TimelineSampler::Source source)
-{
-    if (config_.wantsSampler()) {
-        sampler_ = std::make_unique<TimelineSampler>(
-            config_.epochTicks, std::move(source));
-    }
-}
-
-void
-Observability::beginRun(Tick now)
-{
-    // Event recording costs ring writes on the hot path; leave it off
-    // when the bundle exists only to drive the epoch sampler.
-    tracer_.setEnabled(config_.wantsEvents() || config_.wantsTimeline());
-    if (sampler_)
-        sampler_->start(now);
-}
-
-void
-Observability::onStatsReset()
-{
-    if (sampler_)
-        sampler_->rebase();
-}
-
-void
-Observability::endRun(Tick now)
-{
-    if (sampler_)
-        sampler_->finish(now);
-    tracer_.setEnabled(false);
 }
 
 namespace {
@@ -71,7 +37,8 @@ writeFileOrDie(const std::string &path, const std::string &what,
 } // namespace
 
 std::string
-Observability::writeOutputs() const
+Observability::writeOutputs(
+    const std::vector<stats::EpochRow> &timeline) const
 {
     std::string written;
     auto note = [&](const std::string &path) {
@@ -109,10 +76,10 @@ Observability::writeOutputs() const
                       tracer_.ring().dropped()),
                   tracer_.ring().capacity(), suggested);
     }
-    if (!config_.timelineOutPath.empty() && sampler_ != nullptr) {
+    if (!config_.timelineOutPath.empty()) {
         writeFileOrDie(config_.timelineOutPath, "timeline",
                        [&](std::ostream &os) {
-                           writeTimelineCsv(os, *sampler_);
+                           writeTimelineCsv(os, timeline);
                        });
         note(config_.timelineOutPath);
     }

@@ -1,20 +1,21 @@
 /**
  * @file
- * The observability bundle: configuration plus the Tracer and the
- * TimelineSampler for one run, and the write-out of whatever outputs
- * were requested. A Machine is observed by attaching one of these
- * (Machine::attachObservability); the simulation loop drives the
- * clock and the sampler through the SimOptions::obs pointer.
+ * The observability bundle: configuration plus the Tracer for one
+ * run, and the write-out of whatever outputs were requested. A
+ * Machine is observed by attaching one of these
+ * (Machine::attachObservability); the timeline CSV renders the
+ * machine's epoch rows (stats::EpochRecorder), which the Machine
+ * records itself.
  */
 
 #ifndef ISIM_OBS_OBSERVABILITY_HH
 #define ISIM_OBS_OBSERVABILITY_HH
 
-#include <memory>
 #include <string>
+#include <vector>
 
-#include "src/obs/sampler.hh"
 #include "src/obs/tracer.hh"
+#include "src/stats/epoch.hh"
 
 namespace isim::obs {
 
@@ -24,28 +25,21 @@ struct ObsConfig
     std::string traceOutPath;    //!< Chrome trace_event JSON
     std::string traceBinPath;    //!< binary capture for tools/itrace
     std::string timelineOutPath; //!< epoch timeline CSV
-    Tick epochTicks = 1000000;   //!< sampler epoch (default 1 ms)
+    /** Timeline epoch (default 1 ms); --stats-epoch overrides it. */
+    Tick epochTicks = 1000000;
     std::size_t ringCapacity = 1u << 18; //!< events retained (8 MiB)
     /** Which figure bar to observe when a spec has several. */
     std::size_t traceBar = 0;
-    /**
-     * Run the epoch sampler even with no timeline CSV requested, so
-     * the per-run stats manifest can embed per-epoch rows
-     * (--stats-epoch). Event tracing stays off in this mode: epoch
-     * columns fed from trace counts (ctx switches) read zero.
-     */
-    bool sampleEpochs = false;
 
     bool wantsEvents() const
     {
         return !traceOutPath.empty() || !traceBinPath.empty();
     }
     bool wantsTimeline() const { return !timelineOutPath.empty(); }
-    bool wantsSampler() const { return wantsTimeline() || sampleEpochs; }
-    bool any() const { return wantsEvents() || wantsSampler(); }
+    bool any() const { return wantsEvents() || wantsTimeline(); }
 };
 
-/** Tracer + sampler for one observed run. */
+/** The tracer and output files of one observed run. */
 class Observability
 {
   public:
@@ -55,34 +49,23 @@ class Observability
     Tracer &tracer() { return tracer_; }
     const Tracer &tracer() const { return tracer_; }
 
-    /** Install the counter source the sampler snapshots. */
-    void setCounterSource(TimelineSampler::Source source);
-
-    /** Begin the run: enable tracing, start the sampler at `now`. */
-    void beginRun(Tick now);
-    /** Simulation-loop hook: advance the sampler to the global time. */
-    void advance(Tick now)
-    {
-        if (sampler_ && sampler_->due(now))
-            sampler_->advance(now);
-    }
-    /** Stats were reset mid-run (warm-up boundary). */
-    void onStatsReset();
-    /** End of run at `now`: close the last epoch. */
-    void endRun(Tick now);
-
-    const TimelineSampler *sampler() const { return sampler_.get(); }
+    /** Begin the run: enable event tracing if any was requested. */
+    void beginRun() { tracer_.setEnabled(config_.wantsEvents()); }
+    /** End of run: stop recording events. */
+    void endRun() { tracer_.setEnabled(false); }
 
     /**
-     * Write every requested output file; returns a human-readable
-     * description of what was written (for the run log).
+     * Write every requested output file, the timeline CSV from
+     * `timeline` (the observed run's epoch rows); returns a
+     * human-readable description of what was written (for the run
+     * log).
      */
-    std::string writeOutputs() const;
+    std::string
+    writeOutputs(const std::vector<stats::EpochRow> &timeline) const;
 
   private:
     ObsConfig config_;
     Tracer tracer_;
-    std::unique_ptr<TimelineSampler> sampler_;
 };
 
 } // namespace isim::obs

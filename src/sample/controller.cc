@@ -15,7 +15,6 @@
 #include "src/base/logging.hh"
 #include "src/base/random.hh"
 #include "src/core/simulation.hh"
-#include "src/obs/observability.hh"
 #include "src/prof/profiler.hh"
 #include "src/sample/estimator.hh"
 
@@ -52,11 +51,7 @@ SampleController::run()
     m.ensureSim();
     ISIM_PROF_PHASE(prof::Phase::Measure);
     ISIM_PROF_SCOPE("measure");
-    if (!m.obsBegun_) {
-        if (m.obs_ != nullptr)
-            m.obs_->beginRun(m.warmEnd_);
-        m.obsBegun_ = true;
-    }
+    m.beginObservation(m.warmEnd_); // no-op unless restored
 
     OltpEngine &engine = *m.engine_;
     Simulation &sim = *m.sim_;
@@ -117,9 +112,6 @@ SampleController::run()
         engine.skipTransactions(target -
                                 engine.committedTransactions());
     }
-    if (m.obs_ != nullptr)
-        m.obs_->endRun(sim.wallTime());
-
     // ---- Aggregate: expand window totals to run level. ----
     isim_assert(covered > 0, "sampled run measured no transactions");
     const double expand =
@@ -131,6 +123,7 @@ SampleController::run()
     r.transactions = scaled(covered, expand);
     r.wallTime = scaled(measuredWall, expand);
     r.dbConsistent = engine.db().checkConsistency();
+    m.endObservation(r);
 
     r.sampling.enabled = true;
     r.sampling.mode = plan.mode;

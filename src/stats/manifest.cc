@@ -13,7 +13,6 @@
 #include "src/base/json.hh"
 #include "src/base/logging.hh"
 #include "src/ckpt/serializer.hh"
-#include "src/obs/sampler.hh"
 
 namespace isim {
 namespace stats {
@@ -69,28 +68,14 @@ writeSampling(JsonWriter &w, const sample::SampleReport &s)
 }
 
 void
-writeEpochRow(JsonWriter &w, const obs::EpochRow &row)
+writeEpochRow(JsonWriter &w, const EpochRow &row)
 {
     w.beginObject();
     w.kv("epoch", row.epoch);
     w.kv("start", row.start);
     w.kv("end", row.end);
-    const obs::CounterSnapshot &d = row.delta;
-    w.kv("committed_txns", d.committedTxns);
-    w.kv("instructions", d.instructions);
-    w.kv("busy", d.busy);
-    w.kv("idle", d.idle);
-    w.kv("kernel_time", d.kernelTime);
-    w.kv("miss_instr_local", d.missInstrLocal);
-    w.kv("miss_instr_remote", d.missInstrRemote);
-    w.kv("miss_data_local", d.missDataLocal);
-    w.kv("miss_data_remote_clean", d.missDataRemoteClean);
-    w.kv("miss_data_remote_dirty", d.missDataRemoteDirty);
-    w.kv("latch_acquires", d.latchAcquires);
-    w.kv("latch_contended", d.latchContended);
-    w.kv("ctx_switches", d.ctxSwitches);
-    w.kv("noc_msgs", d.nocMsgs);
-    w.kv("noc_bytes", d.nocBytes);
+    for (std::size_t i = 0; i < numEpochColumns; ++i)
+        w.kv(epochColumns[i].manifest, row.delta[i]);
     w.kv("tps", row.tps(), 4);
     w.endObject();
 }

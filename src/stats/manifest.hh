@@ -24,7 +24,8 @@
  *                     "stats": {"cpu.busy": {"sem": 1.5e6,
  *                               "ci95": 3.5e6, "windows": 8}, ...}},
  *        "epochs": [{"epoch": 0, "start": 0, "end": 1000000,
- *                    "committed_txns": 12, ...}, ...]}
+ *                    <one key per epoch column>, "tps": 12000.0},
+ *                   ...]}
  *     ]
  *   }
  *
@@ -46,8 +47,9 @@
  * copies it into campaign.json, so every bit-identity guarantee
  * (--jobs, --procs, resume) is unaffected. Older manifests may carry
  * "warmup_mode" / "exec_mode" in META; readers ignore them. "epochs"
- * is present only when per-epoch sampling was requested
- * (--stats-epoch).
+ * is present only when the bar's epochs were recorded (--stats-epoch
+ * on every bar, --timeline-out on the observed one); its keys are
+ * the epochColumns of src/stats/epoch.hh.
  * Distribution values are nested objects; undefined quantiles (NaN)
  * serialize as JSON null.
  */
@@ -60,15 +62,12 @@
 #include <vector>
 
 #include "src/sample/report.hh"
+#include "src/stats/epoch.hh"
 #include "src/stats/registry.hh"
 
 namespace isim {
 
 class JsonValue;
-
-namespace obs {
-struct EpochRow;
-}
 
 namespace stats {
 
@@ -154,7 +153,7 @@ struct ManifestBar
     std::string name;
     BarMeta meta;
     Snapshot stats;
-    std::vector<obs::EpochRow> epochs; //!< empty unless epoch sampling on
+    std::vector<EpochRow> epochs; //!< empty unless epochs were recorded
     /** Per-stat error bounds; written only when sampling.enabled. */
     sample::SampleReport sampling;
 };

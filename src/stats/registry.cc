@@ -202,6 +202,16 @@ Registry::resetAll()
         hook();
 }
 
+Registry::CounterFn
+Registry::counterSource(const std::string &name) const
+{
+    for (const auto &e : entries_) {
+        if (e.name == name && e.kind == Kind::Counter)
+            return e.getCounter;
+    }
+    isim_fatal("no counter stat named '%s'", name.c_str());
+}
+
 Snapshot
 Registry::snapshot() const
 {

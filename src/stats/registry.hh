@@ -134,6 +134,13 @@ class Registry
 
     std::size_t size() const { return entries_.size(); }
 
+    /**
+     * The getter of the Counter registered as `name`, for readers that
+     * sample a few counters often (the epoch recorder). Fatal when no
+     * such counter exists.
+     */
+    CounterFn counterSource(const std::string &name) const;
+
     /** Evaluate every stat; the result is sorted by name. */
     Snapshot snapshot() const;
 

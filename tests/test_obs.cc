@@ -1,16 +1,18 @@
 /**
  * @file
  * Observability subsystem tests: event-ring wraparound and capacity
- * accounting, timeline-sampler epoch boundary math (partial first and
- * last epochs, rebase after a stats reset), exporter well-formedness
+ * accounting, epoch-recorder boundary math (partial first and last
+ * epochs, rebase after a stats reset), exporter well-formedness
  * (Chrome JSON parses back, CSV headers), the binary capture round
  * trip, and — end to end — that attaching observability to a machine
- * records events without perturbing the simulated results, and that
- * host-side instrumentation leaves figure JSON byte-identical.
+ * records events without perturbing the simulated results, that
+ * host-side instrumentation leaves figure JSON byte-identical, and
+ * that --stats-epoch rows add up to the measured stats on one grid.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -28,19 +30,21 @@
 #include "src/obs/export.hh"
 #include "src/obs/observability.hh"
 #include "src/obs/ring.hh"
-#include "src/obs/sampler.hh"
 #include "src/obs/tracer.hh"
 #include "src/prof/profiler.hh"
+#include "src/stats/epoch.hh"
+#include "src/stats/manifest.hh"
 
 namespace isim {
 namespace {
 
-using obs::CounterSnapshot;
 using obs::EventKind;
 using obs::EventRing;
-using obs::TimelineSampler;
 using obs::TraceEvent;
 using obs::Tracer;
+using stats::EpochRecorder;
+using stats::commitsColumn;
+using stats::epochColumnOf;
 
 TraceEvent
 numberedEvent(std::uint32_t n)
@@ -107,46 +111,72 @@ TEST(EventRing, ClearResetsAccounting)
     EXPECT_EQ(ringArgs(ring), (std::vector<std::uint32_t>{7}));
 }
 
+/** A registry carrying every epoch column's counter, set by hand. */
+struct FakeCounters
+{
+    std::array<std::uint64_t, stats::numEpochColumns> value{};
+    stats::Registry registry;
+
+    FakeCounters()
+    {
+        for (std::size_t i = 0; i < stats::numEpochColumns; ++i) {
+            if (const char *stat = stats::epochColumns[i].stat) {
+                registry.counter(stat, "test counter", "count",
+                                 [this, i] { return value[i]; });
+            }
+        }
+    }
+
+    EpochRecorder recorder(Tick epoch_ticks)
+    {
+        return EpochRecorder(epoch_ticks, registry,
+                             [this] { return ctxSwitches; });
+    }
+
+    std::uint64_t &commits() { return value[commitsColumn]; }
+    std::uint64_t ctxSwitches = 0;
+};
+
 TEST(Sampler, GridAnchoredPartialEpochs)
 {
-    CounterSnapshot counters;
-    TimelineSampler s(100, [&] { return counters; });
+    FakeCounters counters;
+    EpochRecorder s = counters.recorder(100);
 
-    counters.committedTxns = 10;
+    counters.commits() = 10;
     s.start(250); // mid-grid: first epoch is partial [250, 300)
     EXPECT_FALSE(s.due(299));
 
-    counters.committedTxns = 16;
+    counters.commits() = 16;
     EXPECT_TRUE(s.due(300));
     s.advance(455);
     ASSERT_EQ(s.rows().size(), 2u);
     EXPECT_EQ(s.rows()[0].epoch, 2u);
     EXPECT_EQ(s.rows()[0].start, 250u);
     EXPECT_EQ(s.rows()[0].end, 300u);
-    EXPECT_EQ(s.rows()[0].delta.committedTxns, 6u);
+    EXPECT_EQ(s.rows()[0].delta[commitsColumn], 6u);
     // The epoch [300, 400) saw no counter movement: zero-delta row.
     EXPECT_EQ(s.rows()[1].epoch, 3u);
     EXPECT_EQ(s.rows()[1].start, 300u);
     EXPECT_EQ(s.rows()[1].end, 400u);
-    EXPECT_EQ(s.rows()[1].delta.committedTxns, 0u);
+    EXPECT_EQ(s.rows()[1].delta[commitsColumn], 0u);
 
-    counters.committedTxns = 20;
+    counters.commits() = 20;
     s.finish(455); // trailing partial epoch [400, 455)
     ASSERT_EQ(s.rows().size(), 3u);
     EXPECT_EQ(s.rows()[2].epoch, 4u);
     EXPECT_EQ(s.rows()[2].start, 400u);
     EXPECT_EQ(s.rows()[2].end, 455u);
-    EXPECT_EQ(s.rows()[2].delta.committedTxns, 4u);
+    EXPECT_EQ(s.rows()[2].delta[commitsColumn], 4u);
     // tps normalizes by the partial extent, not the epoch length.
     EXPECT_DOUBLE_EQ(s.rows()[2].tps(), 4.0 * 1e9 / 55.0);
 }
 
 TEST(Sampler, StartOnGridLineIsAFullFirstEpoch)
 {
-    CounterSnapshot counters;
-    TimelineSampler s(100, [&] { return counters; });
+    FakeCounters counters;
+    EpochRecorder s = counters.recorder(100);
     s.start(200);
-    counters.committedTxns = 3;
+    counters.commits() = 3;
     s.advance(300);
     ASSERT_EQ(s.rows().size(), 1u);
     EXPECT_EQ(s.rows()[0].epoch, 2u);
@@ -156,15 +186,23 @@ TEST(Sampler, StartOnGridLineIsAFullFirstEpoch)
 
 TEST(Sampler, FinishInsideFirstEpochEmitsOnePartialRow)
 {
-    CounterSnapshot counters;
-    TimelineSampler s(1000, [&] { return counters; });
+    FakeCounters counters;
+    EpochRecorder s = counters.recorder(1000);
     s.start(0);
-    counters.committedTxns = 2;
+    counters.commits() = 2;
+    counters.ctxSwitches = 5;
     s.finish(40);
     ASSERT_EQ(s.rows().size(), 1u);
     EXPECT_EQ(s.rows()[0].start, 0u);
     EXPECT_EQ(s.rows()[0].end, 40u);
-    EXPECT_EQ(s.rows()[0].delta.committedTxns, 2u);
+    EXPECT_EQ(s.rows()[0].delta[commitsColumn], 2u);
+    // The one column without a registry stat reads its own source.
+    std::uint64_t ctx = 0;
+    for (std::size_t i = 0; i < stats::numEpochColumns; ++i) {
+        if (stats::epochColumns[i].stat == nullptr)
+            ctx += s.rows()[0].delta[i];
+    }
+    EXPECT_EQ(ctx, 5u);
     // finish() is idempotent; later calls add nothing.
     s.finish(90);
     EXPECT_EQ(s.rows().size(), 1u);
@@ -172,28 +210,28 @@ TEST(Sampler, FinishInsideFirstEpochEmitsOnePartialRow)
 
 TEST(Sampler, RebaseAbsorbsStatsReset)
 {
-    CounterSnapshot counters;
-    counters.instructions = 100;
-    TimelineSampler s(100, [&] { return counters; });
+    FakeCounters counters;
+    std::uint64_t &insts =
+        counters.value[epochColumnOf("cpu.instructions")];
+    insts = 100;
+    EpochRecorder s = counters.recorder(100);
     s.start(0);
-    counters.instructions = 5; // external stats reset went backwards
+    insts = 5; // registry reset: the counter went backwards
     s.rebase();
-    counters.instructions = 12;
+    insts = 12;
     s.advance(100);
     ASSERT_EQ(s.rows().size(), 1u);
-    EXPECT_EQ(s.rows()[0].delta.instructions, 7u);
+    EXPECT_EQ(s.rows()[0].delta[epochColumnOf("cpu.instructions")], 7u);
 }
 
-TEST(Sampler, SinceSaturatesOnBackwardsCounters)
+TEST(SamplerDeathTest, BackwardsCounterWithoutRebasePanics)
 {
-    CounterSnapshot base, cur;
-    base.committedTxns = 50;
-    cur.committedTxns = 8; // went backwards: report post-reset value
-    base.busy = 10;
-    cur.busy = 30;
-    const CounterSnapshot d = cur.since(base);
-    EXPECT_EQ(d.committedTxns, 8u);
-    EXPECT_EQ(d.busy, 20u);
+    FakeCounters counters;
+    counters.commits() = 50;
+    EpochRecorder s = counters.recorder(100);
+    s.start(0);
+    counters.commits() = 8; // a reset the recorder was not told of
+    EXPECT_DEATH(s.advance(100), "went backwards without a rebase");
 }
 
 TEST(Tracer, CountsPerKindAndNocBytes)
@@ -256,24 +294,32 @@ TEST(Exporters, ChromeTraceOfEmptyCaptureIsValid)
 
 TEST(Exporters, CsvHeaders)
 {
-    EXPECT_EQ(std::string(obs::timelineCsvHeader()).rfind("epoch,", 0),
-              0u);
+    EXPECT_EQ(obs::timelineCsvHeader(),
+              "epoch,start_ns,end_ns,commits,tps,instructions,busy_ns,"
+              "idle_ns,kernel_ns,miss_instr_local,miss_instr_remote,"
+              "miss_data_local,miss_data_2hop,miss_data_3hop,"
+              "latch_acquires,latch_contended,ctx_switches,noc_msgs,"
+              "noc_bytes,noc_gbps");
 
-    CounterSnapshot counters;
-    TimelineSampler s(100, [&] { return counters; });
+    FakeCounters counters;
+    EpochRecorder s = counters.recorder(100);
     s.start(0);
-    counters.committedTxns = 1;
+    counters.commits() = 1;
+    counters.value[epochColumnOf("noc.bytes")] = 300;
     s.finish(150);
     std::ostringstream os;
-    obs::writeTimelineCsv(os, s);
+    obs::writeTimelineCsv(os, s.rows());
     std::istringstream lines(os.str());
     std::string line;
     ASSERT_TRUE(std::getline(lines, line));
     EXPECT_EQ(line, obs::timelineCsvHeader());
-    std::size_t rows = 0;
+    std::vector<std::string> rows;
     while (std::getline(lines, line))
-        ++rows;
-    EXPECT_EQ(rows, s.rows().size());
+        rows.push_back(line);
+    ASSERT_EQ(rows.size(), s.rows().size());
+    EXPECT_EQ(rows[0],
+              "0,0,100,1,10000000.000,0,0,0,0,0,0,0,0,0,0,0,0,0,300,"
+              "3.000000");
 
     std::ostringstream ev;
     obs::writeEventCsv(ev, {numberedEvent(1)});
@@ -400,21 +446,21 @@ TEST(ObservedMachine, RecordsAllEventFamilies)
     Machine m(mpConfig());
     obs::Observability o(observeEverything());
     m.attachObservability(&o);
+    m.recordEpochs(o.config().epochTicks);
     const RunResult r = m.run();
     EXPECT_TRUE(r.dbConsistent);
 
     // The timeline covers the whole run in contiguous epochs.
-    ASSERT_NE(o.sampler(), nullptr);
-    const auto &rows = o.sampler()->rows();
+    const auto &rows = r.epochs;
     ASSERT_FALSE(rows.empty());
     EXPECT_EQ(rows.front().start, 0u);
     for (std::size_t i = 1; i < rows.size(); ++i)
         EXPECT_EQ(rows[i].start, rows[i - 1].end);
     std::uint64_t timeline_txns = 0;
     for (const auto &row : rows)
-        timeline_txns += row.delta.committedTxns;
-    // The commit counter is cumulative across the warm-up boundary
-    // (the rebase only absorbs the slice since the last boundary), so
+        timeline_txns += row.delta[commitsColumn];
+    // Rows before the warm-up boundary count warm-up commits (the
+    // rebase only drops the slice of the epoch open at the reset), so
     // the timeline holds at least every measured commit and at most
     // the warm-up plus measured total.
     EXPECT_GE(timeline_txns, r.transactions);
@@ -498,6 +544,151 @@ TEST(ObservedMachine, HostInstrumentationKeepsFigureJsonBitIdentical)
     std::remove(instrumented.obs.timelineOutPath.c_str());
 
     EXPECT_EQ(bareJson, figureToJson(observed));
+}
+
+// ---- End to end: --stats-epoch rows ----
+
+FigureSpec
+twoBarSpec()
+{
+    FigureSpec spec;
+    spec.id = "EpochFig";
+    spec.title = "epoch rows";
+    for (const char *name : {"bar-a", "bar-b"}) {
+        FigureBar bar;
+        bar.config = mpConfig(30);
+        bar.config.name = name;
+        spec.bars.push_back(bar);
+    }
+    spec.bars[1].config.numCpus = 2;
+    return spec;
+}
+
+RunOptions
+epochOptions(unsigned jobs)
+{
+    RunOptions options;
+    options.verbose = false;
+    options.jobs = jobs;
+    options.statsEpochTicks = 200000;
+    return options;
+}
+
+void
+expectContiguous(const std::vector<stats::EpochRow> &rows, Tick start,
+                 Tick end, Tick epoch_ticks)
+{
+    ASSERT_FALSE(rows.empty());
+    EXPECT_EQ(rows.front().start, start);
+    EXPECT_EQ(rows.back().end, end);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].epoch, rows[i].start / epoch_ticks) << i;
+        EXPECT_LE(rows[i].end - rows[i].start, epoch_ticks) << i;
+        if (i > 0) {
+            EXPECT_EQ(rows[i].start, rows[i - 1].end) << i;
+        }
+    }
+}
+
+TEST(EpochRows, ConserveTheMeasuredStatsAcrossJobs)
+{
+    setQuiet(true);
+    const FigureSpec spec = twoBarSpec();
+    const FigureResult serial = ExperimentRunner(epochOptions(1)).run(spec);
+    const FigureResult parallel =
+        ExperimentRunner(epochOptions(2)).run(spec);
+    EXPECT_EQ(figureStatsJson(serial), figureStatsJson(parallel));
+
+    for (const RunResult &r : serial.runs) {
+        SCOPED_TRACE(r.name);
+        ASSERT_FALSE(r.epochs.empty());
+        // The run ends where the last row does; the measured window
+        // is the run's last wallTime ticks.
+        const Tick end = r.epochs.back().end;
+        const Tick warm_end = end - r.wallTime;
+        expectContiguous(r.epochs, 0, end, 200000);
+        // The warm-up reset rebases the recorder, so the rows after
+        // the warm boundary hold exactly the measured counts.
+        for (std::size_t c = 0; c < stats::numEpochColumns; ++c) {
+            const char *stat = stats::epochColumns[c].stat;
+            if (stat == nullptr)
+                continue;
+            std::uint64_t sum = 0;
+            for (const stats::EpochRow &row : r.epochs) {
+                if (row.end > warm_end)
+                    sum += row.delta[c];
+            }
+            EXPECT_EQ(static_cast<double>(sum), r.stat(stat)) << stat;
+        }
+    }
+}
+
+TEST(EpochRows, CtxSwitchesCountedWithoutTracing)
+{
+    setQuiet(true);
+    const FigureResult result =
+        ExperimentRunner(epochOptions(2)).run(twoBarSpec());
+    for (const RunResult &r : result.runs) {
+        std::uint64_t switches = 0;
+        for (const stats::EpochRow &row : r.epochs) {
+            for (std::size_t c = 0; c < stats::numEpochColumns; ++c) {
+                if (stats::epochColumns[c].stat == nullptr)
+                    switches += row.delta[c];
+            }
+        }
+        EXPECT_GT(switches, 0u) << r.name;
+    }
+}
+
+TEST(EpochRows, SampledBarsCarryContiguousRows)
+{
+    setQuiet(true);
+    FigureSpec spec = twoBarSpec();
+    for (FigureBar &bar : spec.bars) {
+        bar.config.workload.transactions = 80;
+        bar.config.workload.warmupTransactions = 10;
+    }
+    RunOptions options = epochOptions(2);
+    options.sample.ff = 10;
+    options.sample.measure = 10;
+    options.sample.validate();
+    const FigureResult result = ExperimentRunner(options).run(spec);
+
+    JsonValue doc;
+    ASSERT_TRUE(jsonParse(figureStatsJson(result), doc));
+    const JsonValue *bars = doc.get("bars");
+    ASSERT_NE(bars, nullptr);
+    ASSERT_EQ(bars->array.size(), 2u);
+    for (std::size_t b = 0; b < 2; ++b) {
+        const RunResult &r = result.runs[b];
+        ASSERT_TRUE(r.sampling.enabled);
+        const JsonValue *epochs = bars->array[b].get("epochs");
+        ASSERT_NE(epochs, nullptr) << r.name;
+        EXPECT_EQ(epochs->array.size(), r.epochs.size());
+        expectContiguous(r.epochs, 0, r.epochs.back().end, 200000);
+    }
+}
+
+TEST(EpochRows, StatsEpochIsTheTimelineGridOfTheObservedBar)
+{
+    setQuiet(true);
+    RunOptions options = epochOptions(2);
+    options.obs.timelineOutPath =
+        testing::TempDir() + "/epoch_rows_timeline.csv";
+    options.obs.epochTicks = 50000; // overridden by --stats-epoch
+    const FigureResult result =
+        ExperimentRunner(options).run(twoBarSpec());
+    for (const RunResult &r : result.runs)
+        expectContiguous(r.epochs, 0, r.epochs.back().end, 200000);
+
+    // The CSV renders the observed bar's manifest rows, line for line.
+    std::ifstream in(options.obs.timelineOutPath);
+    std::ostringstream expected;
+    obs::writeTimelineCsv(expected, result.runs[0].epochs);
+    std::ostringstream written;
+    written << in.rdbuf();
+    EXPECT_EQ(written.str(), expected.str());
+    std::remove(options.obs.timelineOutPath.c_str());
 }
 
 } // namespace

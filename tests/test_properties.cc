@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "src/base/logging.hh"
 #include "src/core/machine.hh"
@@ -17,13 +19,18 @@
 namespace isim {
 namespace {
 
+// gtest names each case after the raw bytes of its parameter, so the
+// struct has no padding: uninitialised padding bytes would make the
+// test names depend on whatever the stack held when the cases were
+// built. The widened fields keep the byte layout of the natural one.
 struct SweepParam
 {
-    unsigned cpus;
+    std::uint64_t cpus;
     std::uint64_t l2Bytes;
-    unsigned l2Assoc;
-    bool rac;
+    std::uint32_t l2Assoc;
+    std::uint32_t rac;
     CpuModel model;
+    std::uint32_t reserved = 0;
 
     std::string
     name() const
@@ -34,6 +41,8 @@ struct SweepParam
                (model == CpuModel::OutOfOrder ? "_ooo" : "");
     }
 };
+
+static_assert(std::has_unique_object_representations_v<SweepParam>);
 
 class MachineSweep : public ::testing::TestWithParam<SweepParam>
 {

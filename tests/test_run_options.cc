@@ -175,6 +175,38 @@ TEST(RunOptions, ObsFlagsFoldIn)
     EXPECT_EQ(opts.txns, 7u);
 }
 
+TEST(RunOptions, StatsEpochIsTheTimelineGrid)
+{
+    // --stats-epoch fixes the grid of every bar and of the timeline
+    // CSV; an --epoch that agrees is accepted.
+    for (const char *epoch : {"", "--epoch=250000"}) {
+        std::vector<std::string> flags = {"--timeline-out=/tmp/tl.csv",
+                                          "--stats-epoch=250000"};
+        if (*epoch != '\0')
+            flags.emplace_back(epoch);
+        Args args(flags);
+        const RunOptions opts =
+            RunOptions::fromCommandLine(args.argc(), args.argv());
+        EXPECT_EQ(opts.statsEpochTicks, 250000u);
+        EXPECT_EQ(opts.obs.epochTicks, 250000u) << epoch;
+        EXPECT_TRUE(args.rest().empty());
+    }
+    // Without --stats-epoch, --epoch alone sets the timeline grid.
+    Args alone({"--epoch=300000"});
+    EXPECT_EQ(RunOptions::fromCommandLine(alone.argc(), alone.argv())
+                  .obs.epochTicks,
+              300000u);
+}
+
+TEST(RunOptionsDeathTest, ConflictingEpochGridsAreFatal)
+{
+    Args args({"--timeline-out=/tmp/tl.csv", "--epoch=200000",
+               "--stats-epoch=1000000"});
+    EXPECT_EXIT(RunOptions::fromCommandLine(args.argc(), args.argv()),
+                ::testing::ExitedWithCode(1),
+                "--epoch=200000 disagrees with --stats-epoch=1000000");
+}
+
 TEST(RunOptions, ApplyToOverridesWorkload)
 {
     RunOptions opts;
