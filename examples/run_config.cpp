@@ -4,7 +4,7 @@
  * paper-style report — the no-C++-required front end.
  *
  * Usage: run_config <config-file> [more-config-files...] [options]
- *        run_config --dump          (print the default config text)
+ *        run_config --dump          (print every config key with its default)
  *
  * With several files, all machines run (concurrently, see --jobs)
  * and the report is normalized to the first — so a file per bar

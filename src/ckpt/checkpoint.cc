@@ -7,8 +7,10 @@
 #include "src/ckpt/checkpoint.hh"
 
 #include <fstream>
+#include <type_traits>
 
 #include "src/base/logging.hh"
+#include "src/config/fields.hh"
 #include "src/core/machine.hh"
 #include "src/core/simulation.hh"
 #include "src/prof/profiler.hh"
@@ -19,216 +21,87 @@ namespace ckpt {
 
 namespace {
 
+template <typename T>
 void
-writeGeometry(Serializer &s, const CacheGeometry &g)
+writeField(Serializer &s, const T &v)
 {
-    s.u64(g.sizeBytes);
-    s.u32(g.assoc);
-    s.u32(g.lineBytes);
+    if constexpr (std::is_same_v<T, std::string>)
+        s.str(v);
+    else if constexpr (std::is_same_v<T, bool>)
+        s.b(v);
+    else if constexpr (std::is_same_v<T, double>)
+        s.f64(v);
+    else if constexpr (std::is_enum_v<T>)
+        s.u8(static_cast<std::uint8_t>(v));
+    else if constexpr (std::is_same_v<T, unsigned>)
+        s.u32(v);
+    else
+        s.u64(v);
 }
 
-CacheGeometry
-readGeometry(Deserializer &d)
-{
-    CacheGeometry g;
-    g.sizeBytes = d.u64();
-    g.assoc = d.u32();
-    g.lineBytes = d.u32();
-    return g;
-}
-
-/** Read a u8-encoded enum, rejecting values past `max`. */
-template <typename Enum>
-Enum
-readEnum(Deserializer &d, Enum max, const char *what)
-{
-    const std::uint8_t v = d.u8();
-    if (v > static_cast<std::uint8_t>(max))
-        isim_fatal("checkpoint corrupt: %s value %u out of range", what,
-                   v);
-    return static_cast<Enum>(v);
-}
-
+template <typename T>
 void
-writeWorkload(Serializer &s, const WorkloadParams &w)
+readField(Deserializer &d, const MachineField &f, T &v)
 {
-    s.u8(static_cast<std::uint8_t>(w.kind));
-    s.u32(w.branches);
-    s.u32(w.tellersPerBranch);
-    s.u32(w.accountsPerBranch);
-    s.u32(w.serversPerCpu);
-    s.u64(w.transactions);
-    s.u64(w.warmupTransactions);
-    s.u32(w.blockBytes);
-    s.u64(w.rowBytes);
-    s.u64(w.blockBufferBytes);
-    s.u64(w.metadataSlackBytes);
-    s.u32(w.hashBuckets);
-    s.u32(w.numLatches);
-    s.u32(w.latchStride);
-    s.u32(w.numHashLatches);
-    s.u32(w.redoCopyLatches);
-    s.u64(w.logBufferBytes);
-    s.u64(w.dbTextBytes);
-    s.u32(w.dbFunctions);
-    s.u32(w.parseInvocations);
-    s.u32(w.executeInvocations);
-    s.u32(w.commitInvocations);
-    s.f64(w.functionSkew);
-    s.f64(w.dataRefsPerLine);
-    s.f64(w.privateFraction);
-    s.f64(w.metadataFraction);
-    s.f64(w.warmFraction);
-    s.f64(w.mixerStoreFraction);
-    s.f64(w.sharedMetadataStoreFraction);
-    s.f64(w.dependentFraction);
-    s.u64(w.privateBytes);
-    s.f64(w.privateSkew);
-    s.f64(w.metadataSkew);
-    s.u32(w.blockLinesPerRowRead);
-    s.u32(w.indexLevels);
-    s.u32(w.coldHeaderScans);
-    s.u64(w.hotMetadataBytes);
-    s.u64(w.warmMetadataBytes);
-    s.u32(w.dssStreamsPerCpu);
-    s.u64(w.dssBlocksPerQuery);
-    s.u64(w.logWriteLatency);
-    s.u64(w.clientThinkTime);
-    s.u64(w.dbWriterPeriod);
-    s.u32(w.dbWriterBatch);
-    s.u64(w.seed);
-    s.u64(w.quantum);
+    if constexpr (std::is_same_v<T, std::string>)
+        v = d.str();
+    else if constexpr (std::is_same_v<T, bool>)
+        v = d.b();
+    else if constexpr (std::is_same_v<T, double>)
+        v = d.f64();
+    else if constexpr (std::is_same_v<T, unsigned>)
+        v = d.u32();
+    else if constexpr (!std::is_enum_v<T>)
+        v = d.u64();
+    else if (const std::uint8_t e = d.u8(); e < enumNames<T>.names.size())
+        v = static_cast<T>(e);
+    else
+        isim_fatal("checkpoint corrupt: config key '%s' = %u is out of "
+                   "range",
+                   f.key, e);
 }
 
-WorkloadParams
-readWorkload(Deserializer &d)
-{
-    WorkloadParams w;
-    w.kind = readEnum(d, WorkloadKind::DssScan, "workload kind");
-    w.branches = d.u32();
-    w.tellersPerBranch = d.u32();
-    w.accountsPerBranch = d.u32();
-    w.serversPerCpu = d.u32();
-    w.transactions = d.u64();
-    w.warmupTransactions = d.u64();
-    w.blockBytes = d.u32();
-    w.rowBytes = d.u64();
-    w.blockBufferBytes = d.u64();
-    w.metadataSlackBytes = d.u64();
-    w.hashBuckets = d.u32();
-    w.numLatches = d.u32();
-    w.latchStride = d.u32();
-    w.numHashLatches = d.u32();
-    w.redoCopyLatches = d.u32();
-    w.logBufferBytes = d.u64();
-    w.dbTextBytes = d.u64();
-    w.dbFunctions = d.u32();
-    w.parseInvocations = d.u32();
-    w.executeInvocations = d.u32();
-    w.commitInvocations = d.u32();
-    w.functionSkew = d.f64();
-    w.dataRefsPerLine = d.f64();
-    w.privateFraction = d.f64();
-    w.metadataFraction = d.f64();
-    w.warmFraction = d.f64();
-    w.mixerStoreFraction = d.f64();
-    w.sharedMetadataStoreFraction = d.f64();
-    w.dependentFraction = d.f64();
-    w.privateBytes = d.u64();
-    w.privateSkew = d.f64();
-    w.metadataSkew = d.f64();
-    w.blockLinesPerRowRead = d.u32();
-    w.indexLevels = d.u32();
-    w.coldHeaderScans = d.u32();
-    w.hotMetadataBytes = d.u64();
-    w.warmMetadataBytes = d.u64();
-    w.dssStreamsPerCpu = d.u32();
-    w.dssBlocksPerQuery = d.u64();
-    w.logWriteLatency = d.u64();
-    w.clientThinkTime = d.u64();
-    w.dbWriterPeriod = d.u64();
-    w.dbWriterBatch = d.u32();
-    w.seed = d.u64();
-    w.quantum = d.u64();
-    return w;
-}
-
-} // namespace
-
+/** The CONF section: every field, in machineFields() order. */
 void
 writeConfig(Serializer &s, const MachineConfig &config)
 {
-    s.str(config.name);
-    s.u32(config.numCpus);
-    s.u32(config.coresPerNode);
-    s.u8(static_cast<std::uint8_t>(config.cpuModel));
-    s.u32(config.oooParams.width);
-    s.u32(config.oooParams.window);
-    s.u32(config.oooParams.lsPorts);
-    s.u64(config.oooParams.frontendDepth);
-    s.u64(config.oooParams.l1HitLatency);
-    s.f64(config.oooParams.mispredictEveryInstrs);
-    s.u8(static_cast<std::uint8_t>(config.level));
-    s.u8(static_cast<std::uint8_t>(config.l2Impl));
-    writeGeometry(s, config.l2);
-    s.b(config.rac);
-    writeGeometry(s, config.racGeom);
-    s.u32(config.victimBufferEntries);
-    s.u32(config.prefetchDegree);
-    s.u64(config.mcOccupancy);
-    s.b(config.replicateCode);
-    s.u32(config.nodeShift);
-    s.u32(config.pageColors);
-    writeWorkload(s, config.workload);
+    s.beginSection(tagConfig);
+    for (const MachineField &f : machineFields()) {
+        if (f.key == nullptr)
+            s.u32(static_cast<std::uint32_t>(f.min));
+        else
+            std::visit([&](const auto *p) { writeField(s, *p); },
+                       f.in(config));
+    }
+    s.endSection();
 }
 
+/** Mirror of writeConfig; a model constant must hold its value. */
 MachineConfig
 readConfig(Deserializer &d)
 {
     MachineConfig c;
-    c.name = d.str();
-    c.numCpus = d.u32();
-    c.coresPerNode = d.u32();
-    c.cpuModel = readEnum(d, CpuModel::OutOfOrder, "CPU model");
-    c.oooParams.width = d.u32();
-    c.oooParams.window = d.u32();
-    c.oooParams.lsPorts = d.u32();
-    c.oooParams.frontendDepth = d.u64();
-    c.oooParams.l1HitLatency = d.u64();
-    c.oooParams.mispredictEveryInstrs = d.f64();
-    c.level =
-        readEnum(d, IntegrationLevel::FullInt, "integration level");
-    c.l2Impl = readEnum(d, L2Impl::OnchipDram, "L2 implementation");
-    c.l2 = readGeometry(d);
-    c.rac = d.b();
-    c.racGeom = readGeometry(d);
-    c.victimBufferEntries = d.u32();
-    c.prefetchDegree = d.u32();
-    c.mcOccupancy = d.u64();
-    c.replicateCode = d.b();
-    c.nodeShift = d.u32();
-    c.pageColors = d.u32();
-    c.workload = readWorkload(d);
-    return c;
-}
-
-MachineConfig
-peekConfig(const std::vector<std::uint8_t> &bytes)
-{
-    Deserializer d(bytes);
     d.beginSection(tagConfig);
-    MachineConfig c = readConfig(d);
+    for (const MachineField &f : machineFields()) {
+        if (f.key != nullptr)
+            std::visit([&](auto *p) { readField(d, f, *p); }, f.ref(c));
+        else if (const std::uint32_t v = d.u32(); v != f.min)
+            isim_fatal("checkpoint corrupt: CONF slot %zu is %u, but the "
+                       "model fixes it at %llu",
+                       static_cast<std::size_t>(&f - machineFields().data()),
+                       v, static_cast<unsigned long long>(f.min));
+    }
     d.endSection();
     return c;
 }
+
+} // namespace
 
 std::vector<std::uint8_t>
 configBytes(const MachineConfig &config)
 {
     Serializer s;
-    s.beginSection(tagConfig);
     writeConfig(s, config);
-    s.endSection();
     return s.bytes();
 }
 
@@ -244,9 +117,7 @@ Machine::checkpointBytes() const
 
     ckpt::Serializer s;
 
-    s.beginSection(ckpt::tagConfig);
     ckpt::writeConfig(s, config_);
-    s.endSection();
 
     s.beginSection(ckpt::tagMeta);
     s.u64(warmEnd_);
@@ -389,11 +260,7 @@ std::unique_ptr<Machine>
 Machine::fromCheckpointBytes(const std::vector<std::uint8_t> &bytes)
 {
     ckpt::Deserializer d(bytes);
-    d.beginSection(ckpt::tagConfig);
-    const MachineConfig config = ckpt::readConfig(d);
-    d.endSection();
-
-    auto machine = std::make_unique<Machine>(config);
+    auto machine = std::make_unique<Machine>(ckpt::readConfig(d));
     machine->restoreFromImage(d);
     return machine;
 }
@@ -402,11 +269,7 @@ std::unique_ptr<Machine>
 Machine::fromCheckpoint(const std::string &path)
 {
     ckpt::Deserializer d = ckpt::Deserializer::fromFile(path);
-    d.beginSection(ckpt::tagConfig);
-    const MachineConfig config = ckpt::readConfig(d);
-    d.endSection();
-
-    auto machine = std::make_unique<Machine>(config);
+    auto machine = std::make_unique<Machine>(ckpt::readConfig(d));
     machine->restoreFromImage(d);
     return machine;
 }
@@ -416,9 +279,7 @@ Machine::fromCheckpoint(const std::string &path, IntegrationLevel level,
                         L2Impl l2_impl)
 {
     ckpt::Deserializer d = ckpt::Deserializer::fromFile(path);
-    d.beginSection(ckpt::tagConfig);
     MachineConfig config = ckpt::readConfig(d);
-    d.endSection();
 
     // Re-resolve the latency table only; cache geometry, workload and
     // seeds stay those of the image, so the warm state still matches.

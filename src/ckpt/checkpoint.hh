@@ -47,22 +47,12 @@ inline constexpr std::uint32_t tagKernel = sectionTag("KERN");
 inline constexpr std::uint32_t tagOltp = sectionTag("OLTP");
 inline constexpr std::uint32_t tagSched = sectionTag("SCHD");
 
-/** Serialize every MachineConfig field (the CONF section payload). */
-void writeConfig(Serializer &s, const MachineConfig &config);
-/** Mirror of writeConfig; fatal on out-of-range enum values. */
-MachineConfig readConfig(Deserializer &d);
-
 /**
- * Read just the embedded MachineConfig of an image without restoring
- * anything (config-compatibility checks, image inspection).
- */
-MachineConfig peekConfig(const std::vector<std::uint8_t> &bytes);
-
-/**
- * Canonical standalone encoding of a configuration. Two configs are
- * checkpoint-compatible exactly when their encodings are equal (the
- * runner refuses to measure a restored image under a different
- * configuration).
+ * Canonical standalone encoding of a configuration: the image's CONF
+ * section, every field of machineFields() (src/config/fields.hh) in
+ * row order. Two configs are checkpoint-compatible exactly when their
+ * encodings are equal (the runner refuses to measure a restored image
+ * under a different configuration).
  */
 std::vector<std::uint8_t> configBytes(const MachineConfig &config);
 

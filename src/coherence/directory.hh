@@ -24,10 +24,13 @@
 
 namespace isim {
 
+/** log2 of each node's physical memory window (2 GB): a model limit. */
+inline constexpr unsigned nodeWindowBits = 31;
+
 /** Physical address layout: each node owns a power-of-two window. */
 struct HomeMap
 {
-    unsigned nodeShift = 31; //!< log2 of the per-node window (2 GB)
+    unsigned nodeShift = nodeWindowBits; //!< log2 of the per-node window
     unsigned numNodes = 1;
 
     NodeId homeOfByte(Addr paddr) const

@@ -152,7 +152,7 @@ validated(const MemSysConfig &config)
 
 MemorySystem::MemorySystem(const MemSysConfig &config)
     : config_(validated(config)),
-      homeMap_{config.nodeShift, config.numNodes},
+      homeMap_{nodeWindowBits, config.numNodes},
       lineBits_(floorLog2(config.lineBytes)),
       dir_(homeMap_, lineBits_),
       nocTopo_(config.numNodes)
@@ -727,8 +727,7 @@ MemorySystem::issuePrefetches(NodeId node, Addr line_addr)
         const Addr line = line_addr + d;
         // Stay inside installed memory (the next line may cross the
         // last node's window).
-        if ((line << lineBits_) >>
-                config_.nodeShift >= config_.numNodes) {
+        if ((line << lineBits_) >> nodeWindowBits >= config_.numNodes) {
             return;
         }
         if (nd.l2.probe(line) != nullptr)

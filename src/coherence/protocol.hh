@@ -177,7 +177,6 @@ struct MemSysConfig
     bool racEnabled = false;
     CacheGeometry rac{8 * mib, 8, 64};
     LatencyTable lat;
-    unsigned nodeShift = 31; //!< per-node physical window (2 GB)
 
     void validate() const;
 };

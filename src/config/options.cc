@@ -8,14 +8,18 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "src/base/logging.hh"
+#include "src/config/fields.hh"
 
 namespace isim {
 
@@ -41,10 +45,13 @@ lower(std::string text)
     return text;
 }
 
-/** Parse an all-digit string; false if it does not fit 64 bits. */
+/** Parse a non-empty all-digit string; false on junk or past 64 bits. */
 bool
 parseDigits(const std::string &digits, std::uint64_t &out)
 {
+    if (digits.empty() ||
+        digits.find_first_not_of("0123456789") != std::string::npos)
+        return false;
     errno = 0;
     out = std::strtoull(digits.c_str(), nullptr, 10);
     return errno != ERANGE;
@@ -135,30 +142,27 @@ KvConfig::has(const std::string &key) const
 const std::string &
 KvConfig::get(const std::string &key) const
 {
-    auto it = map_.find(key);
-    if (it == map_.end())
+    const std::string *found = find(key);
+    if (found == nullptr)
         isim_fatal("missing config key '%s'", key.c_str());
-    markRead(key);
-    return it->second;
+    return *found;
 }
 
-std::string
-KvConfig::getOr(const std::string &key,
-                const std::string &fallback) const
+const std::string *
+KvConfig::find(const std::string &key) const
 {
-    markRead(key);
+    read_.insert(key);
     auto it = map_.find(key);
-    return it == map_.end() ? fallback : it->second;
+    return it == map_.end() ? nullptr : &it->second;
 }
 
 std::uint64_t
 KvConfig::getUint(const std::string &key, std::uint64_t fallback) const
 {
-    markRead(key);
-    auto it = map_.find(key);
-    if (it == map_.end())
+    const std::string *found = find(key);
+    if (found == nullptr)
         return fallback;
-    const std::string &v = it->second;
+    const std::string &v = *found;
     if (v.find_first_not_of("0123456789") != std::string::npos)
         isim_fatal("config key '%s': expected integer, got '%s'",
                    key.c_str(), v.c_str());
@@ -173,50 +177,41 @@ KvConfig::getUint(const std::string &key, std::uint64_t fallback) const
 double
 KvConfig::getDouble(const std::string &key, double fallback) const
 {
-    markRead(key);
-    auto it = map_.find(key);
-    if (it == map_.end())
+    const std::string *found = find(key);
+    if (found == nullptr)
         return fallback;
     try {
         std::size_t pos = 0;
-        const double v = std::stod(it->second, &pos);
-        if (pos != it->second.size())
+        const double v = std::stod(*found, &pos);
+        if (pos != found->size())
             throw std::invalid_argument("trailing junk");
         return v;
     } catch (const std::exception &) {
         isim_fatal("config key '%s': expected number, got '%s'",
-                   key.c_str(), it->second.c_str());
+                   key.c_str(), found->c_str());
     }
 }
 
 bool
 KvConfig::getBool(const std::string &key, bool fallback) const
 {
-    markRead(key);
-    auto it = map_.find(key);
-    if (it == map_.end())
+    const std::string *found = find(key);
+    if (found == nullptr)
         return fallback;
-    const std::string v = lower(it->second);
+    const std::string v = lower(*found);
     if (v == "true" || v == "yes" || v == "on" || v == "1")
         return true;
     if (v == "false" || v == "no" || v == "off" || v == "0")
         return false;
     isim_fatal("config key '%s': expected boolean, got '%s'",
-               key.c_str(), it->second.c_str());
+               key.c_str(), found->c_str());
 }
 
 std::uint64_t
 KvConfig::getSize(const std::string &key, std::uint64_t fallback) const
 {
-    markRead(key);
-    auto it = map_.find(key);
-    return it == map_.end() ? fallback : parseSize(it->second, key);
-}
-
-void
-KvConfig::markRead(const std::string &key) const
-{
-    read_[key] = true;
+    const std::string *found = find(key);
+    return found == nullptr ? fallback : parseSize(*found, key);
 }
 
 std::string
@@ -231,101 +226,73 @@ KvConfig::firstUnread() const
 
 namespace {
 
-IntegrationLevel
-levelFromName(const std::string &name)
-{
-    const std::string n = lower(name);
-    if (n == "conservative" || n == "cons")
-        return IntegrationLevel::ConservativeBase;
-    if (n == "base")
-        return IntegrationLevel::Base;
-    if (n == "l2")
-        return IntegrationLevel::L2Int;
-    if (n == "l2mc" || n == "l2+mc")
-        return IntegrationLevel::L2McInt;
-    if (n == "full" || n == "all")
-        return IntegrationLevel::FullInt;
-    isim_fatal("unknown integration level '%s' (want conservative | "
-               "base | l2 | l2mc | full)",
-               name.c_str());
-}
-
-L2Impl
-implFromName(const std::string &name)
-{
-    const std::string n = lower(name);
-    if (n == "offchip-direct" || n == "offchip-dm")
-        return L2Impl::OffchipDirect;
-    if (n == "offchip-assoc")
-        return L2Impl::OffchipAssoc;
-    if (n == "sram" || n == "onchip-sram")
-        return L2Impl::OnchipSram;
-    if (n == "dram" || n == "onchip-dram")
-        return L2Impl::OnchipDram;
-    isim_fatal("unknown L2 implementation '%s' (want offchip-direct | "
-               "offchip-assoc | sram | dram)",
-               name.c_str());
-}
-
-const char *
-levelName(IntegrationLevel level)
-{
-    switch (level) {
-      case IntegrationLevel::ConservativeBase:
-        return "conservative";
-      case IntegrationLevel::Base:
-        return "base";
-      case IntegrationLevel::L2Int:
-        return "l2";
-      case IntegrationLevel::L2McInt:
-        return "l2mc";
-      case IntegrationLevel::FullInt:
-        return "full";
-    }
-    return "?";
-}
-
-const char *
-implName(L2Impl impl)
-{
-    switch (impl) {
-      case L2Impl::OffchipDirect:
-        return "offchip-direct";
-      case L2Impl::OffchipAssoc:
-        return "offchip-assoc";
-      case L2Impl::OnchipSram:
-        return "sram";
-      case L2Impl::OnchipDram:
-        return "dram";
-    }
-    return "?";
-}
-
-/** getUint narrowed to unsigned; fatal instead of wrapping. */
-unsigned
-getUnsigned(const KvConfig &kv, const std::string &key, unsigned fallback)
-{
-    const std::uint64_t v = kv.getUint(key, fallback);
-    if (v > std::numeric_limits<unsigned>::max()) {
-        isim_fatal("config key '%s': %llu exceeds the limit %u",
-                   key.c_str(), static_cast<unsigned long long>(v),
-                   std::numeric_limits<unsigned>::max());
-    }
-    return static_cast<unsigned>(v);
-}
-
-/** CacheGeometry::validate's conditions, as a config-time fatal. */
+/** Set one field's member from its key, when the config has it. */
+template <typename T>
 void
-checkGeometry(const CacheGeometry &g, const char *prefix)
+parseField(const KvConfig &kv, const MachineField &f, T &v)
 {
-    const std::uint64_t way_bytes =
-        static_cast<std::uint64_t>(g.assoc) * g.lineBytes;
-    if (way_bytes == 0 || g.sizeBytes == 0 || g.sizeBytes % way_bytes) {
-        isim_fatal("config keys '%s.size' = %llu, '%s.assoc' = %u: the "
-                   "size must be a nonzero multiple of assoc x %u-byte "
-                   "lines",
-                   prefix, static_cast<unsigned long long>(g.sizeBytes),
-                   prefix, g.assoc, g.lineBytes);
+    if constexpr (std::is_same_v<T, std::string>) {
+        // The only string is the machine name.
+        v = kv.has(f.key) ? kv.get(f.key) : "from-config";
+    } else if constexpr (std::is_same_v<T, bool>) {
+        v = kv.getBool(f.key, v);
+    } else if constexpr (std::is_same_v<T, double>) {
+        v = kv.getDouble(f.key, v);
+    } else if constexpr (std::is_enum_v<T>) {
+        if (!kv.has(f.key))
+            return;
+        const std::string &text = kv.get(f.key);
+        const EnumNames e = enumNames<T>;
+        std::string want;
+        for (std::size_t i = 0; i < e.names.size(); ++i) {
+            const std::string names = "|" + std::string(e.names[i]) + "|";
+            if (names.find("|" + lower(text) + "|") != std::string::npos) {
+                v = static_cast<T>(i);
+                return;
+            }
+            want += (i ? ", " : "") + std::string(e.names[i]);
+        }
+        isim_fatal("config key '%s': unknown %s '%s' (want one of %s)",
+                   f.key, e.what, text.c_str(), want.c_str());
+    } else {
+        const std::uint64_t n =
+            f.size ? kv.getSize(f.key, v) : kv.getUint(f.key, v);
+        checkLimits(f, n, std::numeric_limits<T>::max());
+        v = static_cast<T>(n);
+    }
+}
+
+/** One field's value as `.cfg` text that parses back to it exactly. */
+template <typename T>
+std::string
+formatField(const MachineField &f, const T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        if (v.empty() || v != trim(v) ||
+            v.find_first_of("#\n") != std::string::npos) {
+            isim_fatal("config key '%s': '%s' cannot be written as a "
+                       "config value",
+                       f.key, v.c_str());
+        }
+        return v;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        return v ? "true" : "false";
+    } else if constexpr (std::is_same_v<T, double>) {
+        char buf[32];
+        const auto res = std::to_chars(buf, buf + sizeof buf, v);
+        return std::string(buf, res.ptr);
+    } else if constexpr (std::is_enum_v<T>) {
+        const std::string names =
+            enumNames<T>.names[static_cast<std::size_t>(v)];
+        return names.substr(0, names.find('|')); // the canonical one
+    } else {
+        static constexpr std::pair<std::uint64_t, char> units[] = {
+            {gib, 'G'}, {mib, 'M'}, {kib, 'K'}};
+        for (const auto &[scale, suffix] : units) {
+            if (f.size && v != 0 && v % scale == 0)
+                return std::to_string(v / scale) + suffix;
+        }
+        return std::to_string(v);
     }
 }
 
@@ -335,136 +302,30 @@ MachineConfig
 machineFromConfig(const KvConfig &kv)
 {
     MachineConfig cfg;
-    cfg.name = kv.getOr("machine.name", "from-config");
-    cfg.numCpus = getUnsigned(kv, "machine.cpus", cfg.numCpus);
-    cfg.coresPerNode =
-        getUnsigned(kv, "machine.cores_per_node", cfg.coresPerNode);
-
-    const std::string model =
-        lower(kv.getOr("machine.cpu_model", "inorder"));
-    if (model == "inorder" || model == "in-order") {
-        cfg.cpuModel = CpuModel::InOrder;
-    } else if (model == "ooo" || model == "out-of-order") {
-        cfg.cpuModel = CpuModel::OutOfOrder;
-    } else {
-        isim_fatal("unknown cpu model '%s' (want inorder | ooo)",
-                   model.c_str());
+    for (const MachineField &f : machineFields()) {
+        if (f.key != nullptr)
+            std::visit([&](auto *p) { parseField(kv, f, *p); }, f.ref(cfg));
     }
-    cfg.oooParams.width = getUnsigned(kv, "ooo.width", cfg.oooParams.width);
-    cfg.oooParams.window = getUnsigned(kv, "ooo.window", cfg.oooParams.window);
-    cfg.oooParams.lsPorts =
-        getUnsigned(kv, "ooo.ls_ports", cfg.oooParams.lsPorts);
-    cfg.oooParams.mispredictEveryInstrs =
-        kv.getDouble("ooo.mispredict_every",
-                     cfg.oooParams.mispredictEveryInstrs);
-
-    if (kv.has("machine.level"))
-        cfg.level = levelFromName(kv.get("machine.level"));
-    if (kv.has("machine.l2.impl"))
-        cfg.l2Impl = implFromName(kv.get("machine.l2.impl"));
-    cfg.l2.sizeBytes = kv.getSize("machine.l2.size", cfg.l2.sizeBytes);
-    cfg.l2.assoc = getUnsigned(kv, "machine.l2.assoc", cfg.l2.assoc);
-
-    cfg.rac = kv.getBool("machine.rac.enabled", cfg.rac);
-    cfg.racGeom.sizeBytes =
-        kv.getSize("machine.rac.size", cfg.racGeom.sizeBytes);
-    cfg.racGeom.assoc =
-        getUnsigned(kv, "machine.rac.assoc", cfg.racGeom.assoc);
-    cfg.replicateCode =
-        kv.getBool("machine.replicate_code", cfg.replicateCode);
-    cfg.victimBufferEntries =
-        getUnsigned(kv, "machine.victim_buffer", cfg.victimBufferEntries);
-    cfg.prefetchDegree =
-        getUnsigned(kv, "machine.prefetch_degree", cfg.prefetchDegree);
-    cfg.mcOccupancy =
-        kv.getUint("machine.mc_occupancy", cfg.mcOccupancy);
-    cfg.pageColors = getUnsigned(kv, "machine.page_colors", cfg.pageColors);
-
-    WorkloadParams &w = cfg.workload;
-    const std::string kind = lower(kv.getOr("workload.kind", "tpcb"));
-    if (kind == "tpcb" || kind == "oltp") {
-        w.kind = WorkloadKind::TpcB;
-    } else if (kind == "dss" || kind == "dss-scan") {
-        w.kind = WorkloadKind::DssScan;
-    } else {
-        isim_fatal("unknown workload kind '%s' (want tpcb | dss)",
-                   kind.c_str());
-    }
-    w.dssStreamsPerCpu =
-        getUnsigned(kv, "workload.dss_streams_per_cpu", w.dssStreamsPerCpu);
-    w.dssBlocksPerQuery =
-        kv.getUint("workload.dss_blocks_per_query", w.dssBlocksPerQuery);
-    w.transactions = kv.getUint("workload.transactions", w.transactions);
-    w.warmupTransactions =
-        kv.getUint("workload.warmup", w.warmupTransactions);
-    w.branches = getUnsigned(kv, "workload.branches", w.branches);
-    w.accountsPerBranch =
-        getUnsigned(kv, "workload.accounts_per_branch", w.accountsPerBranch);
-    w.serversPerCpu =
-        getUnsigned(kv, "workload.servers_per_cpu", w.serversPerCpu);
-    w.blockBufferBytes =
-        kv.getSize("workload.block_buffer", w.blockBufferBytes);
-    w.seed = kv.getUint("workload.seed", w.seed);
-    w.logWriteLatency =
-        kv.getUint("workload.log_write_latency", w.logWriteLatency);
-    w.clientThinkTime =
-        kv.getUint("workload.think_time", w.clientThinkTime);
-
     const std::string unread = kv.firstUnread();
     if (!unread.empty())
         isim_fatal("unknown config key '%s'", unread.c_str());
-
-    if (cfg.coresPerNode == 0)
-        isim_fatal("config key 'machine.cores_per_node': must be >= 1");
-    checkGeometry(cfg.l2, "machine.l2");
-    if (cfg.rac)
-        checkGeometry(cfg.racGeom, "machine.rac");
-
-    if (!validCombination(cfg.level, cfg.l2Impl)) {
-        isim_fatal("config: %s cannot use a %s L2",
-                   integrationLevelName(cfg.level),
-                   l2ImplName(cfg.l2Impl));
-    }
+    cfg.validate();
     return cfg;
 }
 
 std::string
 machineToConfigText(const MachineConfig &cfg)
 {
-    std::ostringstream os;
-    os << "# IntegraSim machine configuration\n";
-    os << "machine.name = " << cfg.name << "\n";
-    os << "machine.cpus = " << cfg.numCpus << "\n";
-    os << "machine.cores_per_node = " << cfg.coresPerNode << "\n";
-    os << "machine.cpu_model = "
-       << (cfg.cpuModel == CpuModel::InOrder ? "inorder" : "ooo")
-       << "\n";
-    os << "machine.level = " << levelName(cfg.level) << "\n";
-    os << "machine.l2.impl = " << implName(cfg.l2Impl) << "\n";
-    os << "machine.l2.size = " << cfg.l2.sizeBytes / kib << "K\n";
-    os << "machine.l2.assoc = " << cfg.l2.assoc << "\n";
-    os << "machine.rac.enabled = " << (cfg.rac ? "true" : "false")
-       << "\n";
-    os << "machine.rac.size = " << cfg.racGeom.sizeBytes / kib << "K\n";
-    os << "machine.rac.assoc = " << cfg.racGeom.assoc << "\n";
-    os << "machine.replicate_code = "
-       << (cfg.replicateCode ? "true" : "false") << "\n";
-    os << "machine.victim_buffer = " << cfg.victimBufferEntries << "\n";
-    os << "machine.prefetch_degree = " << cfg.prefetchDegree << "\n";
-    os << "machine.mc_occupancy = " << cfg.mcOccupancy << "\n";
-    os << "machine.page_colors = " << cfg.pageColors << "\n";
-    os << "workload.kind = "
-       << (cfg.workload.kind == WorkloadKind::TpcB ? "tpcb" : "dss")
-       << "\n";
-    os << "workload.transactions = " << cfg.workload.transactions
-       << "\n";
-    os << "workload.warmup = " << cfg.workload.warmupTransactions
-       << "\n";
-    os << "workload.branches = " << cfg.workload.branches << "\n";
-    os << "workload.servers_per_cpu = " << cfg.workload.serversPerCpu
-       << "\n";
-    os << "workload.seed = " << cfg.workload.seed << "\n";
-    return os.str();
+    std::string text = "# IntegraSim machine configuration\n";
+    const auto format = [&](const MachineField &f) {
+        return std::visit([&](const auto *p) { return formatField(f, *p); },
+                          f.in(cfg));
+    };
+    for (const MachineField &f : machineFields()) {
+        if (f.key != nullptr)
+            text += std::string(f.key) + " = " + format(f) + "\n";
+    }
+    return text;
 }
 
 namespace {
@@ -482,18 +343,17 @@ flagValue(const char *arg, const char *flag, std::string &value)
     return true;
 }
 
+} // namespace
+
 std::uint64_t
 parseUintFlag(const char *flag, const std::string &text)
 {
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0')
-        isim_fatal("%s: expected an integer, got '%s'", flag,
+    std::uint64_t v = 0;
+    if (!parseDigits(text, v))
+        isim_fatal("%s: expected an unsigned integer, got '%s'", flag,
                    text.c_str());
     return v;
 }
-
-} // namespace
 
 const char *
 obsOptionsHelp()

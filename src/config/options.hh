@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 
 #include "src/core/machine.hh"
@@ -35,8 +36,6 @@ class KvConfig
     bool has(const std::string &key) const;
     /** Raw value; fatal() if missing. */
     const std::string &get(const std::string &key) const;
-    std::string getOr(const std::string &key,
-                      const std::string &fallback) const;
 
     /** Typed readers (fatal() on malformed values). */
     std::uint64_t getUint(const std::string &key,
@@ -47,19 +46,15 @@ class KvConfig
     std::uint64_t getSize(const std::string &key,
                           std::uint64_t fallback) const;
 
-    const std::map<std::string, std::string> &entries() const
-    {
-        return map_;
-    }
-
-    /** Keys read so far (for unknown-key detection). */
-    void markRead(const std::string &key) const;
     /** First entry never read by a getter; empty if none. */
     std::string firstUnread() const;
 
   private:
+    /** The value of `key` (nullptr if absent), marked as read. */
+    const std::string *find(const std::string &key) const;
+
     std::map<std::string, std::string> map_;
-    mutable std::map<std::string, bool> read_;
+    mutable std::set<std::string> read_; //!< for unknown-key detection
 };
 
 /**
@@ -70,13 +65,28 @@ std::uint64_t parseSize(const std::string &text,
                         const std::string &key = "");
 
 /**
- * Build a full machine configuration from a KvConfig. Unknown keys
- * are fatal (they are invariably typos). See examples/configs/ for
- * the key reference.
+ * A flag's unsigned value; fatal() naming `flag` on anything but
+ * digits that fit in 64 bits.
+ */
+std::uint64_t parseUintFlag(const char *flag, const std::string &text);
+
+/**
+ * Build a full machine configuration from a KvConfig: one key per
+ * row of machineFields() (src/config/fields.hh), defaulting to
+ * MachineConfig's values and the name "from-config". Unknown keys are
+ * fatal (they are invariably typos), and so is a machine that fails
+ * MachineConfig::validate(). `run_config --dump` prints every key
+ * with its default.
  */
 MachineConfig machineFromConfig(const KvConfig &kv);
 
-/** Render a MachineConfig back to config text (round-trippable). */
+/**
+ * Render every keyed field of a MachineConfig as config text that
+ * machineFromConfig() parses back to the same machine: equal
+ * ckpt::configBytes(). Sizes carry the largest exact K/M/G suffix,
+ * doubles the shortest exact decimal. fatal() on a name no config
+ * line can hold (empty, '#', a newline, edge whitespace).
+ */
 std::string machineToConfigText(const MachineConfig &config);
 
 /**

@@ -37,17 +37,6 @@ parseUint(const char *text)
     return static_cast<std::uint64_t>(v);
 }
 
-/** Like parseUint but fatal(): flag values must be well-formed. */
-std::uint64_t
-parseUintOrDie(const char *flag, const std::string &text)
-{
-    const std::optional<std::uint64_t> v = parseUint(text.c_str());
-    if (!v)
-        isim_fatal("%s: expected an unsigned integer, got '%s'", flag,
-                   text.c_str());
-    return *v;
-}
-
 } // namespace
 
 RunOptions
@@ -129,27 +118,27 @@ RunOptions::fromCommandLine(int &argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         if (matches(i, "--txns")) {
-            const std::uint64_t v = parseUintOrDie("--txns", value);
+            const std::uint64_t v = parseUintFlag("--txns", value);
             if (v == 0)
                 isim_fatal("--txns must be positive");
             opts.txns = v;
         } else if (matches(i, "--warmup")) {
-            opts.warmup = parseUintOrDie("--warmup", value);
+            opts.warmup = parseUintFlag("--warmup", value);
         } else if (matches(i, "--seed")) {
-            opts.seed = parseUintOrDie("--seed", value);
+            opts.seed = parseUintFlag("--seed", value);
         } else if (matches(i, "--json-dir")) {
             opts.jsonDir = value;
         } else if (matches(i, "--jobs")) {
             opts.jobs =
-                static_cast<unsigned>(parseUintOrDie("--jobs", value));
+                static_cast<unsigned>(parseUintFlag("--jobs", value));
         } else if (matches(i, "--procs")) {
-            const std::uint64_t v = parseUintOrDie("--procs", value);
+            const std::uint64_t v = parseUintFlag("--procs", value);
             if (v == 0)
                 isim_fatal("--procs must be >= 1");
             opts.procs = static_cast<unsigned>(v);
         } else if (matches(i, "--audit-period")) {
             const std::uint64_t v =
-                parseUintOrDie("--audit-period", value);
+                parseUintFlag("--audit-period", value);
             if (v == 0)
                 isim_fatal("--audit-period must be >= 1");
             opts.auditPeriod = v;
@@ -157,7 +146,7 @@ RunOptions::fromCommandLine(int &argc, char **argv)
             opts.statsOut = value;
         } else if (matches(i, "--stats-epoch")) {
             opts.statsEpochTicks =
-                parseUintOrDie("--stats-epoch", value);
+                parseUintFlag("--stats-epoch", value);
         } else if (matches(i, "--save-ckpt")) {
             opts.saveCkptDir = value;
         } else if (matches(i, "--from-ckpt")) {
@@ -165,15 +154,15 @@ RunOptions::fromCommandLine(int &argc, char **argv)
         } else if (matches(i, "--prof-out")) {
             opts.profOut = value;
         } else if (matches(i, "--sample-ff")) {
-            opts.sample.ff = parseUintOrDie("--sample-ff", value);
+            opts.sample.ff = parseUintFlag("--sample-ff", value);
         } else if (matches(i, "--sample-measure")) {
             opts.sample.measure =
-                parseUintOrDie("--sample-measure", value);
+                parseUintFlag("--sample-measure", value);
         } else if (matches(i, "--sample-windows")) {
             opts.sample.windows =
-                parseUintOrDie("--sample-windows", value);
+                parseUintFlag("--sample-windows", value);
         } else if (matches(i, "--sample-warm")) {
-            opts.sample.warm = parseUintOrDie("--sample-warm", value);
+            opts.sample.warm = parseUintFlag("--sample-warm", value);
         } else if (matches(i, "--sample-mode")) {
             const auto m = sample::sampleModeFromName(value);
             if (!m) {

@@ -6,6 +6,7 @@
 #include "src/core/machine.hh"
 
 #include "src/base/logging.hh"
+#include "src/config/fields.hh"
 #include "src/core/simulation.hh"
 #include "src/cpu/inorder.hh"
 #include "src/obs/observability.hh"
@@ -31,25 +32,68 @@ RunResult::stat(const std::string &stat_name) const
 
 Machine::~Machine() = default;
 
+namespace {
+
+/** A cache the model builds: L1-sized lines, whole sets. */
+void
+checkGeometry(const CacheGeometry &g, const char *prefix)
+{
+    const unsigned line = MemSysConfig{}.lineBytes;
+    if (g.lineBytes != line) {
+        isim_fatal("config keys '%s.size', '%s.assoc': the cache has "
+                   "%u-byte lines, but the model fixes every line at the "
+                   "%u-byte L1 line",
+                   prefix, prefix, g.lineBytes, line);
+    }
+    const std::uint64_t way_bytes =
+        static_cast<std::uint64_t>(g.assoc) * line;
+    if (way_bytes == 0 || g.sizeBytes == 0 || g.sizeBytes % way_bytes) {
+        isim_fatal("config keys '%s.size' = %llu, '%s.assoc' = %u: the "
+                   "size must be a nonzero multiple of assoc x %u-byte "
+                   "lines",
+                   prefix, static_cast<unsigned long long>(g.sizeBytes),
+                   prefix, g.assoc, line);
+    }
+}
+
+} // namespace
+
+void
+MachineConfig::validate() const
+{
+    for (const MachineField &f : machineFields()) {
+        if (f.key != nullptr)
+            checkFieldLimits(f, *this);
+    }
+    if (numCpus % coresPerNode != 0) {
+        isim_fatal("config keys 'machine.cpus' = %u, "
+                   "'machine.cores_per_node' = %u: the CPU count is not "
+                   "divisible by the cores per node",
+                   numCpus, coresPerNode);
+    }
+    if (workload.rowBytes > workload.blockBytes) {
+        isim_fatal("config keys 'workload.row_size' = %llu, "
+                   "'workload.block_size' = %u: a block must hold a row",
+                   static_cast<unsigned long long>(workload.rowBytes),
+                   workload.blockBytes);
+    }
+    checkGeometry(l2, "machine.l2");
+    if (rac)
+        checkGeometry(racGeom, "machine.rac");
+    if (!validCombination(level, l2Impl)) {
+        isim_fatal("config keys 'machine.level', 'machine.l2.impl': %s "
+                   "cannot use a %s L2 (machine '%s')",
+                   integrationLevelName(level), l2ImplName(l2Impl),
+                   name.c_str());
+    }
+}
+
 Machine::Machine(const MachineConfig &config) : config_(config)
 {
-    if (!validCombination(config_.level, config_.l2Impl)) {
-        isim_fatal("machine '%s': %s cannot use a %s L2",
-                   config_.name.c_str(),
-                   integrationLevelName(config_.level),
-                   l2ImplName(config_.l2Impl));
-    }
-
-    if (config_.numCpus % config_.coresPerNode != 0) {
-        isim_fatal("machine '%s': %u cores not divisible by %u "
-                   "cores/node",
-                   config_.name.c_str(), config_.numCpus,
-                   config_.coresPerNode);
-    }
+    config_.validate();
 
     // The memory system validates the model limits (node and core
-    // counts, cache geometry), so build it before anything sized by
-    // them.
+    // counts), so build it before anything sized by them.
     MemSysConfig msc;
     msc.numNodes = config_.numNodes();
     msc.coresPerNode = config_.coresPerNode;
@@ -60,11 +104,10 @@ Machine::Machine(const MachineConfig &config) : config_(config)
     msc.racEnabled = config_.rac;
     msc.rac = config_.racGeom;
     msc.lat = config_.latencies();
-    msc.nodeShift = config_.nodeShift;
     memSys_ = std::make_unique<MemorySystem>(msc);
 
     VmConfig vmc;
-    vmc.homeMap = HomeMap{config_.nodeShift, config_.numNodes()};
+    vmc.homeMap = HomeMap{nodeWindowBits, config_.numNodes()};
     vmc.coresPerNode = config_.coresPerNode;
     vmc.pageColors = config_.pageColors;
     vmc.seed = mix64(config_.workload.seed ^ 0x5eed);

@@ -73,7 +73,6 @@ struct MachineConfig
     Cycles mcOccupancy = 0;
     bool replicateCode = false;
 
-    unsigned nodeShift = 31; //!< 2 GB of memory per node
     /** OS page colours (1 = random placement, the paper's baseline). */
     unsigned pageColors = 1;
     WorkloadParams workload{};
@@ -86,6 +85,15 @@ struct MachineConfig
 
     /** Short label, e.g. "Base 8M1w". */
     std::string label() const;
+
+    /**
+     * fatal(), naming the `.cfg` keys involved, unless this describes
+     * a machine the model can build: every field within its table
+     * limits (src/config/fields.hh), cores divisible into nodes,
+     * cache geometries the caches accept, and a level/L2 pairing
+     * Figure 3 defines. The Machine constructor calls it first.
+     */
+    void validate() const;
 };
 
 /**

@@ -320,7 +320,7 @@ McheckConfig::trackedLines() const
     // far above the set-index bits; the in-window offsets are
     // multiples of 4 lines). The code line sits in set 1 at home 0.
     std::vector<Addr> lines;
-    const unsigned home_shift = 31 - 6; // nodeShift - line bits
+    const unsigned home_shift = nodeWindowBits - 6; // minus line bits
     for (unsigned i = 0; i < dataLines; ++i) {
         lines.push_back(
             (static_cast<Addr>(i % numNodes) << home_shift) |

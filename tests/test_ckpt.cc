@@ -14,11 +14,15 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "src/base/logging.hh"
 #include "src/ckpt/checkpoint.hh"
 #include "src/ckpt/serializer.hh"
+#include "src/coherence/directory.hh"
+#include "src/config/fields.hh"
 #include "src/core/experiment.hh"
 #include "src/core/machine.hh"
 #include "src/core/registry.hh"
@@ -333,6 +337,46 @@ TEST_F(CheckpointCorruption, LegacyMetaModeByteOutOfRangeIsCorrupt)
     const ScopedPanicThrow guard;
     const std::string err = restoreError(withMetaModeByte(image_, 2));
     EXPECT_NE(err.find("warm-up exec mode value 2 out of range"),
+              std::string::npos)
+        << err;
+}
+
+TEST_F(CheckpointCorruption, ModelConstantSlotOtherValueIsCorrupt)
+{
+    const ScopedPanicThrow guard;
+    // The node-window slot is the last keyless CONF row; everything
+    // after it is fixed width, so it sits a known distance before the
+    // end of the CONF payload.
+    const auto fields = machineFields();
+    std::size_t row = fields.size();
+    while (fields[--row].key != nullptr) {
+    }
+    ASSERT_EQ(fields[row].min, nodeWindowBits);
+    std::size_t tail = 0;
+    for (std::size_t i = row + 1; i < fields.size(); ++i) {
+        tail += std::visit(
+            [](const auto *p) -> std::size_t {
+                using T = std::remove_cvref_t<decltype(*p)>;
+                return std::is_same_v<T, unsigned> ? 4
+                       : std::is_same_v<T, std::uint64_t> ||
+                               std::is_same_v<T, double>
+                           ? 8
+                           : 1; // bool, enum
+            },
+            fields[i].in(MachineConfig{}));
+    }
+    std::vector<std::uint8_t> bad = image_;
+    const std::size_t header = ckpt::magicBytes + 4; // CONF comes first
+    const std::size_t payload = header + 16;
+    const std::uint64_t len = readLe(bad, header + 4, 8);
+    const std::size_t slot = payload + len - tail - 4;
+    ASSERT_EQ(readLe(bad, slot, 4), nodeWindowBits);
+    writeLe(bad, slot, 4, nodeWindowBits - 1);
+    writeLe(bad, header + 12, 4, ckpt::crc32(bad.data() + payload, len));
+    const std::string err = restoreError(bad);
+    EXPECT_NE(err.find("checkpoint corrupt: CONF slot " +
+                       std::to_string(row) +
+                       " is 30, but the model fixes it at 31"),
               std::string::npos)
         << err;
 }

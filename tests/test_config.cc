@@ -5,9 +5,18 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
+#include <optional>
+#include <set>
+#include <string>
+#include <type_traits>
+#include <variant>
+#include <vector>
 
+#include "src/base/logging.hh"
+#include "src/ckpt/checkpoint.hh"
+#include "src/config/fields.hh"
 #include "src/config/options.hh"
+#include "src/core/registry.hh"
 
 namespace isim {
 namespace {
@@ -262,6 +271,14 @@ TEST(MachineFromConfigDeathTest, BadGeometryIsFatal)
                 "'machine.rac.size' = 0, 'machine.rac.assoc' = 8:");
 }
 
+/** The machine `cfg` emits, parsed back. */
+MachineConfig
+reparsed(const MachineConfig &cfg)
+{
+    return machineFromConfig(
+        KvConfig::fromString(machineToConfigText(cfg)));
+}
+
 TEST(MachineConfigText, RoundTrips)
 {
     MachineConfig cfg;
@@ -269,44 +286,113 @@ TEST(MachineConfigText, RoundTrips)
     cfg.numCpus = 8;
     cfg.coresPerNode = 2;
     cfg.cpuModel = CpuModel::OutOfOrder;
+    cfg.oooParams.window = 128;
     cfg.level = IntegrationLevel::FullInt;
     cfg.l2Impl = L2Impl::OnchipDram;
-    cfg.l2 = CacheGeometry{8 * mib, 8, 64};
+    cfg.l2 = CacheGeometry{1280 * kib, 5, 64};
     cfg.rac = true;
     cfg.replicateCode = true;
     cfg.workload.transactions = 77;
+    cfg.workload.accountsPerBranch = 2000;
+    cfg.workload.blockBufferBytes = 8 * mib + 64;
+    cfg.workload.functionSkew = 0.1 + 0.2;
+    EXPECT_EQ(ckpt::configBytes(reparsed(cfg)), ckpt::configBytes(cfg));
+}
 
-    const std::string text = machineToConfigText(cfg);
-    const MachineConfig back =
-        machineFromConfig(KvConfig::fromString(text));
-    EXPECT_EQ(back.name, cfg.name);
-    EXPECT_EQ(back.numCpus, cfg.numCpus);
-    EXPECT_EQ(back.coresPerNode, cfg.coresPerNode);
-    EXPECT_EQ(back.cpuModel, cfg.cpuModel);
-    EXPECT_EQ(back.level, cfg.level);
-    EXPECT_EQ(back.l2Impl, cfg.l2Impl);
-    EXPECT_EQ(back.l2.sizeBytes, cfg.l2.sizeBytes);
-    EXPECT_EQ(back.l2.assoc, cfg.l2.assoc);
-    EXPECT_EQ(back.rac, cfg.rac);
-    EXPECT_EQ(back.replicateCode, cfg.replicateCode);
-    EXPECT_EQ(back.workload.transactions, cfg.workload.transactions);
+/** The repo's `.cfg` files: the golden fixture and the examples. */
+std::vector<std::string>
+shippedConfigs()
+{
+    std::vector<std::string> paths;
+    for (const char *path : {"tests/golden/tiny.cfg",
+                             "examples/configs/base_mp.cfg",
+                             "examples/configs/full_integration_mp.cfg",
+                             "examples/configs/cmp_ooo.cfg"})
+        paths.push_back(std::string(ISIM_SOURCE_DIR) + "/" + path);
+    return paths;
+}
+
+TEST(MachineConfigText, EveryFigureBarAndShippedConfigRoundTrips)
+{
+    std::size_t bars = 0;
+    for (const FigureEntry &e : FigureRegistry::instance().entries()) {
+        const FigureSpec spec = e.make();
+        for (const FigureBar &bar : spec.bars) {
+            EXPECT_EQ(ckpt::configBytes(reparsed(bar.config)),
+                      ckpt::configBytes(bar.config))
+                << e.id << " bar '" << bar.config.name << "'";
+            ++bars;
+        }
+    }
+    EXPECT_GE(bars, 100u);
+    for (const std::string &path : shippedConfigs()) {
+        const MachineConfig cfg = machineFromConfig(KvConfig::fromFile(path));
+        EXPECT_EQ(ckpt::configBytes(reparsed(cfg)), ckpt::configBytes(cfg))
+            << path;
+    }
+}
+
+/** `v` moved to its `step`-th alternative value. */
+template <typename T>
+void
+bump(T &v, int step)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        v += std::string(static_cast<std::size_t>(step), 'x');
+    else if constexpr (std::is_same_v<T, bool>)
+        v = !v;
+    else if constexpr (std::is_same_v<T, double>)
+        v = v != 0 ? v / (step + 1) : 0.5 / step;
+    else if constexpr (std::is_enum_v<T>)
+        v = static_cast<T>((static_cast<std::size_t>(v) + step) %
+                           enumNames<T>.names.size());
+    else
+        v = v != 0 ? v * static_cast<T>(step + 1) : static_cast<T>(step);
+}
+
+TEST(MachineConfigText, EveryKeyedFieldIsEncodedAndEmitted)
+{
+    const ScopedPanicThrow guard;
+    MachineConfig base;
+    base.numCpus = 4;
+    std::set<std::string> keys;
+    for (const MachineField &f : machineFields()) {
+        if (f.key == nullptr)
+            continue;
+        EXPECT_TRUE(keys.insert(f.key).second) << "duplicate " << f.key;
+        // The first alternative value the machine still validates with.
+        std::optional<MachineConfig> moved;
+        for (int step = 1; step < 8 && !moved; ++step) {
+            MachineConfig c = base;
+            std::visit([&](auto *p) { bump(*p, step); }, f.ref(c));
+            try {
+                c.validate();
+                moved = c;
+            } catch (const PanicError &) {
+            }
+        }
+        ASSERT_TRUE(moved) << f.key;
+        EXPECT_NE(ckpt::configBytes(*moved), ckpt::configBytes(base))
+            << f.key << " is not encoded";
+        EXPECT_EQ(ckpt::configBytes(reparsed(*moved)),
+                  ckpt::configBytes(*moved))
+            << f.key << " does not survive emit -> parse";
+    }
+}
+
+TEST(MachineConfigTextDeathTest, UnwritableNameIsFatal)
+{
+    MachineConfig cfg;
+    cfg.name = "bar #3";
+    EXPECT_EXIT(machineToConfigText(cfg), ::testing::ExitedWithCode(1),
+                "config key 'machine.name': 'bar #3' cannot be written");
 }
 
 TEST(MachineFromConfig, ShippedExampleConfigsParse)
 {
-    for (const char *path : {"examples/configs/base_mp.cfg",
-                             "examples/configs/full_integration_mp.cfg",
-                             "examples/configs/cmp_ooo.cfg"}) {
-        // Tests run from the build tree; look one level up too.
-        std::string p = path;
-        std::ifstream probe(p);
-        if (!probe)
-            p = std::string("../") + path;
-        std::ifstream probe2(p);
-        if (!probe2)
-            GTEST_SKIP() << "example configs not found from cwd";
+    for (const std::string &path : shippedConfigs()) {
         const MachineConfig cfg =
-            machineFromConfig(KvConfig::fromFile(p));
+            machineFromConfig(KvConfig::fromFile(path));
         EXPECT_TRUE(validCombination(cfg.level, cfg.l2Impl)) << path;
         EXPECT_GE(cfg.numCpus, 1u);
     }

@@ -207,5 +207,44 @@ TEST(MachineDeathTest, InvalidLevelImplComboIsFatal)
                 "cannot use");
 }
 
+// Machines built in code pass the same validate() as parsed configs:
+// each bad field is a fatal naming its key, not a SIGFPE or an abort.
+TEST(MachineDeathTest, ZeroCoresPerNodeIsFatal)
+{
+    MachineConfig cfg = uniConfig();
+    cfg.coresPerNode = 0;
+    EXPECT_EXIT(Machine m(cfg), ::testing::ExitedWithCode(1),
+                "config key 'machine.cores_per_node': must be >= 1");
+}
+
+TEST(MachineDeathTest, ZeroSizeL2IsFatal)
+{
+    MachineConfig cfg = uniConfig();
+    cfg.l2 = CacheGeometry{0, 1, 64};
+    EXPECT_EXIT(Machine m(cfg), ::testing::ExitedWithCode(1),
+                "config keys 'machine.l2.size' = 0, 'machine.l2.assoc' = "
+                "1: the size must be a nonzero multiple");
+}
+
+TEST(MachineDeathTest, IndivisibleL2IsFatal)
+{
+    MachineConfig cfg = uniConfig();
+    cfg.l2 = CacheGeometry{64 * kib, 3, 64};
+    EXPECT_EXIT(Machine m(cfg), ::testing::ExitedWithCode(1),
+                "config keys 'machine.l2.size' = 65536, "
+                "'machine.l2.assoc' = 3:");
+}
+
+TEST(MachineDeathTest, RacLineOtherThanL1LineIsFatal)
+{
+    MachineConfig cfg = uniConfig();
+    cfg.rac = true;
+    cfg.racGeom.lineBytes = 128;
+    EXPECT_EXIT(Machine m(cfg), ::testing::ExitedWithCode(1),
+                "config keys 'machine.rac.size', 'machine.rac.assoc': the "
+                "cache has 128-byte lines, but the model fixes every line "
+                "at the 64-byte L1 line");
+}
+
 } // namespace
 } // namespace isim
