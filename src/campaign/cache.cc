@@ -23,12 +23,6 @@ barStatsPath(const std::string &out_dir, const std::string &key)
 }
 
 std::string
-barProfPath(const std::string &out_dir, const std::string &key)
-{
-    return out_dir + "/bars/" + key + ".prof.json";
-}
-
-std::string
 imagePath(const std::string &out_dir, const std::string &group_key)
 {
     return out_dir + "/ckpt/" + group_key + ".ckpt";

@@ -8,10 +8,6 @@
  *   <out>/bars/<key>.stats.json   one single-bar stats manifest per
  *                              completed cell, named by its
  *                              content-address key (stats::resultKey)
- *   <out>/bars/<key>.prof.json self-profile of the cell's run;
- *                              written only in profiling runs
- *                              (docs/PROFILING.md) and never part of
- *                              the cache-hit test or the merge
  *   <out>/ckpt/<group>.ckpt    one warm image per checkpoint group
  *   <out>/campaign.json        the merged campaign manifest
  *
@@ -33,10 +29,6 @@ namespace campaign {
 /** `<out>/bars/<key>.stats.json` */
 std::string barStatsPath(const std::string &out_dir,
                          const std::string &key);
-
-/** `<out>/bars/<key>.prof.json` (profiling runs only) */
-std::string barProfPath(const std::string &out_dir,
-                        const std::string &key);
 
 /** `<out>/ckpt/<group_key>.ckpt` */
 std::string imagePath(const std::string &out_dir,

@@ -34,9 +34,8 @@ makeNumber(double number)
 }
 
 /**
- * The bar's "meta" object for the merged document. Only sim_wall_ms
- * (simulated time) ever appears here: host_wall_ms is nondeterministic
- * and would break campaign.json byte-stability across resumes.
+ * The bar's "meta" object for the merged document. Every member is
+ * deterministic, so campaign.json stays byte-stable across resumes.
  */
 JsonValue
 makeMeta(const CampaignBar &bar, const BarStatus &status,

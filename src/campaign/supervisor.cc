@@ -218,13 +218,6 @@ spawnWorker(const CampaignRunConfig &config, const std::string &exe,
         args.push_back("--sample-mode");
         args.push_back(sample::sampleModeName(s.mode));
     }
-    // Profiling is per-process opt-in: forwarding the flag turns on
-    // the self-profiler in each worker, which then writes per-bar
-    // prof.json sidecars (the path itself is unused in worker mode).
-    if (!config.options.profOut.empty()) {
-        args.push_back("--prof-out");
-        args.push_back(config.options.profOut);
-    }
 
     int toWorker[2];
     int fromWorker[2];

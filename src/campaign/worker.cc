@@ -23,7 +23,6 @@
 #include "src/campaign/cache.hh"
 #include "src/campaign/protocol.hh"
 #include "src/core/report.hh"
-#include "src/prof/profiler.hh"
 #include "src/sample/controller.hh"
 
 namespace isim {
@@ -97,13 +96,6 @@ runLeasedBar(const CampaignPlan &plan, const Lease &lease,
     isim_assert(lease.index < plan.bars.size(), "lease out of range");
     const CampaignBar &bar = plan.bars[lease.index];
     const std::string image = imagePath(out_dir, bar.groupKey);
-    // A lease runs entirely on this thread, so the thread-local
-    // accumulator window IS the bar's profile. The prof.json sidecar
-    // never participates in the cache-hit test or the merge, so
-    // campaign.json stays byte-identical with or without profiling.
-    const bool prof_on = prof::enabled();
-    if (prof_on)
-        prof::threadReset();
     try {
         std::unique_ptr<Machine> machine;
         switch (lease.mode) {
@@ -145,19 +137,14 @@ runLeasedBar(const CampaignPlan &plan, const Lease &lease,
         if (!r.dbConsistent)
             return {false, "TPC-B consistency check failed"};
 
-        // The cached bar file is a one-bar figure manifest. hostWallMs
-        // stays unset (a worker never profiles the run): the file must
-        // be byte-stable across resumes (docs/CAMPAIGN.md).
+        // The cached bar file is a one-bar figure manifest; it must be
+        // byte-stable across resumes (docs/CAMPAIGN.md).
         FigureResult cell;
         cell.spec.id = bar.figureId;
         cell.spec.title = "campaign cell";
         cell.runs.push_back(std::move(r));
         writeFileAtomic(barStatsPath(out_dir, bar.key),
                         figureStatsJson(cell));
-        if (prof_on) {
-            writeFileAtomic(barProfPath(out_dir, bar.key),
-                            prof::profJson(prof::threadSnapshot()));
-        }
         return {true, ""};
     } catch (const PanicError &e) {
         return {false, e.what()};

@@ -13,7 +13,6 @@
 #include "src/config/fields.hh"
 #include "src/core/machine.hh"
 #include "src/core/simulation.hh"
-#include "src/prof/profiler.hh"
 
 namespace isim {
 
@@ -165,7 +164,6 @@ Machine::checkpointBytes() const
 void
 Machine::saveCheckpoint(const std::string &path) const
 {
-    ISIM_PROF_SCOPE("ckpt/save");
     const std::vector<std::uint8_t> image = checkpointBytes();
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) {
@@ -188,7 +186,6 @@ Machine::stateDigest() const
 void
 Machine::restoreFromImage(ckpt::Deserializer &d)
 {
-    ISIM_PROF_SCOPE("ckpt/restore");
     d.beginSection(ckpt::tagMeta);
     warmEnd_ = d.u64();
     // Legacy, read-only field: images written while an atomic warm-up

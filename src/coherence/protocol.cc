@@ -26,7 +26,6 @@
 
 #include "src/ckpt/serializer.hh"
 #include "src/obs/tracer.hh"
-#include "src/prof/profiler.hh"
 #include "src/stats/registry.hh"
 
 #ifdef ISIM_CHECK_INVARIANTS
@@ -506,9 +505,6 @@ MemorySystem::access(NodeId core, RefType type, Addr paddr, Tick now)
 AccessOutcome
 MemorySystem::accessImpl(NodeId core, RefType type, Addr paddr, Tick now)
 {
-    // Functional memory-state apply: ~34% of measured host time per
-    // the ROADMAP; the self-profiler keeps that number honest.
-    ISIM_PROF_SCOPE_PHASED("memapply");
     isim_assert(core < totalCores());
     const NodeId node = nodeOfCore(core);
     Node &nd = *nodes_[node];

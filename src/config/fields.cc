@@ -77,7 +77,9 @@ constexpr std::array fields{
     ISIM_WORKLOAD("latch_stride", latchStride, .min = 1),
     ISIM_WORKLOAD("hash_latches", numHashLatches, .min = 1),
     ISIM_WORKLOAD("redo_copy_latches", redoCopyLatches, .min = 1),
-    ISIM_WORKLOAD("log_buffer", logBufferBytes, .size = true, .min = 1),
+    // Footprint rows hold at least one 64-byte line (hot metadata one
+    // per half: shared dictionary and per-node session state).
+    ISIM_WORKLOAD("log_buffer", logBufferBytes, .size = true, .min = 64),
     ISIM_WORKLOAD("db_text", dbTextBytes, .size = true, .min = 1),
     ISIM_WORKLOAD("db_functions", dbFunctions, .min = 1),
     ISIM_WORKLOAD("parse_invocations", parseInvocations, .min = 1),
@@ -92,14 +94,14 @@ constexpr std::array fields{
     ISIM_WORKLOAD("shared_metadata_store_fraction",
                   sharedMetadataStoreFraction, .max = 1),
     ISIM_WORKLOAD("dependent_fraction", dependentFraction, .max = 1),
-    ISIM_WORKLOAD("private_size", privateBytes, .size = true, .min = 1),
+    ISIM_WORKLOAD("private_size", privateBytes, .size = true, .min = 64),
     ISIM_WORKLOAD("private_skew", privateSkew),
     ISIM_WORKLOAD("metadata_skew", metadataSkew),
     ISIM_WORKLOAD("block_lines_per_row_read", blockLinesPerRowRead),
     ISIM_WORKLOAD("index_levels", indexLevels),
     ISIM_WORKLOAD("cold_header_scans", coldHeaderScans),
-    ISIM_WORKLOAD("hot_metadata", hotMetadataBytes, .size = true, .min = 1),
-    ISIM_WORKLOAD("warm_metadata", warmMetadataBytes, .size = true, .min = 1),
+    ISIM_WORKLOAD("hot_metadata", hotMetadataBytes, .size = true, .min = 128),
+    ISIM_WORKLOAD("warm_metadata", warmMetadataBytes, .size = true, .min = 64),
     ISIM_WORKLOAD("dss_streams_per_cpu", dssStreamsPerCpu, .min = 1),
     ISIM_WORKLOAD("dss_blocks_per_query", dssBlocksPerQuery),
     ISIM_WORKLOAD("log_write_latency", logWriteLatency),

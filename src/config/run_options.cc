@@ -13,7 +13,6 @@
 
 #include "src/base/logging.hh"
 #include "src/config/options.hh"
-#include "src/prof/profiler.hh"
 #include "src/verify/invariants.hh"
 
 namespace isim {
@@ -71,8 +70,6 @@ RunOptions::fromEnv()
         opts.saveCkptDir = dir;
     if (const char *dir = std::getenv("ISIM_FROM_CKPT"))
         opts.fromCkptDir = dir;
-    if (const char *path = std::getenv("ISIM_PROF_OUT"))
-        opts.profOut = path;
     if (const auto v = parseUint(std::getenv("ISIM_SAMPLE_FF")))
         opts.sample.ff = *v;
     if (const auto v = parseUint(std::getenv("ISIM_SAMPLE_MEASURE")))
@@ -151,8 +148,6 @@ RunOptions::fromCommandLine(int &argc, char **argv)
             opts.saveCkptDir = value;
         } else if (matches(i, "--from-ckpt")) {
             opts.fromCkptDir = value;
-        } else if (matches(i, "--prof-out")) {
-            opts.profOut = value;
         } else if (matches(i, "--sample-ff")) {
             opts.sample.ff = parseUintFlag("--sample-ff", value);
         } else if (matches(i, "--sample-measure")) {
@@ -205,10 +200,6 @@ RunOptions::applyGlobal() const
     // --quiet silences inform/warn status lines as well as the
     // runner's per-experiment progress output.
     setQuiet(!verbose);
-    // Asking for a profile output is the runtime enable: without it
-    // (or without -DISIM_PROF=ON) every scope stays a single branch.
-    if (!profOut.empty() && prof::compiledIn() && !prof::enabled())
-        prof::setEnabled(true);
 }
 
 unsigned
@@ -243,8 +234,6 @@ runOptionsHelp()
            "into DIR after warm-up\n"
            "  --from-ckpt=DIR      restore warm checkpoints from DIR "
            "(skips warm-up)\n"
-           "  --prof-out=FILE      write the host self-profile "
-           "(prof.json) to FILE\n"
            "  --sample-ff=N        sampled run: fast-forward N txns "
            "per period (docs/SAMPLING.md)\n"
            "  --sample-measure=N   sampled run: measure N txns per "

@@ -74,14 +74,6 @@ struct RunOptions
      */
     std::string fromCkptDir;
     /**
-     * Host-profile output path ("" = off). Setting it runtime-enables
-     * the self-profiler and writes a schema-versioned prof.json there
-     * (docs/PROFILING.md). In a build without -DISIM_PROF=ON the file
-     * is still written, as a valid `"enabled": false` stub. Host
-     * profile data never enters stats.json or figure JSON.
-     */
-    std::string profOut;
-    /**
      * Sampled-simulation axis (docs/SAMPLING.md): off unless
      * --sample-measure is given. Applies to every bar of the run;
      * sampled and exact cells never alias in the campaign cache
@@ -93,9 +85,8 @@ struct RunOptions
      * Resolve the environment: ISIM_TXNS, ISIM_WARMUP, ISIM_SEED,
      * ISIM_JSON_DIR, ISIM_JOBS, ISIM_PROCS, ISIM_AUDIT_PERIOD,
      * ISIM_STATS_OUT, ISIM_STATS_EPOCH, ISIM_SAVE_CKPT,
-     * ISIM_FROM_CKPT, ISIM_PROF_OUT, ISIM_SAMPLE_FF,
-     * ISIM_SAMPLE_MEASURE, ISIM_SAMPLE_WINDOWS, ISIM_SAMPLE_WARM,
-     * ISIM_SAMPLE_MODE. Malformed
+     * ISIM_FROM_CKPT, ISIM_SAMPLE_FF, ISIM_SAMPLE_MEASURE,
+     * ISIM_SAMPLE_WINDOWS, ISIM_SAMPLE_WARM, ISIM_SAMPLE_MODE. Malformed
      * values are ignored (the variables are convenience overrides,
      * often set globally in CI). This is the only getenv() site in
      * the tree.
@@ -118,7 +109,6 @@ struct RunOptions
      *   --stats-epoch TICKS      embed per-epoch rows on this grid
      *   --save-ckpt DIR          save a warm checkpoint per bar
      *   --from-ckpt DIR          restore warm checkpoints (skip warm-up)
-     *   --prof-out FILE          write the host self-profile to FILE
      *   --sample-ff N            fast-forward N txns per sampling period
      *   --sample-measure N       measure M txns per window (enables
      *                            sampling; docs/SAMPLING.md)
@@ -138,9 +128,8 @@ struct RunOptions
     void applyTo(WorkloadParams &params) const;
 
     /**
-     * Install the process-wide knobs (the invariant-audit period,
-     * quiet mode, and the self-profiler enable). Call once from
-     * main(), before machines run.
+     * Install the process-wide knobs (the invariant-audit period and
+     * quiet mode). Call once from main(), before machines run.
      */
     void applyGlobal() const;
 

@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <chrono>
 #include <exception>
 #include <filesystem>
 #include <mutex>
@@ -29,7 +28,6 @@
 #include "src/base/logging.hh"
 #include "src/ckpt/checkpoint.hh"
 #include "src/core/sweep.hh"
-#include "src/prof/profiler.hh"
 #include "src/sample/controller.hh"
 #include "src/stats/manifest.hh"
 
@@ -71,12 +69,6 @@ RunResult
 ExperimentRunner::runMachine(const MachineConfig &cfg,
                              obs::Observability *o) const
 {
-    // Host wall time is only taken in self-profiling runs, so default
-    // runs carry no nondeterministic bytes anywhere downstream.
-    const bool prof_on = prof::enabled();
-    const auto host_start = prof_on
-                                ? std::chrono::steady_clock::now()
-                                : std::chrono::steady_clock::time_point{};
     std::unique_ptr<Machine> machine;
     if (!options_.fromCkptDir.empty()) {
         const std::string path =
@@ -127,12 +119,6 @@ ExperimentRunner::runMachine(const MachineConfig &cfg,
                                    options_.sample);
     r.configDigest = stats::configDigest(cb);
     r.seed = cfg.workload.seed;
-    if (prof_on) {
-        r.hostWallMs =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - host_start)
-                .count();
-    }
     return r;
 }
 

@@ -10,7 +10,6 @@
 #include "src/core/simulation.hh"
 #include "src/cpu/inorder.hh"
 #include "src/obs/observability.hh"
-#include "src/prof/profiler.hh"
 
 namespace isim {
 
@@ -76,6 +75,28 @@ MachineConfig::validate() const
                    "'workload.block_size' = %u: a block must hold a row",
                    static_cast<unsigned long long>(workload.rowBytes),
                    workload.blockBytes);
+    }
+    // Latch 0 is redo allocation, 1.. the redo copy latches, and
+    // 16.. the hash-chain latches (src/oltp/sga.cc).
+    if (workload.numHashLatches + 16ull > workload.numLatches) {
+        isim_fatal("config keys 'workload.latches' = %u, "
+                   "'workload.hash_latches' = %u: latches must be >= "
+                   "hash_latches + 16",
+                   workload.numLatches, workload.numHashLatches);
+    }
+    if (workload.redoCopyLatches >= workload.numLatches) {
+        isim_fatal("config keys 'workload.latches' = %u, "
+                   "'workload.redo_copy_latches' = %u: latches must be "
+                   "> redo_copy_latches",
+                   workload.numLatches, workload.redoCopyLatches);
+    }
+    if (workload.dbTextBytes / CodeModelParams{}.lineBytes <
+        workload.dbFunctions) {
+        isim_fatal("config keys 'workload.db_text' = %llu, "
+                   "'workload.db_functions' = %u: the text must hold one "
+                   "%u-byte line per function",
+                   static_cast<unsigned long long>(workload.dbTextBytes),
+                   workload.dbFunctions, CodeModelParams{}.lineBytes);
     }
     checkGeometry(l2, "machine.l2");
     if (rac)
@@ -403,8 +424,6 @@ void
 Machine::runWarmup(ExecMode)
 {
     isim_assert(!warmupRan_, "warm-up already ran (or was restored)");
-    ISIM_PROF_PHASE(prof::Phase::Warmup);
-    ISIM_PROF_SCOPE("warmup");
     ensureSim();
     beginObservation(0);
     sim_->runUntilWarmupDone();
@@ -417,8 +436,6 @@ RunResult
 Machine::runMeasurement()
 {
     isim_assert(warmupRan_, "runMeasurement before warm-up");
-    ISIM_PROF_PHASE(prof::Phase::Measure);
-    ISIM_PROF_SCOPE("measure");
     ensureSim();
     beginObservation(warmEnd_); // no-op unless restored from an image
     sim_->runUntilMeasurementDone();

@@ -127,12 +127,6 @@ struct RunResult
     std::string configDigest;
     std::uint64_t seed = 0;
 
-    // Host wall-clock the bar took, in ms (< 0 = not measured).
-    // Filled by ExperimentRunner::runMachine only when the
-    // self-profiler is enabled: host time is nondeterministic, so it
-    // must never leak into default manifests (docs/PROFILING.md).
-    double hostWallMs = -1.0;
-
     /**
      * The named stat's value (docs/METRICS.md lists the names, e.g.
      * "cpu.exec_time", "l2.miss.total"). A missing name is a wiring

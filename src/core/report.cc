@@ -205,7 +205,7 @@ figureStatsJson(const FigureResult &result)
     m.title = result.spec.title;
     m.bars.reserve(result.runs.size());
     for (const RunResult &r : result.runs) {
-        stats::ManifestBar bar;
+        stats::ManifestBar &bar = m.bars.emplace_back();
         bar.name = r.name;
         if (!r.resultKey.empty()) {
             bar.meta.present = true;
@@ -214,9 +214,6 @@ figureStatsJson(const FigureResult &result)
             bar.meta.seed = r.seed;
             bar.meta.simWallMs =
                 static_cast<double>(r.wallTime) / 1e6; // sim ns -> ms
-            // Host time is nondeterministic; only self-profiling runs
-            // echo it (keeps default manifests byte-comparable).
-            bar.meta.hostWallMs = r.hostWallMs;
             if (r.sampling.enabled) {
                 bar.meta.sampleMode =
                     sample::sampleModeName(r.sampling.mode);
@@ -229,7 +226,6 @@ figureStatsJson(const FigureResult &result)
         bar.stats = r.stats;
         bar.epochs = r.epochs;
         bar.sampling = r.sampling;
-        m.bars.push_back(std::move(bar));
     }
     return manifestToJson(m);
 }

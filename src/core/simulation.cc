@@ -11,7 +11,6 @@
 #include "src/cpu/inorder.hh"
 #include "src/cpu/ooo.hh"
 #include "src/obs/tracer.hh"
-#include "src/prof/profiler.hh"
 #include "src/stats/epoch.hh"
 
 namespace isim {
@@ -157,14 +156,11 @@ Simulation::runUntilCommitted(std::uint64_t target)
     while (engine_.committedTransactions() < target) {
         NodeId best = invalidNode;
         Tick best_time = maxTick;
-        {
-            ISIM_PROF_SCOPE_PHASED("sched_scan");
-            for (NodeId cpu = 0; cpu < state_.size(); ++cpu) {
-                const Tick t = nextEventTime(cpu);
-                if (t < best_time) {
-                    best_time = t;
-                    best = cpu;
-                }
+        for (NodeId cpu = 0; cpu < state_.size(); ++cpu) {
+            const Tick t = nextEventTime(cpu);
+            if (t < best_time) {
+                best_time = t;
+                best = cpu;
             }
         }
         if (best == invalidNode) {

@@ -496,39 +496,6 @@ logging(const SourceFile &file, std::vector<Finding> &out)
 }
 
 // --------------------------------------------------------------------
-// Rule: prof-guard
-// --------------------------------------------------------------------
-
-void
-profGuard(const SourceFile &file, std::vector<Finding> &out)
-{
-    // The self-profiler's raw primitives may appear only inside its
-    // own subsystem. Everywhere else in the library the
-    // ISIM_PROF_SCOPE* macros are mandatory — they are what compile
-    // away without -DISIM_PROF=ON, so a raw ProfScope or
-    // registerNode call site would put instrumentation bytes on the
-    // hot path of every build. Lint scans pre-preprocessor source,
-    // so legitimate macro call sites never contain these tokens.
-    // Tests and tools construct scopes directly on purpose — the
-    // rule is src/-only, like `logging`.
-    if (!file.under("src/") || file.under("src/prof/"))
-        return;
-    const Tokens &t = file.tokens();
-    for (const Token &tok : t) {
-        if (tok.kind != TokKind::Identifier)
-            continue;
-        if (tok.text != "ProfScope" && tok.text != "registerNode")
-            continue;
-        out.push_back(
-            {file.path(), tok.line, "prof-guard",
-             tok.text + " used directly in library code; use "
-                        "ISIM_PROF_SCOPE / ISIM_PROF_SCOPE_PHASED so "
-                        "the instrumentation compiles away without "
-                        "-DISIM_PROF=ON (docs/PROFILING.md)"});
-    }
-}
-
-// --------------------------------------------------------------------
 // Rule: suppression (meta)
 // --------------------------------------------------------------------
 
@@ -539,7 +506,7 @@ knownRules()
 {
     static const std::set<std::string> kRules = {
         "determinism", "ordered-output", "ckpt-coverage",
-        "stats-coverage", "logging", "prof-guard",
+        "stats-coverage", "logging",
     };
     return kRules;
 }

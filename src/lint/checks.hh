@@ -13,9 +13,6 @@
  *                   non-static, non-reference data member
  *   stats-coverage  *Stats / *Counters members must be registered
  *   logging         bare stdio outside src/base/logging and the CLIs
- *   prof-guard      raw self-profiler primitives outside src/prof/
- *                   (library code must use the ISIM_PROF_SCOPE*
- *                   macros, which compile away; docs/PROFILING.md)
  *   suppression     malformed or reason-less annotations (meta rule;
  *                   not itself suppressible)
  */
@@ -43,7 +40,6 @@ namespace checks {
 
 void determinism(const SourceFile &file, std::vector<Finding> &out);
 void logging(const SourceFile &file, std::vector<Finding> &out);
-void profGuard(const SourceFile &file, std::vector<Finding> &out);
 void suppressions(const SourceFile &file, std::vector<Finding> &out);
 void orderedOutput(const std::vector<SourceFile> &files,
                    std::vector<Finding> &out);

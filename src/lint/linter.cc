@@ -14,7 +14,6 @@ Linter::run() const
     for (const SourceFile &file : files_) {
         checks::determinism(file, findings);
         checks::logging(file, findings);
-        checks::profGuard(file, findings);
         checks::suppressions(file, findings);
     }
     checks::orderedOutput(files_, findings);
@@ -98,17 +97,6 @@ Linter::rules()
          "src/base/logging.* and outside src/ (CLI mains, examples, "
          "bench, tests). Library diagnostics go through isim_inform/"
          "isim_warn so --quiet and test harnesses stay authoritative."},
-        {"prof-guard",
-         "no raw self-profiler primitives outside src/prof/",
-         "Library code must reach the host-side self-profiler only "
-         "through the ISIM_PROF_SCOPE / ISIM_PROF_SCOPE_PHASED / "
-         "ISIM_PROF_PHASE macros: they compile to nothing without "
-         "-DISIM_PROF=ON, which is the whole zero-cost-when-off "
-         "contract (docs/PROFILING.md). A raw ProfScope or "
-         "registerNode call site puts instrumentation bytes on the "
-         "hot path of every build. The emission API (profJson, "
-         "collectGlobal, threadSnapshot, setEnabled...) is cold and "
-         "unrestricted."},
         {"suppression",
          "every allow() carries a rule id and a reason",
          "`// isim-lint: allow(<rule>): <reason>` suppresses that "

@@ -8,7 +8,6 @@
 #include "src/base/logging.hh"
 #include "src/ckpt/serializer.hh"
 #include "src/os/layout.hh"
-#include "src/prof/profiler.hh"
 
 namespace isim {
 
@@ -103,7 +102,6 @@ DssScanProcess::step(Tick now)
     }
 
     // Batch refill: query-plan reference generation.
-    ISIM_PROF_SCOPE_PHASED("refgen");
     switch (phase_) {
       case Phase::Plan:
         queryStart_ = now;

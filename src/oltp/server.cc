@@ -9,7 +9,6 @@
 #include "src/base/logging.hh"
 #include "src/ckpt/serializer.hh"
 #include "src/os/layout.hh"
-#include "src/prof/profiler.hh"
 
 namespace isim {
 
@@ -256,8 +255,7 @@ ServerProcess::step(Tick now)
     }
 
     // Batch refill: the transaction state machine generating the next
-    // phase's references (~37% of measured host time per the ROADMAP).
-    ISIM_PROF_SCOPE_PHASED("refgen");
+    // phase's references.
     switch (phase_) {
       case Phase::ReadRequest:
         txnStart_ = now;

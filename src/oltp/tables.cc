@@ -34,8 +34,16 @@ TpcbDatabase::TpcbDatabase(const WorkloadParams &params, const Sga &sga)
     indexLeaves_ = divCeil(params_.totalAccounts(), keysPerLeaf);
     historyBase_ = indexLeafBase_ + indexLeaves_;
 
-    isim_assert(historyBase_ < sga.numBlocks(),
-                "block buffer too small for the database");
+    if (historyBase_ >= sga.numBlocks()) {
+        isim_fatal("config key 'workload.block_buffer' = %llu: the "
+                   "database needs at least %llu bytes (%llu blocks of "
+                   "%u bytes)",
+                   static_cast<unsigned long long>(params_.blockBufferBytes),
+                   static_cast<unsigned long long>((historyBase_ + 1) *
+                                                   params_.blockBytes),
+                   static_cast<unsigned long long>(historyBase_ + 1),
+                   params_.blockBytes);
+    }
     maxHistoryBlocks_ = sga.numBlocks() - historyBase_;
 
     accounts_.assign(params_.totalAccounts(), 0);

@@ -15,7 +15,6 @@
 #include "src/base/logging.hh"
 #include "src/base/random.hh"
 #include "src/core/simulation.hh"
-#include "src/prof/profiler.hh"
 #include "src/sample/estimator.hh"
 
 namespace isim {
@@ -49,8 +48,6 @@ SampleController::run()
     const SamplePlan plan = derivePlan(spec_, txns);
 
     m.ensureSim();
-    ISIM_PROF_PHASE(prof::Phase::Measure);
-    ISIM_PROF_SCOPE("measure");
     m.beginObservation(m.warmEnd_); // no-op unless restored
 
     OltpEngine &engine = *m.engine_;

@@ -29,8 +29,6 @@ writeBarMeta(JsonWriter &w, const BarMeta &meta)
     w.kv("schema_version", meta.schemaVersion);
     if (meta.simWallMs >= 0.0)
         w.kv("sim_wall_ms", meta.simWallMs, 4);
-    if (meta.hostWallMs >= 0.0)
-        w.kv("host_wall_ms", meta.hostWallMs, 4);
     if (!meta.status.empty())
         w.kv("status", meta.status);
     if (!meta.sampleMode.empty()) {
@@ -276,10 +274,6 @@ manifestMeta(const JsonValue &doc)
                    w != nullptr && w->isNumber()) {
             // Version-1 manifests: "wall_ms" carried simulated ms.
             view.meta.simWallMs = w->number;
-        }
-        if (const JsonValue *v = meta->get("host_wall_ms");
-            v != nullptr && v->isNumber()) {
-            view.meta.hostWallMs = v->number;
         }
         if (const JsonValue *v = meta->get("status");
             v != nullptr && v->isString()) {

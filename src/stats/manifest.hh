@@ -40,13 +40,11 @@
  * (docs/CAMPAIGN.md) — and "sim_wall_ms" is the *simulated*
  * wall-clock of the measurement window in milliseconds
  * (deterministic, so manifests stay byte-comparable; version-1
- * manifests called it "wall_ms" and still parse). "host_wall_ms", by
- * contrast, is real host time the bar took, and therefore
- * nondeterministic: producers emit it only in self-profiling runs
- * (--prof-out in an ISIM_PROF build) and the campaign merge never
- * copies it into campaign.json, so every bit-identity guarantee
- * (--jobs, --procs, resume) is unaffected. Older manifests may carry
- * "warmup_mode" / "exec_mode" in META; readers ignore them. "epochs"
+ * manifests called it "wall_ms" and still parse). Every META value
+ * is deterministic, so every bit-identity guarantee (--jobs, --procs,
+ * resume) covers it. Older manifests may carry "warmup_mode",
+ * "exec_mode" or a host-time "host_wall_ms" in META; readers ignore
+ * them. "epochs"
  * is present only when the bar's epochs were recorded (--stats-epoch
  * on every bar, --timeline-out on the observed one); its keys are
  * the epochColumns of src/stats/epoch.hh.
@@ -73,7 +71,8 @@ namespace stats {
 
 constexpr const char *kManifestSchema = "isim-stats";
 // Version 2: "wall_ms" (simulated ms, despite the name) became
-// "sim_wall_ms", and an optional "host_wall_ms" was added.
+// "sim_wall_ms", and an optional "host_wall_ms" was added (no longer
+// written; readers ignore it).
 // Version 3: sampled runs (docs/SAMPLING.md) — bars may carry a
 // "sampling" block (schedule + per-stat sem/ci95) and the META block
 // echoes the sampling schedule. The version participates in
@@ -127,12 +126,6 @@ struct BarMeta
      * name "wall_ms" is accepted on parse.
      */
     double simWallMs = -1.0;
-    /**
-     * Host wall-clock the bar took (ms); < 0 = omit. Nondeterministic
-     * by nature — emitted only by self-profiling runs and never merged
-     * into campaign.json (see the file comment).
-     */
-    double hostWallMs = -1.0;
     /** Campaign merge only ("ok" / "failed"); "" = omit. */
     std::string status;
     /**

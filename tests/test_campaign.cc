@@ -532,7 +532,6 @@ TEST(ManifestMeta, RoundTripsThroughTheManifestJson)
     bar.meta.configDigest = "deadbeefcafef00d";
     bar.meta.seed = 9;
     bar.meta.simWallMs = 12.5;
-    bar.meta.hostWallMs = 3.25;
     bar.meta.status = "ok";
     m.bars.push_back(bar);
 
@@ -548,7 +547,6 @@ TEST(ManifestMeta, RoundTripsThroughTheManifestJson)
     EXPECT_EQ(meta[0].meta.seed, 9u);
     EXPECT_EQ(meta[0].meta.status, "ok");
     EXPECT_DOUBLE_EQ(meta[0].meta.simWallMs, 12.5);
-    EXPECT_DOUBLE_EQ(meta[0].meta.hostWallMs, 3.25);
     // META is identity, not measurement: it must never leak into the
     // flattened stat rows a diff compares.
     EXPECT_TRUE(stats::flattenManifest(doc).empty());
@@ -557,13 +555,15 @@ TEST(ManifestMeta, RoundTripsThroughTheManifestJson)
 TEST(ManifestMeta, ParsesLegacyVersion1WallMsKey)
 {
     // Version-1 manifests spelled the simulated wall time "wall_ms";
-    // old bar files on disk must keep parsing into simWallMs.
+    // old bar files on disk must keep parsing into simWallMs. The
+    // retired host-time "host_wall_ms" key is ignored.
     const std::string legacy =
         "{\"schema\": \"isim-stats\", \"version\": 1,\n"
         " \"figure\": \"f\", \"title\": \"t\", \"bars\": [\n"
         "  {\"name\": \"cell\", \"meta\": {\"key\": \"k1\",\n"
         "    \"config_digest\": \"d1\", \"seed\": 7,\n"
         "    \"schema_version\": 1, \"wall_ms\": 42.5,\n"
+        "    \"host_wall_ms\": 3.25,\n"
         "    \"status\": \"ok\"}, \"stats\": {}}\n"
         "]}\n";
     JsonValue doc;
@@ -573,8 +573,7 @@ TEST(ManifestMeta, ParsesLegacyVersion1WallMsKey)
         stats::manifestMeta(doc);
     ASSERT_EQ(meta.size(), 1u);
     EXPECT_DOUBLE_EQ(meta[0].meta.simWallMs, 42.5);
-    // No host time in a legacy manifest: stays "absent".
-    EXPECT_LT(meta[0].meta.hostWallMs, 0.0);
+    EXPECT_EQ(meta[0].meta.status, "ok");
 }
 
 TEST(RunnerMeta, RunMachineStampsTheContentAddress)

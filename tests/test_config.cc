@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -395,6 +398,52 @@ TEST(MachineFromConfig, ShippedExampleConfigsParse)
             machineFromConfig(KvConfig::fromFile(path));
         EXPECT_TRUE(validCombination(cfg.level, cfg.l2Impl)) << path;
         EXPECT_GE(cfg.numCpus, 1u);
+    }
+}
+
+TEST(MachineFromConfigDeathTest, SubFootprintWorkloadValuesAreFatal)
+{
+    // Each case used to crash the run (SIGFPE or an assert) instead of
+    // failing with a message that names its first key. Every pair
+    // replaces that key's line in tiny.cfg.
+    using Setting = std::pair<std::string, std::string>;
+    const std::vector<std::vector<Setting>> cases = {
+        {{"workload.log_buffer", "1"}},
+        {{"workload.hot_metadata", "1"}},
+        {{"workload.warm_metadata", "1"}},
+        {{"workload.private_size", "1"}},
+        {{"workload.db_text", "1"}},
+        {{"workload.latches", "1"}},
+        {{"workload.hash_latches", "2000"}},
+        // Enough server pids to index past the latch array.
+        {{"workload.redo_copy_latches", "2000"},
+         {"workload.servers_per_cpu", "600"}},
+        {{"workload.block_buffer", "1M"}},
+    };
+    std::ifstream in(std::string(ISIM_SOURCE_DIR) +
+                     "/tests/golden/tiny.cfg");
+    ASSERT_TRUE(in);
+    std::vector<std::string> tiny;
+    for (std::string line; std::getline(in, line);)
+        tiny.push_back(line);
+    for (const std::vector<Setting> &settings : cases) {
+        std::ostringstream text;
+        for (const std::string &line : tiny) {
+            bool replaced = false;
+            for (const Setting &s : settings)
+                replaced = replaced || line.rfind(s.first + " ", 0) == 0;
+            if (!replaced)
+                text << line << "\n";
+        }
+        for (const Setting &s : settings)
+            text << s.first << " = " << s.second << "\n";
+        const std::string &key = settings.front().first;
+        EXPECT_EXIT(Machine(machineFromConfig(
+                                KvConfig::fromString(text.str())))
+                        .run(),
+                    ::testing::ExitedWithCode(1),
+                    "config key.*'" + key + "'")
+            << text.str();
     }
 }
 

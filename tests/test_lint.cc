@@ -249,38 +249,6 @@ TEST(LintLogging, DoesNotConstrainCliMains)
 }
 
 // ---------------------------------------------------------------- //
-// prof-guard
-
-TEST(LintProfGuard, FlagsRawProfilerPrimitivesInLibraryCode)
-{
-    const auto findings = lintFixtures({"src/prof_bad.cc"});
-    EXPECT_EQ(countRule(findings, "prof-guard"), 3u);
-    EXPECT_EQ(findings.size(), 3u);
-    EXPECT_TRUE(anyMessageContains(findings, "registerNode"));
-    EXPECT_TRUE(anyMessageContains(findings, "ProfScope"));
-    EXPECT_TRUE(anyMessageContains(findings, "ISIM_PROF_SCOPE"));
-}
-
-TEST(LintProfGuard, AcceptsMacrosAndTheColdEmissionApi)
-{
-    EXPECT_TRUE(lintFixtures({"src/prof_good.cc"}).empty());
-}
-
-TEST(LintProfGuard, DoesNotConstrainTheProfilerItselfOrTests)
-{
-    // src/prof/ is the implementation; tests construct scopes
-    // directly on purpose.
-    const auto findings = lintText({
-        {"src/prof/profiler.cc",
-         "const Node &registerNode(const std::string &p);\n"},
-        {"tests/test_prof.cc",
-         "void f() { prof::ProfScope s(prof::registerNode(\"x\")); "
-         "}\n"},
-    });
-    EXPECT_EQ(countRule(findings, "prof-guard"), 0u);
-}
-
-// ---------------------------------------------------------------- //
 // suppression (meta rule)
 
 TEST(LintSuppression, PolicesBrokenAnnotations)
@@ -332,7 +300,7 @@ TEST(LintSuppression, ReasonlessAllowStillSuppressesNothing)
 TEST(LintDriver, CatalogueListsEveryRule)
 {
     const auto &rules = Linter::rules();
-    ASSERT_EQ(rules.size(), 7u);
+    ASSERT_EQ(rules.size(), 6u);
     std::vector<std::string> ids;
     for (const RuleInfo &rule : rules) {
         ids.emplace_back(rule.id);
@@ -341,8 +309,7 @@ TEST(LintDriver, CatalogueListsEveryRule)
     }
     const std::vector<std::string> expected = {
         "determinism",    "ordered-output", "ckpt-coverage",
-        "stats-coverage", "logging",        "prof-guard",
-        "suppression",
+        "stats-coverage", "logging",        "suppression",
     };
     for (const std::string &id : expected)
         EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end())

@@ -31,7 +31,6 @@
 #include "src/obs/observability.hh"
 #include "src/obs/ring.hh"
 #include "src/obs/tracer.hh"
-#include "src/prof/profiler.hh"
 #include "src/stats/epoch.hh"
 #include "src/stats/manifest.hh"
 
@@ -509,10 +508,9 @@ TEST(ObservedMachine, UniprocessorHasNoNocTraffic)
 TEST(ObservedMachine, HostInstrumentationKeepsFigureJsonBitIdentical)
 {
     setQuiet(true);
-    // Host-side observability — runtime-enabled self-profiling AND an
-    // attached trace/timeline bundle — must leave the figure JSON
-    // BYTE-identical to a bare run. Host data goes to prof.json and
-    // the trace files, never into figure outputs.
+    // Host-side observability — an attached trace/timeline bundle —
+    // must leave the figure JSON BYTE-identical to a bare run. Host
+    // data goes to the trace files, never into figure outputs.
     FigureSpec spec;
     spec.id = "TestFig";
     spec.title = "host instrumentation bit-identity";
@@ -529,8 +527,6 @@ TEST(ObservedMachine, HostInstrumentationKeepsFigureJsonBitIdentical)
     const FigureResult bare = ExperimentRunner(options).run(spec);
     const std::string bareJson = figureToJson(bare);
 
-    const bool wasEnabled = prof::enabled();
-    prof::setEnabled(true);
     RunOptions instrumented = options;
     instrumented.obs.traceOutPath =
         testing::TempDir() + "/obs_host_trace.json";
@@ -539,7 +535,6 @@ TEST(ObservedMachine, HostInstrumentationKeepsFigureJsonBitIdentical)
     instrumented.obs.epochTicks = 200000;
     const FigureResult observed =
         ExperimentRunner(instrumented).run(spec);
-    prof::setEnabled(wasEnabled);
     std::remove(instrumented.obs.traceOutPath.c_str());
     std::remove(instrumented.obs.timelineOutPath.c_str());
 

@@ -31,10 +31,7 @@
  * verdict. That block is the statistical-accuracy record the CI gate
  * checks: sampling must stay fast AND honest.
  *
- * In an ISIM_PROF build each figure row also embeds "prof": the
- * self-profiler's per-phase breakdown of the cold run (node path,
- * inclusive ns, enters — see docs/PROFILING.md), so a bench record
- * answers not just "how slow" but "where".
+ * Where the host time goes is gprof's job (docs/PROFILING.md).
  *
  * The shared run flags (--txns, --warmup, --seed, --jobs, --quiet,
  * ...) apply; --quick is shorthand for a small fixed
@@ -51,7 +48,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -60,7 +56,6 @@
 #include "src/base/logging.hh"
 #include "src/core/driver.hh"
 #include "src/core/registry.hh"
-#include "src/prof/profiler.hh"
 #include "src/sample/spec.hh"
 
 namespace {
@@ -155,8 +150,6 @@ struct BenchRow
     double imageBuildMs = -1.0;
     /** Restored rerun of --warm-restore; < 0 = not measured. */
     double restoreMs = -1.0;
-    /** Self-profiler breakdown of the cold run (ISIM_PROF builds). */
-    std::vector<prof::ProfEntry> prof;
     /** Sampled pass of --sampled; < 0 = not measured. */
     double sampledWallMs = -1.0;
     sample::SampleSpec sampleSpec;
@@ -172,9 +165,10 @@ benchToJson(const std::string &date, const RunOptions &options,
     JsonWriter json(os, 2);
     json.beginObject()
         .kv("schema", "isim-bench")
-        // Version 3 added the per-figure "prof" breakdown; version 4
-        // the "sampled" accuracy/speedup block (--sampled); version 5
-        // dropped "warmup_mode", "timing_wall_ms" and "warmup_speedup".
+        // Version 3 added an optional per-figure "prof" breakdown (no
+        // longer written); version 4 the "sampled" accuracy/speedup
+        // block (--sampled); version 5 dropped "warmup_mode",
+        // "timing_wall_ms" and "warmup_speedup".
         .kv("version", std::uint64_t{5})
         .kv("date", date)
         .kv("quick", quick)
@@ -259,19 +253,6 @@ benchToJson(const std::string &date, const RunOptions &options,
             json.endArray();
             json.endObject();
         }
-        if (!row.prof.empty()) {
-            // Where the cold run's host time went (inclusive ns per
-            // self-profiler node; docs/PROFILING.md).
-            json.key("prof").beginArray();
-            for (const prof::ProfEntry &e : row.prof) {
-                json.beginObject()
-                    .kv("path", e.path)
-                    .kv("ns", e.ns)
-                    .kv("enters", e.enters)
-                    .endObject();
-            }
-            json.endArray();
-        }
         json.endObject();
     }
     json.endArray();
@@ -279,29 +260,6 @@ benchToJson(const std::string &date, const RunOptions &options,
     json.endObject();
     os << "\n";
     return os.str();
-}
-
-/** after - before, per node path (entries with no activity dropped). */
-std::vector<prof::ProfEntry>
-profDelta(const prof::ProfSnapshot &before,
-          const prof::ProfSnapshot &after)
-{
-    std::map<std::string, prof::ProfEntry> base;
-    for (const prof::ProfEntry &e : before.entries)
-        base[e.path] = e;
-    std::vector<prof::ProfEntry> delta;
-    for (const prof::ProfEntry &e : after.entries) {
-        prof::ProfEntry d = e;
-        const auto it = base.find(e.path);
-        if (it != base.end()) {
-            d.ns -= std::min(d.ns, it->second.ns);
-            d.enters -= std::min(d.enters, it->second.enters);
-            d.allocs -= std::min(d.allocs, it->second.allocs);
-        }
-        if (d.enters > 0 || d.ns > 0)
-            delta.push_back(std::move(d));
-    }
-    return delta;
 }
 
 /** Wall-clock one figure run under the given options. */
@@ -365,10 +323,6 @@ main(int argc, char **argv)
             opts.warmup = kQuickWarmup;
     }
     opts.applyGlobal();
-    // A bench in a profiling build always wants the breakdown — that
-    // is the build's whole point; the default build stays untouched.
-    if (prof::compiledIn())
-        prof::setEnabled(true);
 
     // Explicit --sample-* flags imply the sampled pass; the cold and
     // warm-restore passes always measure exactly, so the base options
@@ -402,15 +356,9 @@ main(int argc, char **argv)
         row.id = entry->id;
         row.bars = spec.bars.size();
 
-        // Cold run. In a profiling build, bracket it with global
-        // snapshots so the row's "prof" breakdown covers exactly this
-        // run (the pool is joined inside run(), so both snapshots are
-        // quiescent).
-        const prof::ProfSnapshot before = prof::collectGlobal();
+        // Cold run.
         FigureResult result;
         row.wallMs = timedRun(spec, opts, &result);
-        if (prof::enabled())
-            row.prof = profDelta(before, prof::collectGlobal());
         for (const RunResult &r : result.runs) {
             row.committedTxns += r.transactions;
             row.simulatedNs += r.wallTime;
