@@ -101,7 +101,7 @@ configBytes(const MachineConfig &config)
 {
     Serializer s;
     writeConfig(s, config);
-    return s.bytes();
+    return s.take();
 }
 
 } // namespace ckpt
@@ -158,7 +158,7 @@ Machine::checkpointBytes() const
     sched_->saveState(s);
     s.endSection();
 
-    return s.bytes();
+    return s.take();
 }
 
 void

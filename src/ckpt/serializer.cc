@@ -1,6 +1,7 @@
 #include "src/ckpt/serializer.hh"
 
 #include <array>
+#include <bit>
 #include <cstring>
 #include <fstream>
 
@@ -27,31 +28,81 @@ fourccName(std::uint32_t tag_value)
     return name;
 }
 
-const std::array<std::uint32_t, 256> &
-crcTable()
+/** `v` in little-endian byte order (the image encoding). */
+template <typename T>
+T
+littleEndian(T v)
 {
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    return table;
+    if constexpr (std::endian::native == std::endian::big) {
+        if constexpr (sizeof(T) == 2)
+            return __builtin_bswap16(v);
+        else if constexpr (sizeof(T) == 4)
+            return __builtin_bswap32(v);
+        else if constexpr (sizeof(T) == 8)
+            return __builtin_bswap64(v);
+    }
+    return v;
 }
+
+template <typename T>
+void
+storeLe(std::uint8_t *p, T v)
+{
+    v = littleEndian(v);
+    std::memcpy(p, &v, sizeof(v));
+}
+
+template <typename T>
+T
+loadLe(const std::uint8_t *p)
+{
+    T v;
+    std::memcpy(&v, p, sizeof(v));
+    return littleEndian(v);
+}
+
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/**
+ * Slice-by-8 tables: row 0 is the bytewise table; row k advances a
+ * byte's contribution k more bytes through the register.
+ */
+constexpr CrcTables
+makeCrcTables()
+{
+    CrcTables t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+    }
+    return t;
+}
+
+constexpr CrcTables kCrcTables = makeCrcTables();
 
 } // namespace
 
 std::uint32_t
 crc32(const std::uint8_t *data, std::size_t size)
 {
-    const std::array<std::uint32_t, 256> &table = crcTable();
+    const CrcTables &t = kCrcTables;
     std::uint32_t crc = 0xffffffffu;
-    for (std::size_t i = 0; i < size; ++i)
-        crc = table[(crc ^ data[i]) & 0xff] ^ (crc >> 8);
+    for (; size >= 8; data += 8, size -= 8) {
+        const std::uint32_t lo = loadLe<std::uint32_t>(data) ^ crc;
+        const std::uint32_t hi = loadLe<std::uint32_t>(data + 4);
+        crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+              t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+              t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+    }
+    for (; size > 0; ++data, --size)
+        crc = t[0][(crc ^ *data) & 0xff] ^ (crc >> 8);
     return crc ^ 0xffffffffu;
 }
 
@@ -68,35 +119,32 @@ fnv1a64(const std::uint8_t *data, std::size_t size)
 
 Serializer::Serializer()
 {
-    buf_.insert(buf_.end(), kMagic, kMagic + magicBytes);
+    std::memcpy(append(magicBytes), kMagic, magicBytes);
     u32(formatVersion);
 }
 
 void
 Serializer::u8(std::uint8_t v)
 {
-    buf_.push_back(v);
+    *append(1) = v;
 }
 
 void
 Serializer::u16(std::uint16_t v)
 {
-    buf_.push_back(static_cast<std::uint8_t>(v & 0xff));
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
+    storeLe(append(2), v);
 }
 
 void
 Serializer::u32(std::uint32_t v)
 {
-    for (int i = 0; i < 4; ++i)
-        buf_.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
+    storeLe(append(4), v);
 }
 
 void
 Serializer::u64(std::uint64_t v)
 {
-    for (int i = 0; i < 8; ++i)
-        buf_.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
+    storeLe(append(8), v);
 }
 
 void
@@ -124,7 +172,8 @@ void
 Serializer::str(const std::string &v)
 {
     u64(v.size());
-    buf_.insert(buf_.end(), v.begin(), v.end());
+    if (!v.empty())
+        std::memcpy(append(v.size()), v.data(), v.size());
 }
 
 void
@@ -142,7 +191,7 @@ Serializer::beginSection(std::uint32_t tag)
 {
     isim_assert(!sectionOpen_, "nested checkpoint section");
     sectionOpen_ = true;
-    headerAt_ = buf_.size();
+    headerAt_ = size_;
     u32(tag);
     u64(0); // payload length, patched by endSection()
     u32(0); // payload CRC, patched by endSection()
@@ -154,28 +203,19 @@ Serializer::endSection()
     isim_assert(sectionOpen_, "endSection without beginSection");
     sectionOpen_ = false;
     const std::size_t payload_at = headerAt_ + kSectionHeaderBytes;
-    const std::uint64_t len = buf_.size() - payload_at;
-    const std::uint32_t crc = crc32(buf_.data() + payload_at, len);
-    for (int i = 0; i < 8; ++i)
-        buf_[headerAt_ + 4 + i] =
-            static_cast<std::uint8_t>((len >> (8 * i)) & 0xff);
-    for (int i = 0; i < 4; ++i)
-        buf_[headerAt_ + 12 + i] =
-            static_cast<std::uint8_t>((crc >> (8 * i)) & 0xff);
+    const std::uint64_t len = size_ - payload_at;
+    storeLe(buf_.data() + headerAt_ + 4, len);
+    storeLe(buf_.data() + headerAt_ + 12,
+            crc32(buf_.data() + payload_at, len));
 }
 
-void
-Serializer::writeFile(const std::string &path) const
+std::vector<std::uint8_t>
+Serializer::take()
 {
-    isim_assert(!sectionOpen_, "writeFile with an open section");
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        isim_fatal("cannot open checkpoint '%s' for writing",
-                   path.c_str());
-    out.write(reinterpret_cast<const char *>(buf_.data()),
-              static_cast<std::streamsize>(buf_.size()));
-    if (!out)
-        isim_fatal("write to checkpoint '%s' failed", path.c_str());
+    isim_assert(!sectionOpen_, "take with an open section");
+    buf_.resize(size_);
+    size_ = 0;
+    return std::move(buf_);
 }
 
 Deserializer::Deserializer(std::vector<std::uint8_t> data)
@@ -236,29 +276,19 @@ Deserializer::u8()
 std::uint16_t
 Deserializer::u16()
 {
-    const std::uint8_t *p = need(2);
-    return static_cast<std::uint16_t>(p[0] |
-                                      (std::uint16_t{p[1]} << 8));
+    return loadLe<std::uint16_t>(need(2));
 }
 
 std::uint32_t
 Deserializer::u32()
 {
-    const std::uint8_t *p = need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= std::uint32_t{p[i]} << (8 * i);
-    return v;
+    return loadLe<std::uint32_t>(need(4));
 }
 
 std::uint64_t
 Deserializer::u64()
 {
-    const std::uint8_t *p = need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= std::uint64_t{p[i]} << (8 * i);
-    return v;
+    return loadLe<std::uint64_t>(need(8));
 }
 
 std::int64_t

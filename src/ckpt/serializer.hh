@@ -29,6 +29,7 @@
 #ifndef ISIM_CKPT_SERIALIZER_HH
 #define ISIM_CKPT_SERIALIZER_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -67,7 +68,7 @@ sectionTag(const char (&fourcc)[5])
                << 24;
 }
 
-/** CRC-32 (IEEE 802.3 polynomial, reflected). */
+/** CRC-32 (IEEE 802.3 polynomial, reflected), eight bytes a step. */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t size);
 
 /** FNV-1a 64-bit hash; used for whole-checkpoint state digests. */
@@ -100,13 +101,22 @@ class Serializer
     /** Close the open section, patching its length and CRC. */
     void endSection();
 
-    const std::vector<std::uint8_t> &bytes() const { return buf_; }
-
-    /** Write the buffer to a file; isim_fatal on I/O failure. */
-    void writeFile(const std::string &path) const;
+    /** Moves the finished image out; write nothing more after this. */
+    std::vector<std::uint8_t> take();
 
   private:
-    std::vector<std::uint8_t> buf_;
+    /** Room for `n` more bytes; returns where they go. */
+    std::uint8_t *append(std::size_t n)
+    {
+        if (buf_.size() - size_ < n)
+            buf_.resize(std::max(2 * buf_.size(), size_ + n));
+        std::uint8_t *p = buf_.data() + size_;
+        size_ += n;
+        return p;
+    }
+
+    std::vector<std::uint8_t> buf_; //!< grows geometrically; size_ used
+    std::size_t size_ = 0;
     std::size_t headerAt_ = 0; //!< offset of the open section header
     bool sectionOpen_ = false;
 };

@@ -15,7 +15,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "src/base/logging.hh"
 #include "src/base/types.hh"
@@ -72,8 +72,19 @@ struct DirEntry
 /**
  * The directory proper: a sparse map from line address to entry. One
  * logical directory serves all homes (the home node of each entry is
- * derivable from the address); per-home occupancy counters are kept so
- * directory pressure can be reported per node.
+ * derivable from the address).
+ *
+ * Storage is one open-addressing table of {line, entry} slots: linear
+ * probing, power-of-two capacity, doubled at load 1/2, and
+ * backward-shift erase (no tombstones). Lines hash in 16-line blocks
+ * that keep each line's offset within its block, so a sequential scan
+ * touches neighbouring slots.
+ *
+ * Pointer stability: entry() may grow the table and erase() shifts
+ * slots, so a DirEntry pointer or reference is valid only until the
+ * next entry() or erase() call. Protocol code holds one only across
+ * cache probes (invalidateNode/downgradeNode), which never touch the
+ * directory.
  */
 class Directory
 {
@@ -87,8 +98,16 @@ class Directory
     }
 
     /** Lookup; returns nullptr when the line is uncached everywhere. */
-    DirEntry *find(Addr line_addr);
-    const DirEntry *find(Addr line_addr) const;
+    const DirEntry *find(Addr line_addr) const
+    {
+        const Slot &s = slots_[probe(line_addr)];
+        return s.line == line_addr ? &s.entry : nullptr;
+    }
+    DirEntry *find(Addr line_addr)
+    {
+        Slot &s = slots_[probe(line_addr)];
+        return s.line == line_addr ? &s.entry : nullptr;
+    }
 
     /** Lookup-or-create (created entries start Uncached). */
     DirEntry &entry(Addr line_addr);
@@ -96,7 +115,9 @@ class Directory
     /** Drop an entry that returned to the Uncached state. */
     void erase(Addr line_addr);
 
-    std::size_t population() const { return map_.size(); }
+    std::size_t population() const { return size_; }
+    /** Slots allocated; population() stays at or below half of it. */
+    std::size_t capacity() const { return slots_.size(); }
 
     /**
      * Structural self-check of one entry; panics on violation.
@@ -109,8 +130,8 @@ class Directory
     static void checkEntry(const DirEntry &e, unsigned num_nodes);
 
     /**
-     * Visit every entry (for whole-directory audits). The entry's home
-     * is derivable from the line address via homeOf().
+     * Visit every entry (for whole-directory audits), in slot order.
+     * The entry's home is derivable from the line address via homeOf().
      */
     void forEachEntry(
         const std::function<void(Addr line_addr, const DirEntry &)> &fn)
@@ -118,17 +139,56 @@ class Directory
 
     /**
      * Checkpoint every entry. Entries are written in sorted line-addr
-     * order so the encoding is canonical (the map itself is unordered
-     * and only ever point-queried, so iteration order is not state).
+     * order so the encoding is canonical (slot order depends on the
+     * table's history and is not state).
      */
     void saveState(ckpt::Serializer &s) const;
     void restoreState(ckpt::Deserializer &d);
 
   private:
+    struct Slot
+    {
+        Addr line;
+        DirEntry entry;
+    };
+
+    /**
+     * Marks a free slot. Never a real line: every line lies inside
+     * installed memory (restoreState rejects any other).
+     */
+    static constexpr Addr emptyLine = ~Addr{0};
+
+    /** Home slot: a mixed 16-line block number, then the line's offset. */
+    std::size_t slotOf(Addr line_addr) const
+    {
+        const std::uint64_t block =
+            (line_addr >> 4) * 0x9e3779b97f4a7c15ULL >> blockShift_;
+        return static_cast<std::size_t>(block << 4 | (line_addr & 15));
+    }
+
+    /** The slot holding `line_addr`, else the free slot ending its run. */
+    std::size_t probe(Addr line_addr) const
+    {
+        std::size_t i = slotOf(line_addr);
+        while (slots_[i].line != line_addr && slots_[i].line != emptyLine)
+            i = (i + 1) & mask_;
+        return i;
+    }
+
+    /** Fresh empty table of `capacity` slots (a power of two >= 32). */
+    void reset(std::size_t capacity);
+    /** Place a line known to be absent; returns its entry. */
+    DirEntry &insertAbsent(Addr line_addr);
+
     HomeMap homeMap_;
     // ckpt: transient(lineBits_): derived from the line size at construction
     unsigned lineBits_;
-    std::unordered_map<Addr, DirEntry> map_;
+    std::vector<Slot> slots_;
+    // ckpt: transient(mask_): capacity - 1, set with slots_
+    std::size_t mask_ = 0;
+    // ckpt: transient(blockShift_): 64 - log2(capacity / 16), set with slots_
+    unsigned blockShift_ = 0;
+    std::size_t size_ = 0;
 };
 
 } // namespace isim

@@ -3,9 +3,10 @@
  * Checkpoint/restore tests: round-trip digests, bit-identical
  * continued execution, byte-identical figure output from a warm
  * restore, latency-override restores, corrupt-input robustness
- * (truncation, bad magic, wrong version, flipped payload bytes must
- * all fail with a clean PanicError, never undefined behaviour), and
- * the read-only legacy META warm-up mode byte.
+ * (truncation, bad magic, wrong version, flipped payload bytes and
+ * forged directory lists must all fail with a clean PanicError, never
+ * undefined behaviour), the read-only legacy META warm-up mode byte,
+ * and the CRC-32 against a bytewise reference.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "src/base/logging.hh"
+#include "src/base/random.hh"
 #include "src/ckpt/checkpoint.hh"
 #include "src/ckpt/serializer.hh"
 #include "src/coherence/directory.hh"
@@ -265,14 +267,23 @@ writeLe(std::vector<std::uint8_t> &b, std::size_t at, unsigned n,
         b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-/** Offset of the META section header (tag, u64 length, u32 CRC). */
+/** Offset of a section's header (tag, u64 length, u32 CRC). */
 std::size_t
-metaHeaderAt(const std::vector<std::uint8_t> &image)
+sectionHeaderAt(const std::vector<std::uint8_t> &image, std::uint32_t tag)
 {
     std::size_t at = ckpt::magicBytes + 4; // magic + format version
-    while (readLe(image, at, 4) != ckpt::tagMeta)
+    while (readLe(image, at, 4) != tag)
         at += 16 + readLe(image, at + 4, 8);
     return at;
+}
+
+/** Recompute the stored CRC of the section whose header is at `header`. */
+void
+reCrc(std::vector<std::uint8_t> &image, std::size_t header)
+{
+    writeLe(image, header + 12, 4,
+            ckpt::crc32(image.data() + header + 16,
+                        readLe(image, header + 4, 8)));
 }
 
 /**
@@ -282,15 +293,14 @@ metaHeaderAt(const std::vector<std::uint8_t> &image)
 std::vector<std::uint8_t>
 withMetaModeByte(std::vector<std::uint8_t> image, std::uint8_t mode)
 {
-    const std::size_t header = metaHeaderAt(image);
+    const std::size_t header = sectionHeaderAt(image, ckpt::tagMeta);
     const std::size_t payload = header + 16;
     const std::uint64_t len = readLe(image, header + 4, 8) + 1;
     image.insert(image.begin() +
                      static_cast<std::ptrdiff_t>(payload + len - 1),
                  mode);
     writeLe(image, header + 4, 8, len);
-    writeLe(image, header + 12, 4,
-            ckpt::crc32(image.data() + payload, len));
+    reCrc(image, header);
     return image;
 }
 
@@ -309,7 +319,8 @@ restoreError(const std::vector<std::uint8_t> &image)
 TEST_F(CheckpointCorruption, EightByteMetaRestores)
 {
     const ScopedPanicThrow guard;
-    EXPECT_EQ(readLe(image_, metaHeaderAt(image_) + 4, 8), 8u);
+    EXPECT_EQ(readLe(image_, sectionHeaderAt(image_, ckpt::tagMeta) + 4, 8),
+              8u);
     const auto restored = Machine::fromCheckpointBytes(image_);
     EXPECT_EQ(restored->checkpointBytes(), image_);
 }
@@ -372,13 +383,120 @@ TEST_F(CheckpointCorruption, ModelConstantSlotOtherValueIsCorrupt)
     const std::size_t slot = payload + len - tail - 4;
     ASSERT_EQ(readLe(bad, slot, 4), nodeWindowBits);
     writeLe(bad, slot, 4, nodeWindowBits - 1);
-    writeLe(bad, header + 12, 4, ckpt::crc32(bad.data() + payload, len));
+    reCrc(bad, header);
     const std::string err = restoreError(bad);
     EXPECT_NE(err.find("checkpoint corrupt: CONF slot " +
                        std::to_string(row) +
                        " is 30, but the model fixes it at 31"),
               std::string::npos)
         << err;
+}
+
+/**
+ * The MEMS section's directory list: offset of its u64 entry count
+ * (entries of 17 bytes follow: u64 line, u8 state, u32 sharers, u32
+ * owner). The list follows six NoC/transition counters and the
+ * per-node memory-controller horizons.
+ */
+std::size_t
+directoryCountAt(const std::vector<std::uint8_t> &image)
+{
+    const std::size_t payload =
+        sectionHeaderAt(image, ckpt::tagMemSys) + 16;
+    const std::uint64_t controllers = readLe(image, payload + 48, 8);
+    return payload + 56 + 8 * controllers;
+}
+
+constexpr std::size_t kDirEntryBytes = 17;
+
+TEST_F(CheckpointCorruption, DuplicateDirectoryEntryIsCorrupt)
+{
+    const ScopedPanicThrow guard;
+    std::vector<std::uint8_t> bad = image_;
+    const std::size_t count_at = directoryCountAt(bad);
+    ASSERT_GE(readLe(bad, count_at, 8), 2u);
+    const std::size_t first = count_at + 8;
+    writeLe(bad, first + kDirEntryBytes, 8, readLe(bad, first, 8));
+    reCrc(bad, sectionHeaderAt(bad, ckpt::tagMemSys));
+    const std::string err = restoreError(bad);
+    EXPECT_NE(err.find("checkpoint corrupt: directory line"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("increasing order"), std::string::npos) << err;
+}
+
+TEST_F(CheckpointCorruption, ForgedDirectoryCountIsCorrupt)
+{
+    const ScopedPanicThrow guard;
+    std::vector<std::uint8_t> bad = image_;
+    writeLe(bad, directoryCountAt(bad), 8, std::uint64_t{1} << 60);
+    reCrc(bad, sectionHeaderAt(bad, ckpt::tagMemSys));
+    const std::string err = restoreError(bad);
+    EXPECT_NE(err.find("checkpoint corrupt: directory claims " +
+                       std::to_string(std::uint64_t{1} << 60) +
+                       " entries"),
+              std::string::npos)
+        << err;
+}
+
+TEST_F(CheckpointCorruption, DirectoryLineOutsideMemoryIsCorrupt)
+{
+    const ScopedPanicThrow guard;
+    // One node: installed memory is one window of 64-byte lines.
+    const Addr first_outside = (Addr{1} << nodeWindowBits) >> 6;
+    for (const Addr line : {first_outside, ~Addr{0}}) {
+        std::vector<std::uint8_t> bad = image_;
+        const std::size_t count_at = directoryCountAt(bad);
+        const std::uint64_t count = readLe(bad, count_at, 8);
+        ASSERT_GE(count, 1u);
+        // The last entry, so the list stays in increasing order.
+        writeLe(bad, count_at + 8 + (count - 1) * kDirEntryBytes, 8, line);
+        reCrc(bad, sectionHeaderAt(bad, ckpt::tagMemSys));
+        const std::string err = restoreError(bad);
+        EXPECT_NE(err.find("checkpoint corrupt: directory line"),
+                  std::string::npos)
+            << err;
+        EXPECT_NE(err.find("outside installed memory (1 nodes)"),
+                  std::string::npos)
+            << err;
+    }
+}
+
+/** The textbook bytewise CRC-32, kept here as the reference. */
+std::uint32_t
+bytewiseCrc32(const std::uint8_t *data, std::size_t size)
+{
+    std::uint32_t crc = 0xffffffffu;
+    for (std::size_t i = 0; i < size; ++i) {
+        crc ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return crc ^ 0xffffffffu;
+}
+
+TEST(Crc32, KnownAnswerAndBytewiseReference)
+{
+    const std::string check = "123456789";
+    EXPECT_EQ(ckpt::crc32(reinterpret_cast<const std::uint8_t *>(
+                              check.data()),
+                          check.size()),
+              0xcbf43926u);
+
+    Rng rng(20);
+    std::vector<std::uint8_t> buf(std::size_t{1} << 20);
+    for (std::uint8_t &byte : buf)
+        byte = static_cast<std::uint8_t>(rng.next());
+    // Every start alignment and every tail length of the word loop.
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 64; ++len) {
+            EXPECT_EQ(ckpt::crc32(buf.data() + offset, len),
+                      bytewiseCrc32(buf.data() + offset, len))
+                << "offset " << offset << ", length " << len;
+        }
+    }
+    EXPECT_EQ(ckpt::crc32(buf.data(), buf.size()),
+              bytewiseCrc32(buf.data(), buf.size()));
 }
 
 TEST_F(CheckpointCorruption, TruncatedFileFailsCleanly)

@@ -1,10 +1,16 @@
 /**
  * @file
- * Unit tests for the home map and directory structure.
+ * Unit tests for the home map and directory structure, including a
+ * model-based check of the flat table against std::map.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
+#include "src/base/random.hh"
 #include "src/coherence/directory.hh"
 
 namespace isim {
@@ -84,6 +90,117 @@ TEST(DirectoryDeathTest, CheckEntryRejectsBadShapes)
     bad_owner.owner = 2;
     bad_owner.sharers = 0b111;
     EXPECT_DEATH(Directory::checkEntry(bad_owner), "sharer mask");
+}
+
+bool
+sameEntry(const DirEntry &a, const DirEntry &b)
+{
+    return a.state == b.state && a.sharers == b.sharers &&
+           a.owner == b.owner;
+}
+
+/** Population and a full forEachEntry walk both match the model. */
+void
+expectMatchesModel(const Directory &dir,
+                   const std::map<Addr, DirEntry> &model)
+{
+    ASSERT_EQ(dir.population(), model.size());
+    std::map<Addr, unsigned> visits;
+    dir.forEachEntry([&](Addr line, const DirEntry &e) {
+        ++visits[line];
+        const auto it = model.find(line);
+        ASSERT_NE(it, model.end()) << "stale line " << line;
+        EXPECT_TRUE(sameEntry(e, it->second)) << "line " << line;
+    });
+    EXPECT_EQ(visits.size(), model.size());
+    for (const auto &[line, n] : visits)
+        EXPECT_EQ(n, 1u) << "line " << line << " visited " << n << "x";
+}
+
+TEST(Directory, FlatTableMatchesMapModel)
+{
+    Rng rng(7);
+    // Sequential 16-line runs at random block addresses fill whole
+    // 16-slot groups, so runs collide with their neighbours and wrap
+    // past the table's end; the random lines land anywhere.
+    const Addr lines_in_memory = (Addr{8} << nodeWindowBits) >> 6;
+    std::vector<Addr> keys;
+    for (int b = 0; b < 4096; ++b) {
+        const Addr base = rng.below(lines_in_memory >> 4) << 4;
+        for (Addr i = 0; i < 16; ++i)
+            keys.push_back(base + i);
+    }
+    for (int r = 0; r < 4096; ++r)
+        keys.push_back(rng.below(lines_in_memory));
+
+    Directory dir(HomeMap{nodeWindowBits, 8}, 6);
+    const std::size_t initial = dir.capacity();
+    std::map<Addr, DirEntry> model;
+
+    // One operation on a random key: entry (and overwrite), find or
+    // erase, with the given per-mille weights for entry and find.
+    const auto step = [&](unsigned entry_pm, unsigned find_pm) {
+        const Addr line = keys[rng.below(keys.size())];
+        const auto it = model.find(line);
+        const unsigned op = static_cast<unsigned>(rng.below(1000));
+        if (op < entry_pm) {
+            DirEntry &e = dir.entry(line);
+            if (it != model.end()) {
+                EXPECT_TRUE(sameEntry(e, it->second)) << "line " << line;
+            } else {
+                EXPECT_TRUE(e.isUncached()) << "line " << line;
+            }
+            e.state = LineState::Shared;
+            e.sharers = static_cast<std::uint32_t>(rng.below(255)) + 1;
+            e.owner = static_cast<NodeId>(rng.below(8));
+            model[line] = e;
+        } else if (op < entry_pm + find_pm) {
+            const DirEntry *e = dir.find(line);
+            ASSERT_EQ(e != nullptr, it != model.end()) << "line " << line;
+            if (e != nullptr) {
+                EXPECT_TRUE(sameEntry(*e, it->second)) << "line " << line;
+            }
+        } else {
+            dir.erase(line);
+            model.erase(line);
+            EXPECT_EQ(dir.find(line), nullptr) << "line " << line;
+        }
+    };
+
+    // Grow: mostly inserts.
+    for (int n = 0; n < 100000; ++n)
+        step(600, 200);
+    expectMatchesModel(dir, model);
+    EXPECT_GE(dir.capacity(), 4 * initial) << "grew fewer than twice";
+
+    // Churn: as many erases as inserts, many from inside runs.
+    for (int n = 0; n < 80000; ++n)
+        step(400, 200);
+    expectMatchesModel(dir, model);
+
+    // Drain: mostly erases.
+    for (int n = 0; n < 20000; ++n)
+        step(100, 200);
+    expectMatchesModel(dir, model);
+
+    // Erase the rest in shuffled order; every survivor stays findable.
+    std::vector<Addr> live;
+    for (const auto &[line, e] : model)
+        live.push_back(line);
+    for (std::size_t i = live.size(); i > 1; --i)
+        std::swap(live[i - 1], live[rng.below(i)]);
+    for (std::size_t i = 0; i < live.size(); ++i) {
+        dir.erase(live[i]);
+        model.erase(live[i]);
+        if (i % 256 == 0) {
+            for (const auto &[line, e] : model) {
+                const DirEntry *found = dir.find(line);
+                ASSERT_NE(found, nullptr) << "line " << line;
+                EXPECT_TRUE(sameEntry(*found, e));
+            }
+        }
+    }
+    expectMatchesModel(dir, model);
 }
 
 } // namespace
