@@ -17,15 +17,35 @@ namespace {
 bool quietFlag = false;
 bool panicThrowFlag = false;
 
-/** Condition text of the most recent isim_assert, in throw mode. */
-std::string pendingCondition;
+/**
+ * Condition text of this thread's most recent isim_assert, in throw
+ * mode. Per thread: concurrent failing asserts must each throw
+ * their own condition.
+ */
+thread_local std::string pendingCondition;
 
+/**
+ * One line, one write: concurrent threads' lines never interleave
+ * mid-line.
+ */
 void
 vreport(const char *tag, const char *fmt, std::va_list ap)
 {
-    std::fprintf(stderr, "%s: ", tag);
-    std::vfprintf(stderr, fmt, ap);
-    std::fprintf(stderr, "\n");
+    std::string line = tag;
+    line += ": ";
+    std::va_list copy;
+    va_copy(copy, ap);
+    const int n = std::vsnprintf(nullptr, 0, fmt, copy);
+    va_end(copy);
+    if (n > 0) {
+        const std::size_t head = line.size();
+        line.resize(head + static_cast<std::size_t>(n) + 1);
+        std::vsnprintf(&line[head], static_cast<std::size_t>(n) + 1,
+                       fmt, ap);
+        line.pop_back(); // vsnprintf's terminator
+    }
+    line += '\n';
+    std::fputs(line.c_str(), stderr);
 }
 
 } // namespace

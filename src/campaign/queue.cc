@@ -33,22 +33,6 @@ leaseModeName(LeaseMode mode)
     isim_panic("bad LeaseMode %d", static_cast<int>(mode));
 }
 
-bool
-leaseModeFromName(const std::string &name, LeaseMode &out)
-{
-    if (name == "cold")
-        out = LeaseMode::Cold;
-    else if (name == "build")
-        out = LeaseMode::Build;
-    else if (name == "restore")
-        out = LeaseMode::Restore;
-    else if (name == "image")
-        out = LeaseMode::ImageOnly;
-    else
-        return false;
-    return true;
-}
-
 std::string
 warmGroupKey(const MachineConfig &config)
 {
@@ -319,20 +303,6 @@ CampaignQueue::cascadeFail(Group &group, const std::string &reason)
         reason_[m] = reason;
         ++tally_.failed;
     }
-}
-
-void
-CampaignQueue::requeue(const Lease &lease)
-{
-    Group *group = groupOf(lease.index);
-    if (lease.mode == LeaseMode::ImageOnly) {
-        isim_assert(group != nullptr);
-        group->imageLeased = false;
-        return;
-    }
-    isim_assert(state_[lease.index] == State::Leased,
-                "requeueing a lease that is not out");
-    state_[lease.index] = State::Pending;
 }
 
 bool

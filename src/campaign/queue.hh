@@ -3,8 +3,8 @@
  * Campaign expansion and the lease scheduler.
  *
  * expandCampaign() turns a spec into the flat, deterministic bar
- * list every participant — supervisor, worker processes, merge —
- * recomputes identically from (spec, options): figures in
+ * list that `run`, `expand`, `status` and the merge all recompute
+ * identically from (spec, options): figures in
  * resolution order, bars in figure order, the seed axis outermost.
  * Each bar carries its content-address key (stats::resultKey) and
  * its warm-image group key.
@@ -38,7 +38,7 @@
 namespace isim {
 namespace campaign {
 
-/** What a lease asks a worker to do with its bar. */
+/** What a lease asks its thread to do with its bar. */
 enum class LeaseMode : std::uint8_t {
     Cold,      //!< build, warm up, measure (no image involved)
     Build,     //!< warm up, save the group image, measure
@@ -46,10 +46,8 @@ enum class LeaseMode : std::uint8_t {
     ImageOnly, //!< warm up and save the image only — no measurement
 };
 
-/** Wire token of a mode ("cold" / "build" / "restore" / "image"). */
+/** Log token of a mode ("cold" / "build" / "restore" / "image"). */
 const char *leaseModeName(LeaseMode mode);
-/** Inverse of leaseModeName; false on an unknown token. */
-bool leaseModeFromName(const std::string &name, LeaseMode &out);
 
 constexpr std::size_t kNoAlias = ~std::size_t{0};
 
@@ -127,11 +125,11 @@ struct CampaignTally
 };
 
 /**
- * The lease state machine. Single-threaded by design: the
- * supervisor's poll loop (and the in-process runner) is the only
- * caller. Construction scans `out_dir` for cached bar results and
- * existing warm images; next()/complete()/fail()/requeue() then
- * drive every bar to Done, Cached or Failed.
+ * The lease state machine. Not thread-safe itself: the supervisor's
+ * lease threads call it only while holding one shared lock.
+ * Construction scans `out_dir` for cached bar results and existing
+ * warm images; next()/complete()/fail() then drive every bar to
+ * Done, Cached or Failed.
  */
 class CampaignQueue
 {
@@ -147,8 +145,6 @@ class CampaignQueue
 
     void complete(const Lease &lease);
     void fail(const Lease &lease, const std::string &reason);
-    /** Undo a lease whose worker died; the bar becomes Pending. */
-    void requeue(const Lease &lease);
 
     /** Every bar resolved and no image work outstanding. */
     bool finished() const;

@@ -2,16 +2,18 @@
  * @file
  * Campaign supervisor: drives a whole campaign to completion —
  * prepare/validate the output directory, scan the cache, then
- * execute every pending lease either in-process (--procs=1,
- * sequential and deterministic) or across a pool of forked
- * `--worker` processes speaking the pipe protocol. A worker crash
- * requeues its in-flight leases and respawns a replacement (within
- * a crash budget); `--stop-after` turns the supervisor into a
- * deterministic interruption point for resume testing.
+ * execute every pending lease on `--jobs` threads in this process,
+ * sharing one CampaignQueue under one lock. Every cell's bytes are a
+ * function of its own configuration only, so the thread count and
+ * the completion order never change campaign.json. There is no
+ * crash isolation: a cell that crashes the process ends the run, and
+ * a rerun resumes from the cache. `--stop-after` turns the
+ * supervisor into a deterministic interruption point for resume
+ * testing.
  *
  * Exit codes: 0 = every bar ok; 2 = campaign merged but some bars
  * failed; 3 = stopped early by stopAfter (no campaign.json written);
- * 1 = fatal (bad spec, spec drift, crash budget exhausted).
+ * 1 = fatal (bad spec, spec drift).
  */
 
 #ifndef ISIM_CAMPAIGN_SUPERVISOR_HH
@@ -28,9 +30,7 @@ struct CampaignRunConfig
 {
     std::string specPath;
     std::string outDir;
-    /** argv[0] fallback for re-exec (/proc/self/exe is preferred). */
-    std::string exePath;
-    RunOptions options; //!< options.procs selects the pool size
+    RunOptions options; //!< options.jobs sizes the lease-thread pool
     /**
      * Stop issuing leases after this many completions this session,
      * drain, and exit 3 (< 0 = run to completion). The cache keeps

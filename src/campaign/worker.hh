@@ -1,9 +1,9 @@
 /**
  * @file
- * Campaign worker: executes one lease (the four modes of
- * LeaseMode) against the result cache, and the `--worker` protocol
- * loop isim-campaign forks — M threads pulling leases off stdin and
- * answering DONE/FAIL on stdout.
+ * Campaign lease execution: runs one lease (the four modes of
+ * LeaseMode) against the result cache. The supervisor's lease
+ * threads call it concurrently; each lease touches only its own
+ * bar file and, for Build/ImageOnly, its group's image.
  */
 
 #ifndef ISIM_CAMPAIGN_WORKER_HH
@@ -31,15 +31,6 @@ struct BarOutcome
  */
 BarOutcome runLeasedBar(const CampaignPlan &plan, const Lease &lease,
                         const std::string &out_dir);
-
-/**
- * The `--worker` mode: expand the same (spec, options) plan the
- * supervisor holds, handshake with HELLO, then serve BAR leases with
- * `max(1, options.jobs)` threads until QUIT (or stdin EOF — the
- * supervisor died). Returns the process exit code.
- */
-int workerMain(const std::string &spec_path, const std::string &out_dir,
-               const RunOptions &options);
 
 } // namespace campaign
 } // namespace isim

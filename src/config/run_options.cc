@@ -54,10 +54,6 @@ RunOptions::fromEnv()
         opts.jsonDir = dir;
     if (const auto v = parseUint(std::getenv("ISIM_JOBS")))
         opts.jobs = static_cast<unsigned>(*v);
-    if (const auto v = parseUint(std::getenv("ISIM_PROCS"));
-        v && *v >= 1) {
-        opts.procs = static_cast<unsigned>(*v);
-    }
     if (const auto v = parseUint(std::getenv("ISIM_AUDIT_PERIOD"));
         v && *v >= 1) {
         opts.auditPeriod = *v;
@@ -129,10 +125,8 @@ RunOptions::fromCommandLine(int &argc, char **argv)
             opts.jobs =
                 static_cast<unsigned>(parseUintFlag("--jobs", value));
         } else if (matches(i, "--procs")) {
-            const std::uint64_t v = parseUintFlag("--procs", value);
-            if (v == 0)
-                isim_fatal("--procs must be >= 1");
-            opts.procs = static_cast<unsigned>(v);
+            isim_fatal("--procs is gone: campaigns run their leases "
+                       "on --jobs threads in one process");
         } else if (matches(i, "--audit-period")) {
             const std::uint64_t v =
                 parseUintFlag("--audit-period", value);
@@ -221,10 +215,9 @@ runOptionsHelp()
            "  --warmup=N           warm-up transactions per bar\n"
            "  --seed=N             workload seed for every bar\n"
            "  --json-dir=DIR       write the figure JSON into DIR\n"
-           "  --jobs=N             run up to N bars concurrently "
-           "(default: one per core)\n"
-           "  --procs=N            campaign worker processes "
-           "(isim-campaign; default 1)\n"
+           "  --jobs=N             run up to N bars (or campaign "
+           "leases) concurrently\n"
+           "                       (default: one per core)\n"
            "  --audit-period=N     invariant full-audit period\n"
            "  --stats-out=FILE     write the stats manifest to FILE "
            "(default: <json-dir>/<stem>.stats.json)\n"

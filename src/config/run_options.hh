@@ -34,15 +34,11 @@ struct RunOptions
     /** Directory figure JSON is written into ("" = don't write). */
     std::string jsonDir;
     /**
-     * Worker threads for multi-bar figures and sweeps. 0 = one per
-     * hardware thread (std::thread::hardware_concurrency).
+     * Worker threads for multi-bar figures, sweeps and campaign
+     * leases. 0 = one per hardware thread
+     * (std::thread::hardware_concurrency).
      */
     unsigned jobs = 0;
-    /**
-     * Worker *processes* for campaign runs (isim-campaign only; the
-     * single-process tools ignore it). 1 = run bars in-process.
-     */
-    unsigned procs = 1;
     /** Full-audit decimation period of the invariant auditor. */
     std::uint64_t auditPeriod = std::uint64_t{1} << 20;
     /** Per-run progress lines on stderr. */
@@ -83,7 +79,7 @@ struct RunOptions
 
     /**
      * Resolve the environment: ISIM_TXNS, ISIM_WARMUP, ISIM_SEED,
-     * ISIM_JSON_DIR, ISIM_JOBS, ISIM_PROCS, ISIM_AUDIT_PERIOD,
+     * ISIM_JSON_DIR, ISIM_JOBS, ISIM_AUDIT_PERIOD,
      * ISIM_STATS_OUT, ISIM_STATS_EPOCH, ISIM_SAVE_CKPT,
      * ISIM_FROM_CKPT, ISIM_SAMPLE_FF, ISIM_SAMPLE_MEASURE,
      * ISIM_SAMPLE_WINDOWS, ISIM_SAMPLE_WARM, ISIM_SAMPLE_MODE. Malformed
@@ -103,7 +99,6 @@ struct RunOptions
      *   --seed N                 workload seed for every bar
      *   --json-dir DIR           write figure JSON into DIR
      *   --jobs N                 worker threads (0 = one per core)
-     *   --procs N                worker processes (campaign runs, >= 1)
      *   --audit-period N         invariant full-audit period (>= 1)
      *   --stats-out FILE         write the stats manifest to FILE
      *   --stats-epoch TICKS      embed per-epoch rows on this grid

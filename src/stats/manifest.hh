@@ -41,8 +41,8 @@
  * wall-clock of the measurement window in milliseconds
  * (deterministic, so manifests stay byte-comparable; version-1
  * manifests called it "wall_ms" and still parse). Every META value
- * is deterministic, so every bit-identity guarantee (--jobs, --procs,
- * resume) covers it. Older manifests may carry "warmup_mode",
+ * is deterministic, so every bit-identity guarantee (--jobs, resume)
+ * covers it. Older manifests may carry "warmup_mode",
  * "exec_mode" or a host-time "host_wall_ms" in META; readers ignore
  * them. "epochs"
  * is present only when the bar's epochs were recorded (--stats-epoch

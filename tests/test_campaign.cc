@@ -1,20 +1,21 @@
 /**
  * @file
- * Campaign orchestrator tests: wire-protocol round-trips, spec
- * validation, plan expansion (seed axis, checkpoint groups, content
- * keys), the lease state machine (gating, crash requeue, cascade
- * failure, image regeneration), META echo plumbing, sweep-expansion
- * hard errors, and the end-to-end resume contract — an interrupted
- * campaign resumed from its cache must produce a campaign.json
- * byte-identical to an uninterrupted run.
+ * Campaign orchestrator tests: spec validation, plan expansion (seed
+ * axis, checkpoint groups, content keys), the lease state machine
+ * (gating, cascade failure, image regeneration), META echo plumbing,
+ * sweep-expansion hard errors, and the end-to-end contract of the
+ * threaded executor — the lease-thread count and an interrupt +
+ * resume never change a byte of campaign.json, and a corrupt warm
+ * image fails exactly the bars that restore from it.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
-#include <set>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,7 +23,6 @@
 #include "src/base/json.hh"
 #include "src/base/logging.hh"
 #include "src/campaign/cache.hh"
-#include "src/campaign/protocol.hh"
 #include "src/campaign/queue.hh"
 #include "src/campaign/spec.hh"
 #include "src/campaign/supervisor.hh"
@@ -59,119 +59,6 @@ slurp(const std::string &path)
     std::ostringstream buffer;
     buffer << in.rdbuf();
     return buffer.str();
-}
-
-// ---------------------------------------------------------------------
-// Wire protocol
-// ---------------------------------------------------------------------
-
-TEST(CampaignProtocol, EveryMessageKindRoundTrips)
-{
-    using campaign::LeaseMode;
-    using campaign::WireMessage;
-
-    std::vector<WireMessage> originals;
-    {
-        WireMessage hello;
-        hello.kind = WireMessage::Kind::Hello;
-        hello.version = campaign::kProtocolVersion;
-        hello.nbars = 42;
-        originals.push_back(hello);
-    }
-    for (const LeaseMode mode :
-         {LeaseMode::Cold, LeaseMode::Build, LeaseMode::Restore,
-          LeaseMode::ImageOnly}) {
-        WireMessage bar;
-        bar.kind = WireMessage::Kind::Bar;
-        bar.index = 7;
-        bar.mode = mode;
-        originals.push_back(bar);
-    }
-    {
-        WireMessage done;
-        done.kind = WireMessage::Kind::Done;
-        done.index = 3;
-        done.mode = LeaseMode::Restore;
-        done.key = "deadbeefcafef00d";
-        originals.push_back(done);
-    }
-    {
-        WireMessage fail;
-        fail.kind = WireMessage::Kind::Fail;
-        fail.index = 5;
-        fail.mode = LeaseMode::Build;
-        fail.reason = "TPC-B consistency check failed: 3 != 4";
-        originals.push_back(fail);
-    }
-    {
-        WireMessage quit;
-        quit.kind = WireMessage::Kind::Quit;
-        originals.push_back(quit);
-    }
-
-    for (const WireMessage &m : originals) {
-        const std::string line = encodeMessage(m);
-        ASSERT_FALSE(line.empty());
-        ASSERT_EQ(line.back(), '\n');
-
-        WireMessage back;
-        std::string err;
-        ASSERT_TRUE(decodeMessage(line.substr(0, line.size() - 1),
-                                  back, &err))
-            << line << ": " << err;
-        EXPECT_EQ(back.kind, m.kind);
-        EXPECT_EQ(back.version, m.version);
-        EXPECT_EQ(back.nbars, m.nbars);
-        EXPECT_EQ(back.index, m.index);
-        EXPECT_EQ(back.mode, m.mode);
-        EXPECT_EQ(back.key, m.key);
-        EXPECT_EQ(back.reason, m.reason);
-    }
-}
-
-TEST(CampaignProtocol, RejectsMalformedLines)
-{
-    const char *bad[] = {
-        "",                      // empty
-        "BOGUS 1 2",             // unknown verb
-        "BAR",                   // missing fields
-        "BAR seven cold",        // non-numeric index
-        "BAR 1 tepid",           // unknown mode
-        "BAR 1 cold extra",      // trailing garbage
-        "DONE 1 cold",           // missing key
-        "HELLO 1",               // missing nbars
-        "QUIT now",              // trailing garbage
-    };
-    for (const char *line : bad) {
-        campaign::WireMessage m;
-        std::string err;
-        EXPECT_FALSE(campaign::decodeMessage(line, m, &err))
-            << "accepted: '" << line << "'";
-    }
-}
-
-TEST(CampaignProtocol, FailReasonKeepsEmbeddedSpaces)
-{
-    campaign::WireMessage m;
-    ASSERT_TRUE(campaign::decodeMessage(
-        "FAIL 2 restore warm image group mismatch on restore", m));
-    EXPECT_EQ(m.kind, campaign::WireMessage::Kind::Fail);
-    EXPECT_EQ(m.reason, "warm image group mismatch on restore");
-}
-
-TEST(CampaignProtocol, LeaseModeNamesRoundTrip)
-{
-    using campaign::LeaseMode;
-    for (const LeaseMode mode :
-         {LeaseMode::Cold, LeaseMode::Build, LeaseMode::Restore,
-          LeaseMode::ImageOnly}) {
-        LeaseMode back;
-        ASSERT_TRUE(campaign::leaseModeFromName(
-            campaign::leaseModeName(mode), back));
-        EXPECT_EQ(back, mode);
-    }
-    LeaseMode out;
-    EXPECT_FALSE(campaign::leaseModeFromName("warm", out));
 }
 
 // ---------------------------------------------------------------------
@@ -402,21 +289,6 @@ TEST(CampaignQueue, MembersAreGatedOnTheImageBuild)
     EXPECT_EQ(tally.failed, 0u);
 }
 
-TEST(CampaignQueue, RequeueAfterWorkerCrashReissuesTheLease)
-{
-    const std::string dir = freshDir("campaign_queue_requeue");
-    const campaign::CampaignPlan plan = syntheticPlan();
-    campaign::CampaignQueue queue(plan, dir);
-
-    const auto lease = queue.next();
-    ASSERT_TRUE(lease.has_value());
-    queue.requeue(*lease);
-    const auto again = queue.next();
-    ASSERT_TRUE(again.has_value());
-    EXPECT_EQ(again->index, lease->index);
-    EXPECT_EQ(again->mode, lease->mode);
-}
-
 TEST(CampaignQueue, BuildFailureCascadesToWaitingMembers)
 {
     const std::string dir = freshDir("campaign_queue_cascade");
@@ -640,9 +512,7 @@ TEST(CampaignEndToEnd, InterruptedResumeMatchesUninterruptedByteForByte)
 
     campaign::CampaignRunConfig run;
     run.specPath = specPath;
-    run.exePath = "unused-in-process";
     run.options = quickOptions();
-    run.options.procs = 1;
 
     // Reference: one uninterrupted in-process run.
     run.outDir = base + "/ref";
@@ -696,9 +566,7 @@ TEST(CampaignEndToEnd, SpecDriftOnResumeIsFatal)
 
     campaign::CampaignRunConfig run;
     run.specPath = specPath;
-    run.exePath = "unused-in-process";
     run.options = quickOptions();
-    run.options.procs = 1;
     run.outDir = base + "/out";
     run.stopAfter = 0; // touch the directory, run nothing
     ASSERT_EQ(campaign::runCampaign(run), 3);
@@ -710,6 +578,131 @@ TEST(CampaignEndToEnd, SpecDriftOnResumeIsFatal)
                   "name": "drift", "figures": ["fig10-uni"],
                   "seeds": [6]})");
     EXPECT_THROW(campaign::runCampaign(run), PanicError);
+}
+
+// ---------------------------------------------------------------------
+// The threaded executor: same bytes at any --jobs, failures contained
+// ---------------------------------------------------------------------
+
+/** The CI smoke spec: two figures, two seeds, four warm-image groups. */
+constexpr const char *kSmokeSpec =
+    R"({"schema": "isim-campaign", "version": 1, "name": "smoke",
+        "figures": ["fig10-uni", "fig10-mp"], "seeds": [3, 4]})";
+
+/** Bar name -> META "reason" of every failed bar in a campaign.json. */
+std::map<std::string, std::string>
+failedBars(const std::string &campaign_json)
+{
+    JsonValue doc;
+    std::string err;
+    EXPECT_TRUE(jsonParse(campaign_json, doc, &err)) << err;
+    std::map<std::string, std::string> failed;
+    const JsonValue *bars = doc.get("bars");
+    if (bars == nullptr)
+        return failed;
+    for (const JsonValue &bar : bars->array) {
+        const JsonValue &meta = bar.at("meta");
+        if (meta.at("status").text == "failed") {
+            const JsonValue *reason = meta.get("reason");
+            failed[bar.at("name").text] =
+                reason != nullptr ? reason->text : "";
+        }
+    }
+    return failed;
+}
+
+TEST(CampaignEndToEnd, JobCountAndResumeDoNotChangeTheBytes)
+{
+    const std::string base = freshDir("campaign_jobs");
+    const std::string specPath = base + "/spec.json";
+    writeFile(specPath, kSmokeSpec);
+
+    campaign::CampaignRunConfig run;
+    run.specPath = specPath;
+    run.options = quickOptions();
+
+    // Reference: one lease thread. Its summary line proves the warm
+    // images were restored, not just built.
+    run.outDir = base + "/ref";
+    run.options.jobs = 1;
+    ::testing::internal::CaptureStderr();
+    const int refRc = campaign::runCampaign(run);
+    const std::string refLog = ::testing::internal::GetCapturedStderr();
+    ASSERT_EQ(refRc, 0) << refLog;
+    EXPECT_EQ(refLog.find("restored=0"), std::string::npos) << refLog;
+    EXPECT_NE(refLog.find("restored="), std::string::npos) << refLog;
+    const std::string reference = slurp(run.outDir + "/campaign.json");
+    ASSERT_FALSE(reference.empty());
+
+    run.outDir = base + "/jobs4";
+    run.options.jobs = 4;
+    ASSERT_EQ(campaign::runCampaign(run), 0);
+    EXPECT_EQ(slurp(run.outDir + "/campaign.json"), reference);
+
+    // Interrupted at three threads, resumed at two.
+    run.outDir = base + "/resumed";
+    run.options.jobs = 3;
+    run.stopAfter = 2;
+    ASSERT_EQ(campaign::runCampaign(run), 3);
+    EXPECT_FALSE(
+        std::filesystem::exists(run.outDir + "/campaign.json"));
+    run.options.jobs = 2;
+    run.stopAfter = -1;
+    ASSERT_EQ(campaign::runCampaign(run), 0);
+    EXPECT_EQ(slurp(run.outDir + "/campaign.json"), reference);
+}
+
+TEST(CampaignEndToEnd, CorruptWarmImageFailsOnlyItsGroup)
+{
+    const std::string base = freshDir("campaign_corrupt");
+    const std::string specPath = base + "/spec.json";
+    writeFile(specPath, kSmokeSpec);
+
+    campaign::CampaignRunConfig run;
+    run.specPath = specPath;
+    run.options = quickOptions();
+
+    // The first fig10-mp warm-image group (seed 3's ladder).
+    const campaign::CampaignPlan plan = campaign::expandCampaign(
+        campaign::loadCampaignSpec(specPath), run.options);
+    std::string corrupt;
+    for (const campaign::CampaignBar &bar : plan.bars) {
+        if (bar.figureId == "fig10-mp" && plan.groups.count(bar.groupKey)) {
+            corrupt = bar.groupKey;
+            break;
+        }
+    }
+    ASSERT_FALSE(corrupt.empty());
+    std::set<std::string> expected;
+    for (const campaign::CampaignBar &bar : plan.bars) {
+        if (bar.groupKey == corrupt)
+            expected.insert(bar.name);
+    }
+    ASSERT_GE(expected.size(), 2u);
+
+    std::vector<std::set<std::string>> failedSets;
+    for (const unsigned jobs : {4u, 1u}) {
+        run.outDir = base + "/jobs" + std::to_string(jobs);
+        run.options.jobs = jobs;
+        std::filesystem::create_directories(run.outDir + "/ckpt");
+        writeFile(campaign::imagePath(run.outDir, corrupt),
+                  "not a warm image\n");
+        ASSERT_EQ(campaign::runCampaign(run), 2) << "jobs " << jobs;
+
+        const std::string merged = slurp(run.outDir + "/campaign.json");
+        std::set<std::string> failed;
+        for (const auto &[name, reason] : failedBars(merged)) {
+            failed.insert(name);
+            EXPECT_NE(reason.find("checkpoint"), std::string::npos)
+                << name << ": " << reason;
+        }
+        EXPECT_EQ(failed, expected) << "jobs " << jobs;
+        JsonValue doc;
+        ASSERT_TRUE(jsonParse(merged, doc, nullptr));
+        EXPECT_EQ(stats::manifestMeta(doc).size(), plan.bars.size());
+        failedSets.push_back(failed);
+    }
+    EXPECT_EQ(failedSets[0], failedSets[1]);
 }
 
 } // namespace

@@ -2,13 +2,17 @@
  * @file
  * Tests for the parallel experiment engine: bit-identical results at
  * any job count, isolation of concurrently running machines, worker
- * exception propagation, and (on multi-core hosts) actual speedup.
+ * exception propagation, per-thread assertion text, and (on
+ * multi-core hosts) actual speedup.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/base/logging.hh"
 #include "src/core/experiment.hh"
@@ -137,6 +141,57 @@ TEST(Parallel, WorkerExceptionsPropagateInSpecOrder)
     ScopedPanicThrow guard;
     EXPECT_THROW(ExperimentRunner(quietOptions(4)).run(spec),
                  PanicError);
+}
+
+/** Fail an isim_assert whose condition text names thread `t`. */
+void
+failAssertAs(int t)
+{
+#define ISIM_FAIL_AS(n)                                                     \
+    case n:                                                                 \
+        isim_assert(t != n);                                                \
+        break
+    switch (t) {
+        ISIM_FAIL_AS(0);
+        ISIM_FAIL_AS(1);
+        ISIM_FAIL_AS(2);
+        ISIM_FAIL_AS(3);
+        ISIM_FAIL_AS(4);
+        ISIM_FAIL_AS(5);
+        ISIM_FAIL_AS(6);
+        ISIM_FAIL_AS(7);
+    }
+#undef ISIM_FAIL_AS
+}
+
+TEST(Parallel, ConcurrentAssertsKeepTheirOwnCondition)
+{
+    // The condition text travels from assertNote to panicImpl; two
+    // threads failing at once must not swap (or tear) each other's.
+    ScopedPanicThrow guard;
+    constexpr int threads = 8;
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t) {
+        pool.emplace_back([t, &wrong] {
+            const std::string own =
+                "assertion 't != " + std::to_string(t) + "' failed";
+            for (int i = 0; i < 1000; ++i) {
+                try {
+                    failAssertAs(t);
+                    ++wrong; // did not throw at all
+                } catch (const PanicError &e) {
+                    if (std::string(e.what()).find(own) ==
+                        std::string::npos) {
+                        ++wrong;
+                    }
+                }
+            }
+        });
+    }
+    for (std::thread &thread : pool)
+        thread.join();
+    EXPECT_EQ(wrong.load(), 0);
 }
 
 TEST(Parallel, SpeedupOnMultiCoreHost)

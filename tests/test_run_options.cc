@@ -139,6 +139,22 @@ TEST(RunOptionsDeathTest, OutOfRangeFlagIsFatal)
                 "--txns: expected an unsigned integer");
 }
 
+TEST(RunOptions, ProcsFlagIsFatalAndNamesJobs)
+{
+    // Campaigns run their leases on --jobs threads; the retired
+    // worker-process flag must say so rather than be ignored.
+    ScopedPanicThrow guard;
+    Args args({"--procs", "2"});
+    try {
+        RunOptions::fromCommandLine(args.argc(), args.argv());
+        ADD_FAILURE() << "--procs was accepted";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("--jobs"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(RunOptions, BothFlagFormsParse)
 {
     Args args({"--txns", "10", "--warmup=20", "--audit-period", "64"});

@@ -473,11 +473,9 @@ TEST(SampledCampaign, InterruptedResumeReplaysCacheByteIdentically)
 
     campaign::CampaignRunConfig run;
     run.specPath = specPath;
-    run.exePath = "unused-in-process";
     run.options.txns = 40;
     run.options.warmup = 10;
     run.options.verbose = false;
-    run.options.procs = 1;
     run.options.sample.ff = 15;
     run.options.sample.measure = 5;
 

@@ -4,21 +4,19 @@
  * job (see docs/CAMPAIGN.md).
  *
  * Usage:
- *   isim-campaign run    <spec.json> --out DIR [--procs N]
+ *   isim-campaign run    <spec.json> --out DIR [--jobs N]
  *                        [--stop-after K] [run options]
  *   isim-campaign expand <spec.json> [run options]
  *   isim-campaign status <spec.json> --out DIR [run options]
  *
  * `run` executes (or resumes) the campaign: completed cells found in
- * the output directory are skipped, the rest are leased to worker
- * processes (--procs) and the results merged into a campaign.json
- * that isim-stat consumes. `expand` prints the bar plan — names,
- * content-address keys, checkpoint groups — without running
- * anything. `status` reports how much of the campaign is already in
- * the cache.
- *
- * The internal `--worker` mode (spawned by `run`, not for humans)
- * serves leases over stdin/stdout.
+ * the output directory are skipped, the rest run on --jobs lease
+ * threads in this process and the results are merged into a
+ * campaign.json that isim-stat consumes. `expand` prints the bar
+ * plan — names, content-address keys, checkpoint groups — without
+ * running anything. `status` reports how much of the campaign is
+ * already in the cache; `status --watch` is the live view of a
+ * running campaign.
  */
 
 #include <chrono>
@@ -36,7 +34,6 @@
 #include "src/campaign/cache.hh"
 #include "src/campaign/queue.hh"
 #include "src/campaign/supervisor.hh"
-#include "src/campaign/worker.hh"
 #include "src/stats/manifest.hh"
 
 namespace {
@@ -244,35 +241,18 @@ main(int argc, char **argv)
     // Campaign-specific flags (RunOptions left the rest to us).
     std::string outDir;
     std::string stopAfterText;
-    bool worker = false;
     bool watch = false;
-    std::string specFlag;
     for (std::size_t i = 0; i < args.size();) {
-        if (args[i] == "--worker") {
-            worker = true;
-            args.erase(args.begin() + static_cast<long>(i));
-            continue;
-        }
         if (args[i] == "--watch") {
             watch = true;
             args.erase(args.begin() + static_cast<long>(i));
             continue;
         }
         if (takeValue(args, i, "--out", outDir) ||
-            takeValue(args, i, "--spec", specFlag) ||
             takeValue(args, i, "--stop-after", stopAfterText)) {
             continue;
         }
         ++i;
-    }
-
-    if (worker) {
-        if (specFlag.empty() || outDir.empty()) {
-            std::fprintf(stderr,
-                         "--worker needs --spec and --out\n");
-            return 2;
-        }
-        return campaign::workerMain(specFlag, outDir, opts);
     }
 
     if (args.empty())
@@ -305,7 +285,6 @@ main(int argc, char **argv)
         campaign::CampaignRunConfig config;
         config.specPath = specPath;
         config.outDir = outDir;
-        config.exePath = argv0;
         config.options = opts;
         if (!stopAfterText.empty()) {
             char *end = nullptr;
