@@ -28,16 +28,6 @@ mix64(std::uint64_t value)
     return splitMix64(state);
 }
 
-namespace {
-
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 Rng::Rng(std::uint64_t s)
 {
     seed(s);
@@ -48,20 +38,6 @@ Rng::seed(std::uint64_t s)
 {
     for (auto &word : state_)
         word = splitMix64(s);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
 }
 
 std::uint64_t
@@ -88,23 +64,6 @@ Rng::range(std::uint64_t lo, std::uint64_t hi)
 {
     isim_assert(lo <= hi);
     return lo + below(hi - lo + 1);
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits.
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 double

@@ -37,7 +37,18 @@ class Rng
     void seed(std::uint64_t seed);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t next()
+    {
+        const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound), bound > 0 (unbiased). */
     std::uint64_t below(std::uint64_t bound);
@@ -46,10 +57,21 @@ class Rng
     std::uint64_t range(std::uint64_t lo, std::uint64_t hi);
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double uniform()
+    {
+        // 53 random mantissa bits.
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli trial with probability p of returning true. */
-    bool chance(double p);
+    bool chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
 
     /** Exponentially distributed value with the given mean. */
     double exponential(double mean);
@@ -67,6 +89,11 @@ class Rng
     void restoreState(ckpt::Deserializer &d);
 
   private:
+    static std::uint64_t rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::array<std::uint64_t, 4> state_{};
 };
 

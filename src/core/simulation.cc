@@ -51,17 +51,6 @@ Simulation::drainOn(CpuCore &core, Tick now)
     return static_cast<OooCpu &>(core).drain(now);
 }
 
-bool
-Simulation::steppable(NodeId cpu) const
-{
-    const CpuState &cs = state_[cpu];
-    if (!cs.injected.empty() || sched_.running(cpu) != nullptr ||
-        sched_.hasReady(cpu)) {
-        return true;
-    }
-    return sched_.nextWake(cpu) != maxTick;
-}
-
 Tick
 Simulation::nextEventTime(NodeId cpu) const
 {
@@ -153,13 +142,22 @@ Simulation::stepCpu(NodeId cpu)
 void
 Simulation::runUntilCommitted(std::uint64_t target)
 {
+    // Next-event cache: a step changes only the stepped CPU's clock and
+    // queues, except through Scheduler::wake, which can queue a wake on
+    // any CPU. So after a step only the stepped CPU's entry is stale,
+    // unless the wake count moved, and then every entry is.
+    const NodeId ncpus = static_cast<NodeId>(state_.size());
+    std::vector<Tick> next(ncpus);
+    for (NodeId cpu = 0; cpu < ncpus; ++cpu)
+        next[cpu] = nextEventTime(cpu);
+    std::uint64_t wakeups = sched_.wakeups();
+
     while (engine_.committedTransactions() < target) {
         NodeId best = invalidNode;
         Tick best_time = maxTick;
-        for (NodeId cpu = 0; cpu < state_.size(); ++cpu) {
-            const Tick t = nextEventTime(cpu);
-            if (t < best_time) {
-                best_time = t;
+        for (NodeId cpu = 0; cpu < ncpus; ++cpu) {
+            if (next[cpu] < best_time) {
+                best_time = next[cpu];
                 best = cpu;
             }
         }
@@ -177,6 +175,19 @@ Simulation::runUntilCommitted(std::uint64_t target)
             options_.epochs->advance(best_time);
         stepCpu(best);
         ++steps_;
+        if (sched_.wakeups() != wakeups) {
+            wakeups = sched_.wakeups();
+            for (NodeId cpu = 0; cpu < ncpus; ++cpu)
+                next[cpu] = nextEventTime(cpu);
+        } else {
+            next[best] = nextEventTime(best);
+        }
+#ifdef ISIM_CHECK_INVARIANTS
+        for (NodeId cpu = 0; cpu < ncpus; ++cpu) {
+            isim_assert(next[cpu] == nextEventTime(cpu),
+                        "stale next-event time for cpu %u", cpu);
+        }
+#endif
         if (options_.maxSteps != 0 && steps_ > options_.maxSteps)
             isim_fatal("step limit exceeded (runaway simulation?)");
     }

@@ -11,7 +11,6 @@
 #ifndef ISIM_CORE_SIMULATION_HH
 #define ISIM_CORE_SIMULATION_HH
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -63,7 +62,7 @@ struct SimState
     {
         Tick now = 0;
         Tick quantumStart = 0;
-        std::deque<MemRef> injected; //!< kernel switch path to run
+        RefQueue injected; //!< kernel switch path to run
     };
     std::vector<Cpu> cpus;
     std::uint64_t steps = 0;
@@ -111,8 +110,6 @@ class Simulation
   private:
     using CpuState = SimState::Cpu;
 
-    /** True if the CPU can make progress right now. */
-    bool steppable(NodeId cpu) const;
     /**
      * Time of the CPU's next unit of work: its clock when something
      * is runnable, else its next timed wake. The loop always steps

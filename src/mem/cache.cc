@@ -39,18 +39,6 @@ Cache::Cache(std::string name, const CacheGeometry &geometry)
 {
 }
 
-CacheLine *
-Cache::access(Addr line_addr)
-{
-    ++counters_.accesses;
-    CacheLine *line = array_.findLine(line_addr);
-    if (line != nullptr) {
-        ++counters_.hits;
-        array_.touch(*line);
-    }
-    return line;
-}
-
 Victim
 Cache::fill(Addr line_addr, LineState state)
 {

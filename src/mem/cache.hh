@@ -63,7 +63,16 @@ class Cache
      * Demand access. Updates LRU and hit/miss counters. Returns the
      * resident line or nullptr on miss.
      */
-    CacheLine *access(Addr line_addr);
+    CacheLine *access(Addr line_addr)
+    {
+        ++counters_.accesses;
+        CacheLine *line = array_.findLine(line_addr);
+        if (line != nullptr) {
+            ++counters_.hits;
+            array_.touch(*line);
+        }
+        return line;
+    }
 
     /** Coherence-side probe: no LRU update, no counters. */
     CacheLine *probe(Addr line_addr) { return array_.findLine(line_addr); }

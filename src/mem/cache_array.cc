@@ -20,33 +20,6 @@ CacheArray::CacheArray(const CacheGeometry &geometry) : geom_(geometry)
     lines_.resize(numSets_ * geom_.assoc);
 }
 
-CacheLine *
-CacheArray::findLine(Addr line_addr)
-{
-    const std::uint64_t set =
-        pow2_ ? (line_addr & setMask_) : (line_addr % numSets_);
-    const Addr tag =
-        pow2_ ? (line_addr >> tagShift_) : (line_addr / numSets_);
-    CacheLine *base = setBase(set);
-    for (unsigned w = 0; w < geom_.assoc; ++w) {
-        if (base[w].valid() && base[w].tag == tag)
-            return &base[w];
-    }
-    return nullptr;
-}
-
-const CacheLine *
-CacheArray::findLine(Addr line_addr) const
-{
-    return const_cast<CacheArray *>(this)->findLine(line_addr);
-}
-
-void
-CacheArray::touch(CacheLine &line)
-{
-    line.lastUse = ++useStamp_;
-}
-
 CacheLine &
 CacheArray::allocate(Addr line_addr, LineState state, Victim &victim)
 {
@@ -165,7 +138,14 @@ CacheArray::restoreState(ckpt::Deserializer &d)
     useStamp_ = d.u64();
     for (auto &line : lines_)
         line = CacheLine{};
+    const auto size_ull = static_cast<unsigned long long>(geom_.sizeBytes);
     const std::uint64_t valid = d.u64();
+    if (valid > lines_.size())
+        isim_fatal("checkpoint corrupt: %llu valid lines in a %llu B / "
+                   "%u-way / %u B line cache of %zu slots",
+                   static_cast<unsigned long long>(valid), size_ull,
+                   geom_.assoc, geom_.lineBytes, lines_.size());
+    std::uint64_t next_slot = 0; // saveState writes slots ascending
     for (std::uint64_t n = 0; n < valid; ++n) {
         const std::uint64_t slot = d.u64();
         if (slot >= lines_.size())
@@ -173,8 +153,24 @@ CacheArray::restoreState(ckpt::Deserializer &d)
                        "range (%zu slots)",
                        static_cast<unsigned long long>(slot),
                        lines_.size());
+        if (slot < next_slot)
+            isim_fatal("checkpoint corrupt: cache slot %llu follows slot "
+                       "%llu in a %llu B / %u-way / %u B line cache "
+                       "(slots must be strictly increasing)",
+                       static_cast<unsigned long long>(slot),
+                       static_cast<unsigned long long>(next_slot - 1),
+                       size_ull, geom_.assoc, geom_.lineBytes);
+        next_slot = slot + 1;
         CacheLine &line = lines_[slot];
-        line.tag = d.u64();
+        const std::uint64_t tag = d.u64();
+        if (tag >> CacheLine::tagBits != 0)
+            isim_fatal("checkpoint corrupt: cache tag %#llx in slot %llu "
+                       "of a %llu B / %u-way / %u B line cache is wider "
+                       "than %u bits",
+                       static_cast<unsigned long long>(tag),
+                       static_cast<unsigned long long>(slot), size_ull,
+                       geom_.assoc, geom_.lineBytes, CacheLine::tagBits);
+        line.tag = tag;
         const std::uint8_t state = d.u8();
         if (state > static_cast<std::uint8_t>(LineState::Modified) ||
             state == static_cast<std::uint8_t>(LineState::Invalid))

@@ -22,16 +22,24 @@
 
 namespace isim {
 
-/** One way of one set. */
+/**
+ * One way of one set, packed into 16 bytes: the tag, state and prefetch
+ * flag share one word. A tag is a line address divided by the set
+ * count, so 61 bits hold any physical line address.
+ */
 struct CacheLine
 {
-    Addr tag = 0;
-    LineState state = LineState::Invalid;
-    bool prefetched = false; //!< filled by a prefetch, not yet demanded
+    /** Width of the tag field; restoreState rejects wider tags. */
+    static constexpr unsigned tagBits = 61;
+
+    Addr tag : tagBits = 0;
+    LineState state : 2 = LineState::Invalid;
+    bool prefetched : 1 = false; //!< filled by a prefetch, not yet demanded
     std::uint64_t lastUse = 0; //!< global LRU stamp
 
     bool valid() const { return state != LineState::Invalid; }
 };
+static_assert(sizeof(CacheLine) == 16, "CacheLine must pack into 16 bytes");
 
 /** Result of allocating a way for a fill: the displaced victim, if any. */
 struct Victim
@@ -58,11 +66,26 @@ class CacheArray
      * LRU state; call touch() on the returned line for a real access
      * (probes from the coherence protocol should not perturb LRU).
      */
-    CacheLine *findLine(Addr line_addr);
-    const CacheLine *findLine(Addr line_addr) const;
+    CacheLine *findLine(Addr line_addr)
+    {
+        const std::uint64_t set =
+            pow2_ ? (line_addr & setMask_) : (line_addr % numSets_);
+        const Addr tag =
+            pow2_ ? (line_addr >> tagShift_) : (line_addr / numSets_);
+        CacheLine *base = setBase(set);
+        for (unsigned w = 0; w < geom_.assoc; ++w) {
+            if (base[w].valid() && base[w].tag == tag)
+                return &base[w];
+        }
+        return nullptr;
+    }
+    const CacheLine *findLine(Addr line_addr) const
+    {
+        return const_cast<CacheArray *>(this)->findLine(line_addr);
+    }
 
     /** Mark a line most-recently-used. */
-    void touch(CacheLine &line);
+    void touch(CacheLine &line) { line.lastUse = ++useStamp_; }
 
     /**
      * Choose a way for line_addr: an invalid way if present, otherwise

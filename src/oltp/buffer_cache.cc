@@ -12,7 +12,7 @@ namespace isim {
 
 void
 BufferCache::emitLookupAndPin(std::uint64_t block, VirtualMemory &vm,
-                              NodeId node, std::deque<MemRef> &out)
+                              NodeId node, RefQueue &out)
 {
     ++lookups_;
     const std::uint64_t bucket = sga_.bucketOf(block);
@@ -25,7 +25,7 @@ BufferCache::emitLookupAndPin(std::uint64_t block, VirtualMemory &vm,
 
 void
 BufferCache::emitUnpin(std::uint64_t block, VirtualMemory &vm, NodeId node,
-                       std::deque<MemRef> &out)
+                       RefQueue &out)
 {
     const Addr header_pa = vm.translate(sga_.headerAddr(block), node);
     out.push_back(storeRef(header_pa));
@@ -33,7 +33,7 @@ BufferCache::emitUnpin(std::uint64_t block, VirtualMemory &vm, NodeId node,
 
 void
 BufferCache::emitLruTouch(std::uint64_t block, VirtualMemory &vm,
-                          NodeId node, std::deque<MemRef> &out)
+                          NodeId node, RefQueue &out)
 {
     const unsigned list =
         static_cast<unsigned>(block % sga_.numLruLists());

@@ -12,7 +12,6 @@
 #define ISIM_OLTP_BUFFER_CACHE_HH
 
 #include <cstdint>
-#include <deque>
 #include <set>
 #include <vector>
 
@@ -35,15 +34,15 @@ class BufferCache
      * header read, dependent pin store.
      */
     void emitLookupAndPin(std::uint64_t block, VirtualMemory &vm,
-                          NodeId node, std::deque<MemRef> &out);
+                          NodeId node, RefQueue &out);
 
     /** Unpin: one header store. */
     void emitUnpin(std::uint64_t block, VirtualMemory &vm, NodeId node,
-                   std::deque<MemRef> &out);
+                   RefQueue &out);
 
     /** Touch the block's LRU list head (load + store, shared). */
     void emitLruTouch(std::uint64_t block, VirtualMemory &vm, NodeId node,
-                      std::deque<MemRef> &out);
+                      RefQueue &out);
 
     /** Mark a block dirty (to be flushed by the database writer). */
     void markDirty(std::uint64_t block) { dirty_.insert(block); }

@@ -67,7 +67,7 @@ CodeModel::instrInLine(std::uint64_t line_index) const
 
 std::uint64_t
 CodeModel::invoke(unsigned f, Rng &rng, VirtualMemory &vm, NodeId node,
-                  bool kernel, std::deque<MemRef> &out,
+                  bool kernel, RefQueue &out,
                   LineDataEmitter *mixer) const
 {
     isim_assert(f < funcs_.size());

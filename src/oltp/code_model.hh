@@ -19,7 +19,6 @@
 #define ISIM_OLTP_CODE_MODEL_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "src/base/random.hh"
@@ -52,7 +51,7 @@ class LineDataEmitter
 {
   public:
     virtual ~LineDataEmitter() = default;
-    virtual void emitLineData(Rng &rng, std::deque<MemRef> &out) = 0;
+    virtual void emitLineData(Rng &rng, RefQueue &out) = 0;
 };
 
 /** A synthetic executable image. */
@@ -79,7 +78,7 @@ class CodeModel
      */
     std::uint64_t invoke(unsigned f, Rng &rng, VirtualMemory &vm,
                          NodeId node, bool kernel,
-                         std::deque<MemRef> &out,
+                         RefQueue &out,
                          LineDataEmitter *mixer = nullptr) const;
 
     /** Mean instructions per full execution of function `f`. */

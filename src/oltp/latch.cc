@@ -12,7 +12,7 @@ namespace isim {
 
 void
 LatchTable::emitAcquire(unsigned latch, VirtualMemory &vm, NodeId node,
-                        std::deque<MemRef> &out)
+                        RefQueue &out)
 {
     const Addr paddr = vm.translate(sga_.latchAddr(latch), node);
     out.push_back(loadRef(paddr));
@@ -34,7 +34,7 @@ LatchTable::emitAcquire(unsigned latch, VirtualMemory &vm, NodeId node,
 
 void
 LatchTable::emitRelease(unsigned latch, VirtualMemory &vm, NodeId node,
-                        std::deque<MemRef> &out)
+                        RefQueue &out)
 {
     const Addr paddr = vm.translate(sga_.latchAddr(latch), node);
     out.push_back(storeRef(paddr));

@@ -12,7 +12,6 @@
 #define ISIM_OLTP_LATCH_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "src/ckpt/fwd.hh"
@@ -34,11 +33,11 @@ class LatchTable
 
     /** Test-and-set: a load followed by a dependent store. */
     void emitAcquire(unsigned latch, VirtualMemory &vm, NodeId node,
-                     std::deque<MemRef> &out);
+                     RefQueue &out);
 
     /** Release: a single store. */
     void emitRelease(unsigned latch, VirtualMemory &vm, NodeId node,
-                     std::deque<MemRef> &out);
+                     RefQueue &out);
 
     std::uint64_t acquires() const { return acquires_; }
     /** Acquires whose previous holder was another node. */

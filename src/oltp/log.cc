@@ -14,7 +14,7 @@ namespace isim {
 void
 RedoLog::emitRedoGeneration(unsigned copy_latch_hint, unsigned slots,
                             LatchTable &latches, VirtualMemory &vm,
-                            NodeId node, std::deque<MemRef> &out)
+                            NodeId node, RefQueue &out)
 {
     latches.emitAcquire(sga_.redoCopyLatch(copy_latch_hint), vm, node,
                         out);
@@ -41,7 +41,7 @@ RedoLog::emitRedoGeneration(unsigned copy_latch_hint, unsigned slots,
 
 std::uint64_t
 RedoLog::emitFlush(std::uint64_t max_slots, VirtualMemory &vm, NodeId node,
-                   std::deque<MemRef> &out)
+                   RefQueue &out)
 {
     const std::uint64_t n = std::min(max_slots, unflushed());
     for (std::uint64_t i = 0; i < n; ++i) {

@@ -11,7 +11,6 @@
 #define ISIM_OLTP_LOG_HH
 
 #include <cstdint>
-#include <deque>
 
 #include "src/ckpt/fwd.hh"
 #include "src/oltp/latch.hh"
@@ -34,7 +33,7 @@ class RedoLog
      */
     void emitRedoGeneration(unsigned copy_latch_hint, unsigned slots,
                             LatchTable &latches, VirtualMemory &vm,
-                            NodeId node, std::deque<MemRef> &out);
+                            NodeId node, RefQueue &out);
 
     /**
      * Log-writer side: read up to `max_slots` unflushed slots (the
@@ -42,7 +41,7 @@ class RedoLog
      * the number of slots flushed.
      */
     std::uint64_t emitFlush(std::uint64_t max_slots, VirtualMemory &vm,
-                            NodeId node, std::deque<MemRef> &out);
+                            NodeId node, RefQueue &out);
 
     std::uint64_t cursor() const { return cursor_; }
     std::uint64_t flushed() const { return flushed_; }

@@ -25,7 +25,7 @@ ServerProcess::ServerProcess(OltpEngine &engine, Pid pid, NodeId cpu,
 }
 
 void
-ServerProcess::emitLineData(Rng &rng, std::deque<MemRef> &out)
+ServerProcess::emitLineData(Rng &rng, RefQueue &out)
 {
     const WorkloadParams &p = engine_.params();
     double want = p.dataRefsPerLine;

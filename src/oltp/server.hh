@@ -60,7 +60,7 @@ class ServerProcess : public Process, private LineDataEmitter
     void emitIndexBlock(std::uint64_t block);
 
     // LineDataEmitter: interleaved per-code-line data traffic.
-    void emitLineData(Rng &rng, std::deque<MemRef> &out) override;
+    void emitLineData(Rng &rng, RefQueue &out) override;
 
     OltpEngine &engine_;
     Rng rng_;

@@ -40,7 +40,7 @@ class KernelLineMixer : public LineDataEmitter
     }
 
     void
-    emitLineData(Rng &rng, std::deque<MemRef> &out) override
+    emitLineData(Rng &rng, RefQueue &out) override
     {
         double want = params_.dataRefsPerLine;
         while (want >= 1.0 || rng.chance(want)) {
@@ -74,7 +74,7 @@ class KernelLineMixer : public LineDataEmitter
 
 void
 KernelModel::invokeFunctions(NodeId cpu, unsigned count, Rng &rng,
-                             std::deque<MemRef> &out)
+                             RefQueue &out)
 {
     KernelLineMixer mixer(vm_, params_, cpu);
     for (unsigned i = 0; i < count; ++i) {
@@ -88,7 +88,7 @@ KernelModel::invokeFunctions(NodeId cpu, unsigned count, Rng &rng,
 
 void
 KernelModel::touchShared(NodeId cpu, unsigned refs, unsigned stores,
-                         Rng &rng, std::deque<MemRef> &out)
+                         Rng &rng, RefQueue &out)
 {
     const std::uint64_t lines = params_.sharedDataBytes / 64;
     for (unsigned i = 0; i < refs; ++i) {
@@ -103,7 +103,7 @@ KernelModel::touchShared(NodeId cpu, unsigned refs, unsigned stores,
 
 void
 KernelModel::touchPerCpu(NodeId cpu, unsigned refs, Rng &rng,
-                         std::deque<MemRef> &out)
+                         RefQueue &out)
 {
     const std::uint64_t lines = params_.perCpuDataBytes / 64;
     const Addr base =
@@ -118,7 +118,7 @@ KernelModel::touchPerCpu(NodeId cpu, unsigned refs, Rng &rng,
 }
 
 void
-KernelModel::contextSwitch(NodeId cpu, std::deque<MemRef> &out)
+KernelModel::contextSwitch(NodeId cpu, RefQueue &out)
 {
     Rng &rng = rngs_[cpu];
     invokeFunctions(cpu, params_.switchFunctions, rng, out);
@@ -128,7 +128,7 @@ KernelModel::contextSwitch(NodeId cpu, std::deque<MemRef> &out)
 }
 
 void
-KernelModel::syscall(NodeId cpu, std::deque<MemRef> &out,
+KernelModel::syscall(NodeId cpu, RefQueue &out,
                      std::uint64_t copy_bytes)
 {
     Rng &rng = rngs_[cpu];

@@ -13,7 +13,6 @@
 #ifndef ISIM_OS_KERNEL_HH
 #define ISIM_OS_KERNEL_HH
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -65,13 +64,13 @@ class KernelModel
     const KernelParams &params() const { return params_; }
 
     /** Emit the scheduler/context-switch path for `cpu`. */
-    void contextSwitch(NodeId cpu, std::deque<MemRef> &out);
+    void contextSwitch(NodeId cpu, RefQueue &out);
 
     /**
      * Emit a syscall path for `cpu` (pipe read/write, I/O submit).
      * `copy_bytes` adds a user/kernel copy loop of that size.
      */
-    void syscall(NodeId cpu, std::deque<MemRef> &out,
+    void syscall(NodeId cpu, RefQueue &out,
                  std::uint64_t copy_bytes = 0);
 
     /** Instructions emitted so far (for kernel-share calibration). */
@@ -83,11 +82,11 @@ class KernelModel
 
   private:
     void touchShared(NodeId cpu, unsigned refs, unsigned stores,
-                     Rng &rng, std::deque<MemRef> &out);
+                     Rng &rng, RefQueue &out);
     void touchPerCpu(NodeId cpu, unsigned refs, Rng &rng,
-                     std::deque<MemRef> &out);
+                     RefQueue &out);
     void invokeFunctions(NodeId cpu, unsigned count, Rng &rng,
-                         std::deque<MemRef> &out);
+                         RefQueue &out);
 
     VirtualMemory &vm_;
     // ckpt: transient(params_): construction parameter, identical by contract

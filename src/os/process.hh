@@ -10,7 +10,6 @@
 #ifndef ISIM_OS_PROCESS_HH
 #define ISIM_OS_PROCESS_HH
 
-#include <deque>
 #include <string>
 
 #include "src/base/types.hh"
@@ -78,9 +77,10 @@ class Process
   protected:
     /**
      * Helper for subclasses that generate references in batches: pop
-     * from the pending queue first, refilling via the subclass logic.
+     * from the pending queue first, refilling via the subclass logic
+     * only once it has drained, so the queue reuses its storage.
      */
-    std::deque<MemRef> pending_;
+    RefQueue pending_;
 
     /** Pop one pending ref into a Ref step (queue must be non-empty). */
     ProcessStep popPending()

@@ -116,6 +116,7 @@ Scheduler::wake(Process &process, Tick at)
                 "wake of a timed sleeper (would double-queue)");
     process.wakeTime = at;
     cpus_[process.cpu()].sleepers.push(TimedWake{at, &process, wakeSeq_++});
+    ++wakeups_;
 }
 
 Process *

@@ -71,6 +71,14 @@ class Scheduler
     /** Wake a (possibly event-)blocked process at time `at`. */
     void wake(Process &process, Tick at);
 
+    /**
+     * Number of wake() calls so far. wake() is the one call that can
+     * change the queues of a CPU other than the one being stepped; the
+     * simulation loop watches this count to know when its cached
+     * next-event times of the other CPUs are stale.
+     */
+    std::uint64_t wakeups() const { return wakeups_; }
+
     /** Count of processes that have exited. */
     std::uint64_t finished() const { return finished_; }
 
@@ -123,6 +131,8 @@ class Scheduler
     std::uint64_t finished_ = 0;
     std::uint64_t switches_ = 0;
     std::uint64_t wakeSeq_ = 0; //!< next TimedWake::seq
+    // ckpt: transient(wakeups_): change detector for the loop's next-event cache
+    std::uint64_t wakeups_ = 0;
 };
 
 } // namespace isim

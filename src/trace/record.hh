@@ -14,7 +14,9 @@
 #ifndef ISIM_TRACE_RECORD_HH
 #define ISIM_TRACE_RECORD_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "src/base/types.hh"
 
@@ -78,6 +80,57 @@ storeRef(Addr paddr, std::uint8_t dep_dist = 0, bool kernel = false)
     r.kernel = kernel;
     return r;
 }
+
+/**
+ * A FIFO of references: what a process, the kernel paths and every
+ * emitter append to and the simulation loop drains. It is a vector
+ * plus a head index, and it empties itself when the last reference is
+ * popped. Producers refill a queue only once it has drained, so its
+ * storage settles at one batch and is reused without allocating.
+ */
+class RefQueue
+{
+  public:
+    using const_iterator = std::vector<MemRef>::const_iterator;
+
+    bool empty() const { return head_ == refs_.size(); }
+    std::size_t size() const { return refs_.size() - head_; }
+
+    void push_back(const MemRef &ref) { refs_.push_back(ref); }
+
+    /** Oldest queued reference (queue must be non-empty). */
+    const MemRef &front() const { return refs_[head_]; }
+
+    /** Drop the oldest reference (queue must be non-empty). */
+    void pop_front()
+    {
+        if (++head_ == refs_.size())
+            clear();
+    }
+
+    /** Drop everything; keeps the storage. */
+    void clear()
+    {
+        refs_.clear();
+        head_ = 0;
+    }
+
+    /** The i-th queued reference, counted from front(). */
+    const MemRef &operator[](std::size_t i) const
+    {
+        return refs_[head_ + i];
+    }
+
+    const_iterator begin() const
+    {
+        return refs_.begin() + static_cast<std::ptrdiff_t>(head_);
+    }
+    const_iterator end() const { return refs_.end(); }
+
+  private:
+    std::vector<MemRef> refs_;
+    std::size_t head_ = 0; //!< index of front() in refs_
+};
 
 } // namespace isim
 

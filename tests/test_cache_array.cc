@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <list>
 #include <map>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "src/base/logging.hh"
 #include "src/base/random.hh"
+#include "src/ckpt/serializer.hh"
 #include "src/mem/cache_array.hh"
 
 namespace isim {
@@ -93,6 +97,133 @@ TEST(CacheArrayDeathTest, DoubleAllocatePanics)
     array.allocate(7, LineState::Shared, v);
     EXPECT_DEATH(array.allocate(7, LineState::Shared, v),
                  "already-resident");
+}
+
+/**
+ * A saved tag array whose bytes a test can edit before restoring them.
+ * The image is one section: magic and version (12 bytes), the section
+ * header (tag, length, CRC: 16 bytes), then CacheArray::saveState's
+ * payload, whose valid lines start after geometry, LRU stamp and count.
+ */
+class SavedArray
+{
+  public:
+    static constexpr std::size_t payloadAt = 12 + 16;
+    static constexpr std::size_t countAt = payloadAt + 8 + 4 + 4 + 8;
+    /** Per line: slot u64, tag u64, state u8, prefetched u8, stamp u64. */
+    static constexpr std::size_t lineBytes = 8 + 8 + 1 + 1 + 8;
+
+    explicit SavedArray(const CacheArray &array)
+    {
+        ckpt::Serializer s;
+        s.beginSection(ckpt::sectionTag("CARR"));
+        array.saveState(s);
+        s.endSection();
+        image_ = s.take();
+    }
+
+    /** Byte offset of field `offset` within the `n`-th saved line. */
+    static std::size_t lineAt(std::size_t n, std::size_t offset)
+    {
+        return countAt + 8 + n * lineBytes + offset;
+    }
+
+    std::uint64_t u64At(std::size_t at) const
+    {
+        std::uint64_t v = 0;
+        std::memcpy(&v, image_.data() + at, 8); // images are little-endian
+        return v;
+    }
+    void setU64(std::size_t at, std::uint64_t v)
+    {
+        std::memcpy(image_.data() + at, &v, 8);
+    }
+
+    /**
+     * Restore into `array`, re-framing the section's CRC first so the
+     * edit reaches restoreState. Returns the isim_fatal message, or ""
+     * if the restore was accepted.
+     */
+    std::string restoreInto(CacheArray &array)
+    {
+        const std::uint32_t crc = ckpt::crc32(image_.data() + payloadAt,
+                                              image_.size() - payloadAt);
+        std::memcpy(image_.data() + payloadAt - 4, &crc, 4);
+        const ScopedPanicThrow guard;
+        try {
+            ckpt::Deserializer d(image_);
+            d.beginSection(ckpt::sectionTag("CARR"));
+            array.restoreState(d);
+            d.endSection();
+        } catch (const PanicError &e) {
+            return e.what();
+        }
+        return "";
+    }
+
+  private:
+    std::vector<std::uint8_t> image_;
+};
+
+/** An 8 KiB 2-way array (128 slots) holding two lines, saved. */
+SavedArray
+savedTwoLines()
+{
+    CacheArray array(CacheGeometry{8 * kib, 2, 64});
+    Victim v;
+    array.allocate(5, LineState::Shared, v);
+    array.allocate(9, LineState::Modified, v);
+    return SavedArray(array);
+}
+
+TEST(CacheArrayRestore, UneditedImageRoundTrips)
+{
+    SavedArray saved = savedTwoLines();
+    EXPECT_EQ(saved.u64At(SavedArray::countAt), 2u);
+    EXPECT_LT(saved.u64At(SavedArray::lineAt(0, 0)),
+              saved.u64At(SavedArray::lineAt(1, 0)));
+    CacheArray array(CacheGeometry{8 * kib, 2, 64});
+    EXPECT_EQ(saved.restoreInto(array), "");
+    ASSERT_NE(array.findLine(5), nullptr);
+    EXPECT_EQ(array.findLine(9)->state, LineState::Modified);
+}
+
+TEST(CacheArrayRestore, MoreValidLinesThanSlotsIsFatal)
+{
+    SavedArray saved = savedTwoLines();
+    saved.setU64(SavedArray::countAt, 129);
+    CacheArray array(CacheGeometry{8 * kib, 2, 64});
+    const std::string err = saved.restoreInto(array);
+    EXPECT_NE(err.find("129 valid lines in a 8192 B / 2-way / 64 B line "
+                       "cache of 128 slots"),
+              std::string::npos)
+        << err;
+}
+
+TEST(CacheArrayRestore, RepeatedSlotIsFatal)
+{
+    SavedArray saved = savedTwoLines();
+    saved.setU64(SavedArray::lineAt(1, 0),
+                 saved.u64At(SavedArray::lineAt(0, 0)));
+    CacheArray array(CacheGeometry{8 * kib, 2, 64});
+    const std::string err = saved.restoreInto(array);
+    EXPECT_NE(err.find("8192 B / 2-way / 64 B line cache (slots must be "
+                       "strictly increasing)"),
+              std::string::npos)
+        << err;
+}
+
+TEST(CacheArrayRestore, TagWiderThanTheLineFieldIsFatal)
+{
+    SavedArray saved = savedTwoLines();
+    const std::size_t tag_at = SavedArray::lineAt(0, 8);
+    saved.setU64(tag_at, saved.u64At(tag_at) | (1ull << CacheLine::tagBits));
+    CacheArray array(CacheGeometry{8 * kib, 2, 64});
+    const std::string err = saved.restoreInto(array);
+    EXPECT_NE(err.find("8192 B / 2-way / 64 B line cache is wider than 61 "
+                       "bits"),
+              std::string::npos)
+        << err;
 }
 
 /**

@@ -59,7 +59,7 @@ TEST(CodeModel, InvokeStaysInsideFunction)
     VirtualMemory vm(vmConfig());
     Rng rng(5);
     for (unsigned f = 0; f < code.numFunctions(); ++f) {
-        std::deque<MemRef> out;
+        RefQueue out;
         const std::uint64_t instrs =
             code.invoke(f, rng, vm, 0, false, out);
         EXPECT_GT(instrs, 0u);
@@ -82,11 +82,11 @@ TEST(CodeModel, LinesWalkSequentially)
     CodeModel code(p);
     VirtualMemory vm(vmConfig());
     Rng rng(5);
-    std::deque<MemRef> out;
+    RefQueue out;
     code.invoke(3, rng, vm, 0, false, out);
     EXPECT_EQ(out.size(), code.functionLines(3));
     // Instruction chunk count per line is deterministic.
-    std::deque<MemRef> again;
+    RefQueue again;
     code.invoke(3, rng, vm, 0, false, again);
     ASSERT_EQ(again.size(), out.size());
     for (std::size_t i = 0; i < out.size(); ++i)
@@ -106,7 +106,7 @@ TEST(CodeModel, PartialPathsShortenInvocations)
         ++f;
     std::set<std::size_t> lengths;
     for (int i = 0; i < 200; ++i) {
-        std::deque<MemRef> out;
+        RefQueue out;
         code.invoke(f, rng, vm, 0, false, out);
         lengths.insert(out.size());
         EXPECT_GE(out.size(), 1u);
@@ -124,7 +124,7 @@ TEST(CodeModel, MeanInstrPerInvocationBrackets)
     double sum = 0.0;
     const int trials = 4000;
     for (int i = 0; i < trials; ++i) {
-        std::deque<MemRef> out;
+        RefQueue out;
         sum += static_cast<double>(
             code.invoke(f, rng, vm, 0, false, out));
     }
@@ -137,7 +137,7 @@ class CountingMixer : public LineDataEmitter
 {
   public:
     void
-    emitLineData(Rng &, std::deque<MemRef> &out) override
+    emitLineData(Rng &, RefQueue &out) override
     {
         ++calls;
         out.push_back(loadRef(0xdead000));
@@ -153,7 +153,7 @@ TEST(CodeModel, MixerCalledPerLine)
     VirtualMemory vm(vmConfig());
     Rng rng(5);
     CountingMixer mixer;
-    std::deque<MemRef> out;
+    RefQueue out;
     code.invoke(4, rng, vm, 0, false, out, &mixer);
     EXPECT_EQ(mixer.calls,
               static_cast<int>(code.functionLines(4)));

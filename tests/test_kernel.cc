@@ -25,7 +25,7 @@ TEST(Kernel, ContextSwitchEmitsKernelRefs)
 {
     VirtualMemory vm(vmConfig(2));
     KernelModel kernel(vm, 2, KernelParams{}, 42);
-    std::deque<MemRef> out;
+    RefQueue out;
     kernel.contextSwitch(0, out);
     ASSERT_FALSE(out.empty());
     bool saw_instr = false, saw_data = false, saw_store = false;
@@ -45,7 +45,7 @@ TEST(Kernel, SyscallCopyAddsTransferRefs)
 {
     VirtualMemory vm(vmConfig(1));
     KernelModel kernel(vm, 1, KernelParams{}, 42);
-    std::deque<MemRef> without, with;
+    RefQueue without, with;
     kernel.syscall(0, without, 0);
     kernel.syscall(0, with, 1024);
     EXPECT_GT(with.size(), without.size());
@@ -56,7 +56,7 @@ TEST(Kernel, PerCpuStreamsAreIndependentAndDeterministic)
     VirtualMemory vm1(vmConfig(2)), vm2(vmConfig(2));
     KernelModel a(vm1, 2, KernelParams{}, 42);
     KernelModel b(vm2, 2, KernelParams{}, 42);
-    std::deque<MemRef> oa, ob;
+    RefQueue oa, ob;
     a.contextSwitch(0, oa);
     b.contextSwitch(0, ob);
     ASSERT_EQ(oa.size(), ob.size());
@@ -73,7 +73,7 @@ TEST(Kernel, InstructionFootprintIsBounded)
     const KernelParams params;
     KernelModel kernel(vm, 1, params, 7);
     std::set<Addr> text_lines;
-    std::deque<MemRef> out;
+    RefQueue out;
     for (int i = 0; i < 200; ++i)
         kernel.contextSwitch(0, out);
     for (const MemRef &r : out) {

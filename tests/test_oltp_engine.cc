@@ -77,7 +77,7 @@ TEST(Latch, AcquireIsLoadThenDependentStore)
     Sga sga(p);
     VirtualMemory vm(vmConfig());
     LatchTable latches(sga);
-    std::deque<MemRef> out;
+    RefQueue out;
     latches.emitAcquire(3, vm, 0, out);
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].kind, RefKind::Load);
@@ -98,7 +98,7 @@ TEST(BufferCache, LookupWalksHashChain)
     Sga sga(p);
     VirtualMemory vm(vmConfig());
     BufferCache bc(sga);
-    std::deque<MemRef> out;
+    RefQueue out;
     bc.emitLookupAndPin(1234, vm, 0, out);
     ASSERT_EQ(out.size(), 3u);
     EXPECT_EQ(out[0].kind, RefKind::Load);  // bucket
@@ -133,7 +133,7 @@ TEST(RedoLog, GenerationAdvancesCursorUnderLatches)
     VirtualMemory vm(vmConfig());
     LatchTable latches(sga);
     RedoLog redo(sga);
-    std::deque<MemRef> out;
+    RefQueue out;
     redo.emitRedoGeneration(0, 4, latches, vm, 0, out);
     EXPECT_EQ(redo.cursor(), 4u);
     EXPECT_EQ(redo.unflushed(), 4u);
@@ -153,7 +153,7 @@ TEST(RedoLog, FlushBounded)
     VirtualMemory vm(vmConfig());
     LatchTable latches(sga);
     RedoLog redo(sga);
-    std::deque<MemRef> out;
+    RefQueue out;
     redo.emitRedoGeneration(0, 10, latches, vm, 0, out);
     out.clear();
     EXPECT_EQ(redo.emitFlush(4, vm, 0, out), 4u);

@@ -86,6 +86,37 @@ TEST(Scheduler, CrossCpuWake)
     EXPECT_EQ(sched.pickNext(1, 10), &a);
 }
 
+TEST(Scheduler, WakeupsCountsWakeCallsOnly)
+{
+    // The simulation loop's next-event cache relies on this count
+    // moving exactly when some CPU's queues changed behind its back.
+    Scheduler sched(2);
+    Process &a = sched.add(std::make_unique<StubProcess>(0, 0));
+    Process &b = sched.add(std::make_unique<StubProcess>(1, 1));
+    sched.add(std::make_unique<StubProcess>(2, 1));
+    EXPECT_EQ(sched.wakeups(), 0u);
+
+    // Dispatch, timed and event blocks, yield, timed wake-up, finish:
+    // none of them is a wake().
+    ASSERT_EQ(sched.pickNext(0, 0), &a);
+    sched.blockCurrent(0, maxTick);
+    ASSERT_EQ(sched.pickNext(1, 0), &b);
+    sched.blockCurrent(1, 100);
+    ASSERT_NE(sched.pickNext(1, 0), nullptr);
+    sched.yieldCurrent(1);
+    ASSERT_NE(sched.pickNext(1, 150), nullptr); // b's timed wake expires
+    sched.finishCurrent(1);
+    EXPECT_EQ(sched.nextWake(0), maxTick);
+    EXPECT_EQ(sched.wakeups(), 0u);
+
+    sched.wake(a, 200);
+    EXPECT_EQ(sched.wakeups(), 1u);
+    ASSERT_EQ(sched.pickNext(0, 200), &a);
+    sched.blockCurrent(0, maxTick);
+    sched.wake(a, 300);
+    EXPECT_EQ(sched.wakeups(), 2u);
+}
+
 TEST(Scheduler, FinishRetiresProcess)
 {
     Scheduler sched(1);
