@@ -9,9 +9,23 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <string>
 
 #include "src/noc/network.hh"
 #include "src/stats/table.hh"
+
+namespace {
+
+/** Row and column label of a node: "n3". */
+std::string
+nodeLabel(unsigned node)
+{
+    std::string label = "n";
+    label += std::to_string(node);
+    return label;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -31,11 +45,11 @@ main(int argc, char **argv)
 
     std::vector<std::string> headers = {"hops"};
     for (NodeId b = 0; b < nodes; ++b)
-        headers.push_back("n" + std::to_string(b));
+        headers.push_back(nodeLabel(b));
     Table t(headers);
     for (NodeId a = 0; a < nodes; ++a) {
         auto row = t.row();
-        row.cell("n" + std::to_string(a));
+        row.cell(nodeLabel(a));
         for (NodeId b = 0; b < nodes; ++b)
             row.count(topo.hops(a, b));
     }
@@ -46,7 +60,7 @@ main(int argc, char **argv)
     Table l(headers);
     for (NodeId a = 0; a < nodes; ++a) {
         auto row = l.row();
-        row.cell("n" + std::to_string(a));
+        row.cell(nodeLabel(a));
         for (NodeId b = 0; b < nodes; ++b)
             row.count(net.oneWay(a, b, 64));
     }

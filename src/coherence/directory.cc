@@ -14,8 +14,8 @@ namespace isim {
 
 namespace {
 
-/** Slots in a fresh table (24 KiB); it doubles from here as needed. */
-constexpr std::size_t initialSlots = 1024;
+/** Block slots in a fresh table (13 KiB); it doubles from here as needed. */
+constexpr std::size_t initialBlocks = 64;
 
 /** Bytes one saved entry takes: u64 line, u8 state, u32 sharers, u32 owner. */
 constexpr std::size_t savedEntryBytes = 8 + 1 + 4 + 4;
@@ -26,76 +26,95 @@ Directory::Directory(const HomeMap &home_map, unsigned line_bits)
     : homeMap_(home_map), lineBits_(line_bits)
 {
     isim_assert(homeMap_.numNodes >= 1 && homeMap_.numNodes <= 32);
-    reset(initialSlots);
+    reset(initialBlocks);
 }
 
 void
 Directory::reset(std::size_t capacity)
 {
-    slots_.assign(capacity, Slot{emptyLine, DirEntry{}});
+    blocks_.assign(capacity, Block{emptyBlock, 0, {}});
     mask_ = capacity - 1;
-    blockShift_ = 64 - static_cast<unsigned>(__builtin_ctzll(capacity >> 4));
+    hashShift_ = 64 - static_cast<unsigned>(__builtin_ctzll(capacity));
+    liveBlocks_ = 0;
     size_ = 0;
 }
 
-DirEntry &
-Directory::insertAbsent(Addr line_addr)
+void
+Directory::place(const Block &b)
 {
-    Slot &s = slots_[probe(line_addr)];
-    s.line = line_addr;
-    ++size_;
-    return s.entry;
+    std::size_t i = homeOfBlock(b.block);
+    while (blocks_[i].block != emptyBlock)
+        i = (i + 1) & mask_;
+    blocks_[i] = b;
+    ++liveBlocks_;
+    size_ += static_cast<std::size_t>(__builtin_popcount(b.present));
 }
 
 DirEntry &
 Directory::entry(Addr line_addr)
 {
-    Slot &s = slots_[probe(line_addr)];
-    if (s.line == line_addr)
-        return s.entry;
-    isim_assert(line_addr != emptyLine, "directory line outside memory");
-    if (2 * (size_ + 1) <= slots_.size()) {
-        s.line = line_addr;
+    const Addr block = line_addr >> 4;
+    std::size_t i = probe(block);
+    if (blocks_[i].block != block) {
+        if (2 * (liveBlocks_ + 1) > blocks_.size()) {
+            std::vector<Block> old;
+            old.swap(blocks_);
+            reset(old.size() * 2);
+            for (const Block &b : old) {
+                if (b.block != emptyBlock)
+                    place(b);
+            }
+            i = probe(block);
+        }
+        blocks_[i].block = block;
+        ++liveBlocks_;
+    }
+    Block &b = blocks_[i];
+    const unsigned off = line_addr & 15;
+    if (!((b.present >> off) & 1u)) {
+        b.present |= 1u << off;
+        b.entries[off] = DirEntry{};
         ++size_;
-        return s.entry;
     }
-    std::vector<Slot> old;
-    old.swap(slots_);
-    reset(old.size() * 2);
-    for (const Slot &o : old) {
-        if (o.line != emptyLine)
-            insertAbsent(o.line) = o.entry;
-    }
-    return insertAbsent(line_addr);
+    return b.entries[off];
 }
 
 void
 Directory::erase(Addr line_addr)
 {
-    std::size_t hole = probe(line_addr);
-    if (slots_[hole].line != line_addr)
+    std::size_t hole = probe(line_addr >> 4);
+    const std::uint32_t bit = 1u << (line_addr & 15);
+    if (!(blocks_[hole].present & bit))
         return;
-    // Backward shift: move each later member of the probe run whose home
-    // slot is not cyclically inside (hole, j] back into the hole.
-    for (std::size_t j = (hole + 1) & mask_; slots_[j].line != emptyLine;
+    --size_;
+    if ((blocks_[hole].present &= ~bit) != 0)
+        return;
+    // The block's last line went: backward shift. Move each later
+    // member of the probe run whose home slot is not cyclically inside
+    // (hole, j] back into the hole.
+    for (std::size_t j = (hole + 1) & mask_; blocks_[j].block != emptyBlock;
          j = (j + 1) & mask_) {
-        const std::size_t home = slotOf(slots_[j].line);
+        const std::size_t home = homeOfBlock(blocks_[j].block);
         if (((j - home) & mask_) >= ((j - hole) & mask_)) {
-            slots_[hole] = slots_[j];
+            blocks_[hole] = blocks_[j];
             hole = j;
         }
     }
-    slots_[hole] = Slot{emptyLine, DirEntry{}};
-    --size_;
+    blocks_[hole].block = emptyBlock;
+    blocks_[hole].present = 0;
+    --liveBlocks_;
 }
 
 void
 Directory::forEachEntry(
     const std::function<void(Addr line_addr, const DirEntry &)> &fn) const
 {
-    for (const Slot &s : slots_) {
-        if (s.line != emptyLine)
-            fn(s.line, s.entry);
+    for (const Block &b : blocks_) {
+        for (std::uint32_t bits = b.present; bits != 0; bits &= bits - 1) {
+            const unsigned off =
+                static_cast<unsigned>(__builtin_ctz(bits));
+            fn(b.block << 4 | off, b.entries[off]);
+        }
     }
 }
 
@@ -140,20 +159,28 @@ Directory::checkEntry(const DirEntry &e)
 void
 Directory::saveState(ckpt::Serializer &s) const
 {
-    std::vector<Slot> live;
-    live.reserve(size_);
-    for (const Slot &slot : slots_) {
-        if (slot.line != emptyLine)
-            live.push_back(slot);
+    // Sorting blocks by number and writing each block's lines in
+    // offset order gives the lines in increasing order.
+    std::vector<const Block *> live;
+    live.reserve(liveBlocks_);
+    for (const Block &b : blocks_) {
+        if (b.block != emptyBlock)
+            live.push_back(&b);
     }
-    std::sort(live.begin(), live.end(),
-              [](const Slot &a, const Slot &b) { return a.line < b.line; });
-    s.u64(live.size());
-    for (const Slot &slot : live) {
-        s.u64(slot.line);
-        s.u8(static_cast<std::uint8_t>(slot.entry.state));
-        s.u32(slot.entry.sharers);
-        s.u32(slot.entry.owner);
+    std::sort(live.begin(), live.end(), [](const Block *x, const Block *y) {
+        return x->block < y->block;
+    });
+    s.u64(size_);
+    for (const Block *b : live) {
+        for (std::uint32_t bits = b->present; bits != 0; bits &= bits - 1) {
+            const unsigned off =
+                static_cast<unsigned>(__builtin_ctz(bits));
+            const DirEntry &e = b->entries[off];
+            s.u64(b->block << 4 | off);
+            s.u8(static_cast<std::uint8_t>(e.state));
+            s.u32(e.sharers);
+            s.u32(e.owner);
+        }
     }
 }
 
@@ -166,13 +193,12 @@ Directory::restoreState(ckpt::Deserializer &d)
                    "but only %zu bytes remain in the section",
                    static_cast<unsigned long long>(count),
                    d.sectionRemaining());
-    std::size_t capacity = initialSlots;
-    while (capacity < 2 * count)
-        capacity *= 2;
-    reset(capacity);
     // Lines past the last node's window have no home.
     const Addr line_limit =
         homeMap_.nodeBase(homeMap_.numNodes) >> lineBits_;
+    // Lines arrive in increasing order, so each block's lines arrive
+    // together: collect the blocks, then size the table once.
+    std::vector<Block> sorted;
     Addr prev = 0;
     for (std::uint64_t n = 0; n < count; ++n) {
         const Addr line_addr = d.u64();
@@ -195,8 +221,19 @@ Directory::restoreState(ckpt::Deserializer &d)
         e.sharers = d.u32();
         e.owner = d.u32();
         checkEntry(e, homeMap_.numNodes);
-        insertAbsent(line_addr) = e;
+        const Addr block = line_addr >> 4;
+        if (sorted.empty() || sorted.back().block != block)
+            sorted.push_back(Block{block, 0, {}});
+        const unsigned off = line_addr & 15;
+        sorted.back().present |= 1u << off;
+        sorted.back().entries[off] = e;
     }
+    std::size_t capacity = initialBlocks;
+    while (capacity < 2 * sorted.size())
+        capacity *= 2;
+    reset(capacity);
+    for (const Block &b : sorted)
+        place(b);
 }
 
 } // namespace isim

@@ -74,11 +74,12 @@ struct DirEntry
  * logical directory serves all homes (the home node of each entry is
  * derivable from the address).
  *
- * Storage is one open-addressing table of {line, entry} slots: linear
- * probing, power-of-two capacity, doubled at load 1/2, and
- * backward-shift erase (no tombstones). Lines hash in 16-line blocks
- * that keep each line's offset within its block, so a sequential scan
- * touches neighbouring slots.
+ * Storage is one open-addressing table of 16-line blocks: each slot
+ * holds a block number, a presence mask and the block's 16 entries.
+ * Blocks hash by block number with linear probing, power-of-two
+ * capacity, doubled at load 1/2, and backward-shift removal (no
+ * tombstones) once a block's last line is erased. A lookup probes one
+ * block and tests one bit, and a sequential scan stays in one slot.
  *
  * Pointer stability: entry() may grow the table and erase() shifts
  * slots, so a DirEntry pointer or reference is valid only until the
@@ -100,13 +101,15 @@ class Directory
     /** Lookup; returns nullptr when the line is uncached everywhere. */
     const DirEntry *find(Addr line_addr) const
     {
-        const Slot &s = slots_[probe(line_addr)];
-        return s.line == line_addr ? &s.entry : nullptr;
+        const Block &b = blocks_[probe(line_addr >> 4)];
+        const unsigned off = line_addr & 15;
+        return (b.present >> off) & 1u ? &b.entries[off] : nullptr;
     }
     DirEntry *find(Addr line_addr)
     {
-        Slot &s = slots_[probe(line_addr)];
-        return s.line == line_addr ? &s.entry : nullptr;
+        Block &b = blocks_[probe(line_addr >> 4)];
+        const unsigned off = line_addr & 15;
+        return (b.present >> off) & 1u ? &b.entries[off] : nullptr;
     }
 
     /** Lookup-or-create (created entries start Uncached). */
@@ -116,8 +119,8 @@ class Directory
     void erase(Addr line_addr);
 
     std::size_t population() const { return size_; }
-    /** Slots allocated; population() stays at or below half of it. */
-    std::size_t capacity() const { return slots_.size(); }
+    /** Lines the allocated blocks can hold (16 per block slot). */
+    std::size_t capacity() const { return blocks_.size() * 16; }
 
     /**
      * Structural self-check of one entry; panics on violation.
@@ -130,7 +133,7 @@ class Directory
     static void checkEntry(const DirEntry &e, unsigned num_nodes);
 
     /**
-     * Visit every entry (for whole-directory audits), in slot order.
+     * Visit every entry (for whole-directory audits), in table order.
      * The entry's home is derivable from the line address via homeOf().
      */
     void forEachEntry(
@@ -139,55 +142,58 @@ class Directory
 
     /**
      * Checkpoint every entry. Entries are written in sorted line-addr
-     * order so the encoding is canonical (slot order depends on the
+     * order so the encoding is canonical (table order depends on the
      * table's history and is not state).
      */
     void saveState(ckpt::Serializer &s) const;
     void restoreState(ckpt::Deserializer &d);
 
   private:
-    struct Slot
+    /** Sixteen consecutive lines: `block` is their line address >> 4. */
+    struct Block
     {
-        Addr line;
-        DirEntry entry;
+        Addr block;
+        std::uint32_t present; //!< bit i: line block*16+i has an entry
+        DirEntry entries[16];  //!< meaningful where `present` is set
     };
 
     /**
-     * Marks a free slot. Never a real line: every line lies inside
-     * installed memory (restoreState rejects any other).
+     * Marks a free slot. Never a real block number: every line lies
+     * inside installed memory (restoreState rejects any other).
      */
-    static constexpr Addr emptyLine = ~Addr{0};
+    static constexpr Addr emptyBlock = ~Addr{0};
 
-    /** Home slot: a mixed 16-line block number, then the line's offset. */
-    std::size_t slotOf(Addr line_addr) const
+    /** Home slot of a block number: its Fibonacci hash, top bits. */
+    std::size_t homeOfBlock(Addr block) const
     {
-        const std::uint64_t block =
-            (line_addr >> 4) * 0x9e3779b97f4a7c15ULL >> blockShift_;
-        return static_cast<std::size_t>(block << 4 | (line_addr & 15));
+        return static_cast<std::size_t>(
+            block * 0x9e3779b97f4a7c15ULL >> hashShift_);
     }
 
-    /** The slot holding `line_addr`, else the free slot ending its run. */
-    std::size_t probe(Addr line_addr) const
+    /** The slot holding `block`, else the free slot ending its run. */
+    std::size_t probe(Addr block) const
     {
-        std::size_t i = slotOf(line_addr);
-        while (slots_[i].line != line_addr && slots_[i].line != emptyLine)
+        std::size_t i = homeOfBlock(block);
+        while (blocks_[i].block != block && blocks_[i].block != emptyBlock)
             i = (i + 1) & mask_;
         return i;
     }
 
-    /** Fresh empty table of `capacity` slots (a power of two >= 32). */
+    /** Fresh empty table of `capacity` block slots (a power of two). */
     void reset(std::size_t capacity);
-    /** Place a line known to be absent; returns its entry. */
-    DirEntry &insertAbsent(Addr line_addr);
+    /** Copy a block known to be absent into its first free slot. */
+    void place(const Block &b);
 
     HomeMap homeMap_;
     // ckpt: transient(lineBits_): derived from the line size at construction
     unsigned lineBits_;
-    std::vector<Slot> slots_;
-    // ckpt: transient(mask_): capacity - 1, set with slots_
+    std::vector<Block> blocks_;
+    // ckpt: transient(mask_): capacity - 1, set with blocks_
     std::size_t mask_ = 0;
-    // ckpt: transient(blockShift_): 64 - log2(capacity / 16), set with slots_
-    unsigned blockShift_ = 0;
+    // ckpt: transient(hashShift_): 64 - log2(capacity), set with blocks_
+    unsigned hashShift_ = 0;
+    // ckpt: transient(liveBlocks_): blocks with a line present, set with blocks_
+    std::size_t liveBlocks_ = 0;
     std::size_t size_ = 0;
 };
 

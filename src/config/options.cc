@@ -15,6 +15,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -226,6 +227,24 @@ KvConfig::firstUnread() const
 
 namespace {
 
+/**
+ * True when `name` is a whole `|`-separated run of `aliases`: the
+ * match `"|" + name + "|"` would find in `"|" + aliases + "|"`,
+ * without building either string.
+ */
+bool
+namesAlias(std::string_view aliases, std::string_view name)
+{
+    for (std::size_t pos = aliases.find(name); pos != std::string_view::npos;
+         pos = aliases.find(name, pos + 1)) {
+        const std::size_t end = pos + name.size();
+        if ((pos == 0 || aliases[pos - 1] == '|') &&
+            (end == aliases.size() || aliases[end] == '|'))
+            return true;
+    }
+    return false;
+}
+
 /** Set one field's member from its key, when the config has it. */
 template <typename T>
 void
@@ -242,15 +261,17 @@ parseField(const KvConfig &kv, const MachineField &f, T &v)
         if (!kv.has(f.key))
             return;
         const std::string &text = kv.get(f.key);
+        const std::string name = lower(text);
         const EnumNames e = enumNames<T>;
         std::string want;
         for (std::size_t i = 0; i < e.names.size(); ++i) {
-            const std::string names = "|" + std::string(e.names[i]) + "|";
-            if (names.find("|" + lower(text) + "|") != std::string::npos) {
+            if (namesAlias(e.names[i], name)) {
                 v = static_cast<T>(i);
                 return;
             }
-            want += (i ? ", " : "") + std::string(e.names[i]);
+            if (i > 0)
+                want += ", ";
+            want += e.names[i];
         }
         isim_fatal("config key '%s': unknown %s '%s' (want one of %s)",
                    f.key, e.what, text.c_str(), want.c_str());

@@ -6,8 +6,10 @@
 #include "src/core/driver.hh"
 
 #include <cctype>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <system_error>
 
 #include "src/base/json.hh"
 #include "src/base/logging.hh"
@@ -30,6 +32,17 @@ writeTextFile(const std::string &path, const std::string &content,
         isim_fatal("write of %s failed: %s", what, path.c_str());
 }
 
+/** Create the --json-dir and its parents; fatal, naming it, on failure. */
+void
+makeJsonDir(const std::string &path)
+{
+    std::error_code ec;
+    std::filesystem::create_directories(path, ec);
+    if (ec)
+        isim_fatal("cannot create --json-dir directory %s: %s", path.c_str(),
+                   ec.message().c_str());
+}
+
 } // namespace
 
 std::string
@@ -49,6 +62,9 @@ int
 runFigureAndPrint(const FigureSpec &spec, const RunOptions &options)
 {
     options.applyGlobal();
+    // Fail on an unusable --json-dir before any bar is simulated.
+    if (!options.jsonDir.empty())
+        makeJsonDir(options.jsonDir);
     const ExperimentRunner runner(options);
     const FigureResult result = runner.run(spec);
     // The report is the CLI's product output, not a diagnostic.

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the home map and directory structure, including a
- * model-based check of the flat table against std::map.
+ * model-based check of the block table against std::map and its
+ * canonical checkpoint encoding.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "src/base/random.hh"
+#include "src/ckpt/serializer.hh"
 #include "src/coherence/directory.hh"
 
 namespace isim {
@@ -121,7 +123,7 @@ TEST(Directory, FlatTableMatchesMapModel)
 {
     Rng rng(7);
     // Sequential 16-line runs at random block addresses fill whole
-    // 16-slot groups, so runs collide with their neighbours and wrap
+    // blocks, whose probe runs collide with their neighbours and wrap
     // past the table's end; the random lines land anywhere.
     const Addr lines_in_memory = (Addr{8} << nodeWindowBits) >> 6;
     std::vector<Addr> keys;
@@ -201,6 +203,173 @@ TEST(Directory, FlatTableMatchesMapModel)
         }
     }
     expectMatchesModel(dir, model);
+}
+
+/**
+ * Home slot of a block number in a fresh table: 64 block slots, the
+ * top six bits of the block's Fibonacci hash.
+ */
+std::size_t
+freshHome(Addr block)
+{
+    return static_cast<std::size_t>(block * 0x9e3779b97f4a7c15ULL >> 58);
+}
+
+/** A distinct, valid Shared entry per line, so mix-ups show. */
+DirEntry
+sharedEntry(Addr line)
+{
+    DirEntry e;
+    e.state = LineState::Shared;
+    e.sharers = static_cast<std::uint32_t>(line % 255) + 1;
+    return e;
+}
+
+TEST(Directory, BlockLifecycle)
+{
+    Directory dir(HomeMap{nodeWindowBits, 8}, 6);
+    std::map<Addr, DirEntry> model;
+    const auto add = [&](Addr line) {
+        dir.entry(line) = sharedEntry(line);
+        model[line] = sharedEntry(line);
+    };
+    // Live neighbours: the adjacent blocks, partly filled; scattered
+    // blocks that load the 64-slot table near half full; and blocks
+    // that share the target's home slot and so sit behind it in its
+    // probe run, to be shifted back when the target block goes.
+    const Addr target = Addr{0x12345} << 4;
+    for (Addr i = 0; i < 16; ++i)
+        add(target + i);
+    for (const Addr line : {target - 3, target - 1, target + 16,
+                            target + 20, target + 31})
+        add(line);
+    for (Addr block = 1, n = 0; n < 3; ++block) {
+        if (block != target >> 4 &&
+            freshHome(block) == freshHome(target >> 4)) {
+            add(block << 4 | n);
+            ++n;
+        }
+    }
+    Rng rng(3);
+    for (int n = 0; n < 20; ++n)
+        add(rng.below(Addr{1} << 24) << 4 | rng.below(16));
+    ASSERT_EQ(dir.capacity(), 64u * 16) << "the table grew";
+
+    std::vector<Addr> order;
+    for (Addr i = 0; i < 16; ++i)
+        order.push_back(target + i);
+    for (std::size_t i = order.size(); i > 1; --i)
+        std::swap(order[i - 1], order[rng.below(i)]);
+    for (const Addr line : order) {
+        dir.erase(line);
+        model.erase(line);
+        EXPECT_EQ(dir.find(line), nullptr) << "line " << line;
+        EXPECT_EQ(dir.population(), model.size());
+        for (const auto &[other, e] : model) {
+            const DirEntry *found = dir.find(other);
+            ASSERT_NE(found, nullptr) << "line " << other;
+            EXPECT_TRUE(sameEntry(*found, e)) << "line " << other;
+        }
+    }
+    for (Addr i = 0; i < 16; ++i)
+        EXPECT_EQ(dir.find(target + i), nullptr) << "offset " << i;
+    expectMatchesModel(dir, model);
+    // A line re-entered into the removed block starts Uncached.
+    EXPECT_TRUE(dir.entry(target + 5).isUncached());
+}
+
+constexpr std::uint32_t testTag = ckpt::sectionTag("DIRT");
+
+std::vector<std::uint8_t>
+savedBytes(const Directory &dir)
+{
+    ckpt::Serializer s;
+    s.beginSection(testTag);
+    dir.saveState(s);
+    s.endSection();
+    return s.take();
+}
+
+TEST(Directory, SaveIsCanonicalLineOrder)
+{
+    Rng rng(19);
+    const Addr lines_in_memory = (Addr{8} << nodeWindowBits) >> 6;
+    Directory dir(HomeMap{nodeWindowBits, 8}, 6);
+    std::map<Addr, DirEntry> model;
+    for (int n = 0; n < 20000; ++n) {
+        // Half dense runs, half scattered lines; some erased again.
+        const Addr line = n % 2 ? rng.below(lines_in_memory)
+                                : (rng.below(lines_in_memory >> 8) << 8) +
+                                      rng.below(64);
+        if (rng.below(5) == 0) {
+            dir.erase(line);
+            model.erase(line);
+            continue;
+        }
+        DirEntry e;
+        if (rng.below(2) == 0) {
+            e = sharedEntry(line);
+        } else {
+            e.state = LineState::Modified;
+            e.owner = static_cast<NodeId>(rng.below(8));
+            e.sharers = 1u << e.owner;
+        }
+        dir.entry(line) = e;
+        model[line] = e;
+    }
+
+    ckpt::Serializer ref;
+    ref.beginSection(testTag);
+    ref.u64(model.size());
+    for (const auto &[line, e] : model) {
+        ref.u64(line);
+        ref.u8(static_cast<std::uint8_t>(e.state));
+        ref.u32(e.sharers);
+        ref.u32(e.owner);
+    }
+    ref.endSection();
+    EXPECT_EQ(savedBytes(dir), ref.take());
+}
+
+TEST(Directory, SaveRestoreSaveRoundTripsWrappedRuns)
+{
+    // Blocks homed in a fresh table's last slot fill it and wrap
+    // their probe run to the table's front.
+    Directory dir(HomeMap{nodeWindowBits, 8}, 6);
+    const std::size_t fresh = dir.capacity();
+    ASSERT_EQ(fresh, 64u * 16);
+    std::vector<Addr> wrapped;
+    for (Addr block = 1; wrapped.size() < 5; ++block) {
+        if (freshHome(block) == 63)
+            wrapped.push_back(block);
+    }
+    for (const Addr block : wrapped) {
+        for (Addr i = 0; i < 16; i += 1 + block % 3)
+            dir.entry(block << 4 | i) = sharedEntry(block << 4 | i);
+    }
+    // Blocks homed in the first slots sit behind the wrapped run.
+    for (Addr block = 1, n = 0; n < 3; ++block) {
+        if (freshHome(block) <= 1) {
+            dir.entry(block << 4 | 7) = sharedEntry(block << 4 | 7);
+            ++n;
+        }
+    }
+    ASSERT_EQ(dir.capacity(), fresh) << "the table grew; no wrap left";
+
+    const std::vector<std::uint8_t> first = savedBytes(dir);
+    ckpt::Deserializer d(first);
+    d.beginSection(testTag);
+    Directory restored(HomeMap{nodeWindowBits, 8}, 6);
+    restored.restoreState(d);
+    d.endSection();
+    EXPECT_EQ(restored.population(), dir.population());
+    EXPECT_EQ(restored.capacity(), fresh);
+    EXPECT_EQ(savedBytes(restored), first);
+    dir.forEachEntry([&](Addr line, const DirEntry &e) {
+        const DirEntry *found = restored.find(line);
+        ASSERT_NE(found, nullptr) << "line " << line;
+        EXPECT_TRUE(sameEntry(*found, e)) << "line " << line;
+    });
 }
 
 } // namespace

@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "src/base/logging.hh"
+#include "src/core/driver.hh"
 #include "src/core/experiment.hh"
 #include "src/core/figures.hh"
 
@@ -101,6 +105,67 @@ TEST(Experiment, IdenticalConfigsGiveIdenticalRuns)
     const RunResult b = runner.runOne(cfg);
     EXPECT_EQ(a.stat("cpu.exec_time"), b.stat("cpu.exec_time"));
     EXPECT_EQ(a.stat("l2.miss.total"), b.stat("l2.miss.total"));
+}
+
+FigureSpec
+oneBarSpec()
+{
+    FigureSpec spec;
+    spec.id = "test";
+    spec.title = "json dir";
+    FigureBar bar;
+    bar.config = figures::baseMachine(1);
+    bar.config.workload = smallWorkload();
+    bar.config.name = "uni";
+    spec.bars.push_back(bar);
+    return spec;
+}
+
+RunOptions
+quietOneJob(const std::string &json_dir)
+{
+    RunOptions opts;
+    opts.verbose = false;
+    opts.jobs = 1;
+    opts.jsonDir = json_dir;
+    return opts;
+}
+
+TEST(Experiment, JsonDirIsCreatedWithItsParents)
+{
+    const std::string root = ::testing::TempDir() + "/isim_json_nested";
+    std::filesystem::remove_all(root);
+    const std::string dir = root + "/a/b";
+    const FigureSpec spec = oneBarSpec();
+    ::testing::internal::CaptureStdout();
+    const int rc = runFigureAndPrint(spec, quietOneJob(dir));
+    ::testing::internal::GetCapturedStdout();
+    EXPECT_EQ(rc, 0);
+    const std::string stem = dir + "/" + figureJsonStem(spec);
+    EXPECT_TRUE(std::filesystem::is_regular_file(stem + ".json"));
+    EXPECT_TRUE(std::filesystem::is_regular_file(stem + ".stats.json"));
+    std::filesystem::remove_all(root);
+}
+
+TEST(Experiment, UncreatableJsonDirFailsBeforeAnyBar)
+{
+    // A regular file stands where the JSON directory's parent must go.
+    const std::string blocker = ::testing::TempDir() + "/isim_json_blocker";
+    std::filesystem::remove_all(blocker);
+    std::ofstream(blocker) << "not a directory\n";
+    const std::string dir = blocker + "/json";
+    ScopedPanicThrow throws;
+    ::testing::internal::CaptureStdout();
+    try {
+        runFigureAndPrint(oneBarSpec(), quietOneJob(dir));
+        ADD_FAILURE() << "an uncreatable --json-dir was accepted";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find(dir), std::string::npos)
+            << e.what();
+    }
+    // No bar ran, so no report was printed.
+    EXPECT_EQ(::testing::internal::GetCapturedStdout(), "");
+    std::filesystem::remove(blocker);
 }
 
 } // namespace

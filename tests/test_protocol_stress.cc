@@ -111,9 +111,12 @@ INSTANTIATE_TEST_SUITE_P(
                       StressParam{4, 4, true}, StressParam{8, 2, false},
                       StressParam{8, 1, true}),
     [](const ::testing::TestParamInfo<StressParam> &tpi) {
-        return "n" + std::to_string(tpi.param.nodes) + "_a" +
-               std::to_string(tpi.param.l2Assoc) +
-               (tpi.param.rac ? "_rac" : "_norac");
+        std::string name = "n";
+        name += std::to_string(tpi.param.nodes);
+        name += "_a";
+        name += std::to_string(tpi.param.l2Assoc);
+        name += tpi.param.rac ? "_rac" : "_norac";
+        return name;
     });
 
 } // namespace

@@ -116,7 +116,7 @@ TEST(Sweep, AppliesMutationsInAxisOrder)
 {
     SweepSpec sweep;
     sweep.id = "s";
-    sweep.title = "t";
+    sweep.title = "axis order";
     sweep.base = figures::baseMachine(1);
     sweep.axes.push_back(
         {"cpus",
