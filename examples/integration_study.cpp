@@ -58,7 +58,7 @@ main(int argc, char **argv)
         bar.config.workload.warmupTransactions = txns / 3;
     }
 
-    ExperimentRunner runner;
+    const ExperimentRunner runner(RunOptions::fromEnv());
     const FigureResult result = runner.run(spec);
     printFigureReport(std::cout, result);
 

@@ -159,7 +159,7 @@ struct MemSysConfig
      * also fetch the following N lines if uncontended (their directory
      * state is Uncached or Shared). 0 disables. Streaming workloads
      * (DSS scans) benefit; OLTP's pointer-dense accesses barely do —
-     * the contrast bench/ext_prefetch quantifies.
+     * the contrast `isim-fig run ext-prefetch` quantifies.
      */
     unsigned prefetchDegree = 0;
     /**

@@ -90,7 +90,7 @@ MachineConfig machineFromConfig(const KvConfig &kv);
 std::string machineToConfigText(const MachineConfig &config);
 
 /**
- * Parse the observability flags every figure binary accepts out of
+ * Parse the observability flags every figure run accepts out of
  * argv, consuming the recognized ones (argc/argv are rewritten so
  * remaining arguments keep their order):
  *

@@ -13,7 +13,6 @@
 
 #include "src/base/json.hh"
 #include "src/base/logging.hh"
-#include "src/core/registry.hh"
 #include "src/core/report.hh"
 
 namespace isim {
@@ -91,25 +90,6 @@ runFigureAndPrint(const FigureSpec &spec, const RunOptions &options)
                        err.c_str());
         writeTextFile(path, manifest, "stats manifest");
         isim_inform("stats written to %s", path.c_str());
-    }
-    return 0;
-}
-
-int
-runRegisteredFigures(const std::string &id, const RunOptions &options)
-{
-    const std::vector<const FigureEntry *> entries =
-        FigureRegistry::instance().resolve(id);
-    if (entries.empty())
-        isim_fatal("unknown figure id '%s' (try `isim-fig list`)",
-                   id.c_str());
-    for (const FigureEntry *entry : entries) {
-        const int rc = runFigureAndPrint(entry->make(), options);
-        if (rc != 0)
-            return rc;
-        if (!entry->note.empty())
-            // isim-lint: allow(logging): figure notes accompany the report on stdout
-            std::cout << entry->note;
     }
     return 0;
 }

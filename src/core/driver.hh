@@ -1,8 +1,7 @@
 /**
  * @file
- * The figure-running driver shared by the bench binaries and the
- * isim-fig multiplexer: run a spec (or every registry entry matching
- * an id) under a RunOptions, print the paper-style report, and write
+ * The figure-running driver behind isim-fig (and the tests): run a
+ * spec under a RunOptions, print the paper-style report, and write
  * the figure JSON when requested.
  */
 
@@ -22,14 +21,6 @@ namespace isim {
  * configured. Returns a process exit status (0 on success).
  */
 int runFigureAndPrint(const FigureSpec &spec, const RunOptions &options);
-
-/**
- * Resolve `id` in the FigureRegistry (exact, then prefix — so
- * "fig10" runs fig10-uni and fig10-mp) and run every match in
- * catalog order. fatal() when nothing matches.
- */
-int runRegisteredFigures(const std::string &id,
-                         const RunOptions &options);
 
 /** The JSON file stem used for a figure ("figure_5_oltp_with_..."). */
 std::string figureJsonStem(const FigureSpec &spec);

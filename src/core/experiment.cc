@@ -59,12 +59,6 @@ checkpointPath(const std::string &dir, const std::string &name)
     return dir + "/" + checkpointSlug(name) + ".ckpt";
 }
 
-void
-ExperimentRunner::applyEnvOverrides(WorkloadParams &params)
-{
-    RunOptions::fromEnv().applyTo(params);
-}
-
 RunResult
 ExperimentRunner::runMachine(const MachineConfig &cfg,
                              obs::Observability *o) const

@@ -8,9 +8,11 @@
  * executes them on a small worker pool (RunOptions::jobs threads,
  * default one per core). Each run is self-contained — per-machine
  * state, per-run observability bundle, RNG seeded from the config —
- * and every option that used to be read from the environment mid-run
- * is resolved once, up front, in RunOptions; results land in spec
- * order regardless of completion order, so a figure's output is
+ * and every option reaches the runner through the caller's
+ * RunOptions, resolved once, up front (a front end folds the ISIM_*
+ * environment and its flags in via RunOptions::fromCommandLine; the
+ * runner never reads the environment). Results land in spec order
+ * regardless of completion order, so a figure's output is
  * bit-identical at any job count.
  */
 
@@ -72,14 +74,7 @@ std::string checkpointPath(const std::string &dir,
 class ExperimentRunner
 {
   public:
-    /** Options from the environment (RunOptions::fromEnv). */
-    explicit ExperimentRunner(bool verbose = true)
-        : options_(RunOptions::fromEnv())
-    {
-        options_.verbose = verbose;
-    }
-
-    /** Explicit options (flags already folded in by the caller). */
+    /** Options resolved by the caller (see the file comment). */
     explicit ExperimentRunner(const RunOptions &options)
         : options_(options)
     {
@@ -90,30 +85,11 @@ class ExperimentRunner
     FigureResult run(const SweepSpec &sweep) const;
     /** Run one configuration. */
     RunResult runOne(const MachineConfig &config) const;
+
+  private:
     /** Run one configuration with an observability bundle attached. */
     RunResult runObserved(const MachineConfig &config,
                           obs::Observability &o) const;
-
-    const RunOptions &options() const { return options_; }
-
-    /**
-     * Observe one bar of each figure run (default: none). The bar
-     * index is clamped to the figure's bar count; output files are
-     * written as soon as the observed bar finishes.
-     */
-    void setObsConfig(const obs::ObsConfig &config)
-    {
-        options_.obs = config;
-    }
-    const obs::ObsConfig &obsConfig() const { return options_.obs; }
-
-    /**
-     * Apply the ISIM_TXNS / ISIM_WARMUP / ISIM_SEED environment
-     * overrides to a workload (legacy shim over RunOptions::fromEnv).
-     */
-    static void applyEnvOverrides(WorkloadParams &params);
-
-  private:
     RunResult runBar(const FigureSpec &spec, std::size_t index,
                      std::size_t observed_index) const;
     /**

@@ -1,9 +1,8 @@
 /**
  * @file
  * The figure/ablation/extension catalog. The paper figures delegate
- * to src/core/figures.cc; the ablations and extensions (formerly
- * built inline by their bench binaries) are assembled here, the
- * cross-product-shaped ones via SweepSpec.
+ * to src/core/figures.cc; the ablations and extensions are assembled
+ * here, the cross-product-shaped ones via SweepSpec.
  */
 
 #include "src/core/registry.hh"

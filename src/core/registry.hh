@@ -3,9 +3,11 @@
  * FigureRegistry: the central catalog of every runnable figure,
  * ablation, and extension experiment, keyed by a short kebab-case id
  * ("fig10-uni", "ablation-victim", "ext-cmp"). Adding an experiment
- * means registering one factory here — no new bench binary or CMake
+ * means registering one factory here — no new binary or CMake
  * target — and it becomes runnable via `isim-fig run <id>` and
- * enumerable via `isim-fig list`.
+ * enumerable via `isim-fig list`. Tables that simulate nothing
+ * (Figures 2 and 3, ablation-noc) are not here: isim-fig keeps them
+ * in its own table catalog.
  */
 
 #ifndef ISIM_CORE_REGISTRY_HH

@@ -462,7 +462,7 @@ void
 logging(const SourceFile &file, std::vector<Finding> &out)
 {
     // The rule constrains library code only: CLI mains (tools/,
-    // examples/, bench/) and tests own their stdout.
+    // examples/) and tests own their stdout.
     if (!file.under("src/"))
         return;
     if (file.isFile("src/base/logging.cc") ||

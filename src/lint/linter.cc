@@ -95,7 +95,7 @@ Linter::rules()
          "no bare stdio in library code",
          "printf/fprintf/std::cout/std::cerr are allowed only in "
          "src/base/logging.* and outside src/ (CLI mains, examples, "
-         "bench, tests). Library diagnostics go through isim_inform/"
+         "tests). Library diagnostics go through isim_inform/"
          "isim_warn so --quiet and test harnesses stay authoritative."},
         {"suppression",
          "every allow() carries a rule id and a reason",

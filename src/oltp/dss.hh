@@ -5,7 +5,7 @@
  * as decision support (DSS) and Web index search have been shown to
  * be relatively insensitive to memory system performance" — this
  * process type lets the repository demonstrate that contrast on the
- * same machine models (bench/ext_dss).
+ * same machine models (`isim-fig run ext-dss`).
  *
  * A DSS stream runs sequential-scan aggregation queries: tight
  * operator loops (tiny instruction footprint), streaming reads over

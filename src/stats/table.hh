@@ -1,8 +1,8 @@
 /**
  * @file
  * Plain-text and CSV table rendering for experiment reports. Every
- * bench binary prints its figure through this formatter so the output
- * rows mirror the bars of the corresponding paper figure.
+ * figure and table isim-fig prints goes through this formatter, so
+ * the output rows mirror the bars of the corresponding paper figure.
  */
 
 #ifndef ISIM_STATS_TABLE_HH

@@ -187,8 +187,9 @@ TEST(Report, TablesRenderAllBars)
         bar.config.workload.accountsPerBranch = 10000;
         bar.config.workload.blockBufferBytes = 64 * mib;
     }
-    ExperimentRunner runner(/*verbose=*/false);
-    const FigureResult result = runner.run(spec);
+    RunOptions options;
+    options.verbose = false;
+    const FigureResult result = ExperimentRunner(options).run(spec);
     const Table exec = executionTable(result);
     const Table miss = missTable(result);
     const Table detail = detailTable(result);

@@ -1,9 +1,10 @@
 /**
  * @file
- * isim-fig — the figure multiplexer. One binary that can list and
- * run every figure, ablation, and extension experiment in the
- * FigureRegistry, so new experiments need a registry entry instead
- * of a new bench binary + CMake target.
+ * isim-fig — the figure front end. One binary that can list and run
+ * every figure, ablation, and extension experiment in the
+ * FigureRegistry, plus the printed tables of the table catalog
+ * (tables.hh), so a new experiment needs a catalog entry instead of
+ * a new binary + CMake target.
  *
  * Usage:
  *   isim-fig list
@@ -14,17 +15,20 @@
  * shared run flags (--txns, --warmup, --seed, --jobs, --json-dir,
  * --quiet, --audit-period) and the observability capture flags; the
  * ISIM_* environment variables are fallbacks for the same knobs.
+ * Tables simulate nothing and ignore them.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <functional>
+#include <iostream>
 #include <string>
 #include <vector>
 
 #include "src/config/options.hh"
 #include "src/core/driver.hh"
 #include "src/core/registry.hh"
+#include "tools/isim-fig/tables.hh"
 
 namespace {
 
@@ -41,8 +45,8 @@ usage(std::FILE *to, const char *argv0)
         "       %s run <id|prefix|all>... [options]\n"
         "\n"
         "Runs figures/ablations/extensions from the registry and "
-        "prints the\npaper-style reports. Bars of a figure run "
-        "concurrently (--jobs).\n"
+        "prints the\npaper-style reports and tables. Bars of a figure "
+        "run concurrently (--jobs).\n"
         "\nOptions:\n%s%s"
         "\nEnvironment fallbacks: ISIM_TXNS, ISIM_WARMUP, ISIM_SEED, "
         "ISIM_JOBS,\nISIM_JSON_DIR, ISIM_AUDIT_PERIOD (flags win).\n",
@@ -50,16 +54,65 @@ usage(std::FILE *to, const char *argv0)
     return to == stdout ? 0 : 2;
 }
 
+/** One runnable id: a printed table or a FigureRegistry entry. */
+struct Item
+{
+    std::string id;
+    std::string description;
+    std::function<int(const RunOptions &)> run;
+};
+
+/** The tables, then the registry, each in its own catalog order. */
+std::vector<Item>
+catalog()
+{
+    std::vector<Item> items;
+    for (const isim::fig::TableEntry &t : isim::fig::tableEntries()) {
+        items.push_back({t.id, t.description, [&t](const RunOptions &) {
+                             t.print(std::cout);
+                             return 0;
+                         }});
+    }
+    for (const FigureEntry &e : FigureRegistry::instance().entries()) {
+        items.push_back(
+            {e.id, e.description, [&e](const RunOptions &opts) {
+                 const int rc = isim::runFigureAndPrint(e.make(), opts);
+                 if (rc == 0 && !e.note.empty())
+                     std::cout << e.note;
+                 return rc;
+             }});
+    }
+    return items;
+}
+
+/** Exact match if one exists, otherwise every id with that prefix. */
+std::vector<const Item *>
+resolve(const std::vector<Item> &items, const std::string &id)
+{
+    std::vector<const Item *> matches;
+    for (const Item &item : items) {
+        if (id == "all" || item.id == id)
+            matches.push_back(&item);
+    }
+    if (!matches.empty() || id.empty())
+        return matches;
+    for (const Item &item : items) {
+        if (item.id.compare(0, id.size(), id) == 0)
+            matches.push_back(&item);
+    }
+    return matches;
+}
+
 int
 list()
 {
-    const FigureRegistry &registry = FigureRegistry::instance();
+    const std::vector<Item> items = catalog();
     std::size_t width = 0;
-    for (const FigureEntry &e : registry.entries())
-        width = std::max(width, e.id.size());
-    for (const FigureEntry &e : registry.entries()) {
+    for (const Item &item : items)
+        width = std::max(width, item.id.size());
+    for (const Item &item : items) {
         std::printf("%-*s  %s\n", static_cast<int>(width),
-                    e.id.c_str(), e.description.c_str());
+                    item.id.c_str(), item.description.c_str());
     }
     return 0;
 }
@@ -69,16 +122,10 @@ run(const std::vector<std::string> &ids, const RunOptions &opts)
 {
     // Resolve everything up front (and dedupe, preserving catalog
     // order) so an unknown id fails before hours of simulation.
-    const FigureRegistry &registry = FigureRegistry::instance();
-    std::vector<const FigureEntry *> selected;
+    const std::vector<Item> items = catalog();
+    std::vector<const Item *> selected;
     for (const std::string &id : ids) {
-        std::vector<const FigureEntry *> matches;
-        if (id == "all") {
-            for (const FigureEntry &e : registry.entries())
-                matches.push_back(&e);
-        } else {
-            matches = registry.resolve(id);
-        }
+        const std::vector<const Item *> matches = resolve(items, id);
         if (matches.empty()) {
             std::fprintf(stderr,
                          "unknown figure id '%s' (try `isim-fig "
@@ -86,19 +133,17 @@ run(const std::vector<std::string> &ids, const RunOptions &opts)
                          id.c_str());
             return 2;
         }
-        for (const FigureEntry *e : matches) {
-            if (std::find(selected.begin(), selected.end(), e) ==
+        for (const Item *item : matches) {
+            if (std::find(selected.begin(), selected.end(), item) ==
                 selected.end()) {
-                selected.push_back(e);
+                selected.push_back(item);
             }
         }
     }
-    for (const FigureEntry *e : selected) {
-        const int rc = isim::runFigureAndPrint(e->make(), opts);
+    for (const Item *item : selected) {
+        const int rc = item->run(opts);
         if (rc != 0)
             return rc;
-        if (!e->note.empty())
-            std::printf("%s", e->note.c_str());
     }
     return 0;
 }

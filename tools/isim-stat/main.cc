@@ -2,7 +2,7 @@
  * @file
  * isim-stat: inspect and compare stats.json manifests.
  *
- * A figure binary run with --stats-out=FILE (or --json-dir=DIR)
+ * A figure run with --stats-out=FILE (or --json-dir=DIR)
  * writes the schema-versioned stats manifest this tool consumes:
  *
  *   isim-stat dump  stats.json                every stat, one per line

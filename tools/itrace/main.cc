@@ -2,7 +2,7 @@
  * @file
  * itrace: inspect and convert observability captures.
  *
- * A figure binary run with --trace-bin=FILE writes the binary capture
+ * A figure run with --trace-bin=FILE writes the binary capture
  * this tool consumes:
  *
  *   itrace summary capture.bin              per-kind event counts
