@@ -120,7 +120,7 @@ void
 fatalImpl(const char *file, int line, const char *fmt, ...)
 {
     if (panicThrowFlag) {
-        // Throwing (not exiting) matters on experiment worker
+        // Throwing (not exiting) matters on the executor's lease
         // threads: a bad configuration must unwind back to the
         // runner, not std::exit() the whole figure mid-flight.
         char body[1024];

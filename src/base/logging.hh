@@ -53,8 +53,8 @@ bool quiet();
  * throws instead of exiting. The default (abort/exit) is right for
  * simulation runs — a failed invariant means results are garbage —
  * but the model checker and the mutation tests need to observe
- * violations and report a trace instead of dying, and the experiment
- * worker pool needs configuration errors to unwind, not std::exit().
+ * violations and report a trace instead of dying, and the executor's
+ * lease threads need configuration errors to unwind, not std::exit().
  */
 void setPanicThrow(bool throws);
 bool panicThrows();

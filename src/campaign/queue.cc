@@ -5,6 +5,7 @@
 
 #include "src/campaign/queue.hh"
 
+#include <algorithm>
 #include <filesystem>
 #include <set>
 
@@ -48,6 +49,65 @@ warmGroupKey(const MachineConfig &config)
     return stats::hex64(ckpt::fnv1a64(bytes.data(), bytes.size()));
 }
 
+namespace {
+
+/**
+ * Append one figure's bars to the plan, each named
+ * "<figure_id>:<bar>" (plus "@s<seed>" on a seed axis). The plan's
+ * spec overrides apply first, then the flags on top (flags win),
+ * then the seed axis (which beats --seed).
+ */
+void
+appendFigure(CampaignPlan &plan, const std::string &figure_id,
+             const FigureSpec &figure, const RunOptions &options,
+             const std::optional<std::uint64_t> &seed)
+{
+    for (const FigureBar &fb : figure.bars) {
+        MachineConfig cfg = fb.config;
+        if (plan.spec.txns)
+            cfg.workload.transactions = *plan.spec.txns;
+        if (plan.spec.warmup)
+            cfg.workload.warmupTransactions = *plan.spec.warmup;
+        options.applyTo(cfg.workload);
+        if (seed)
+            cfg.workload.seed = *seed;
+
+        CampaignBar bar;
+        bar.index = plan.bars.size();
+        bar.figureId = figure_id;
+        bar.name = figure_id + ":" + cfg.name;
+        if (seed)
+            bar.name += "@s" + std::to_string(*seed);
+        bar.config = cfg;
+        const std::vector<std::uint8_t> bytes = ckpt::configBytes(cfg);
+        bar.key = stats::resultKey(bytes, cfg.workload.seed,
+                                   options.sample);
+        bar.configDigest = stats::configDigest(bytes);
+        bar.seed = cfg.workload.seed;
+        bar.groupKey = warmGroupKey(cfg);
+        plan.bars.push_back(std::move(bar));
+    }
+}
+
+/**
+ * Identical cells (same key) collapse to one lease: the later bar
+ * aliases the first and shares its result. Observed bars stay out.
+ */
+void
+markAliases(CampaignPlan &plan)
+{
+    std::map<std::string, std::size_t> firstByKey;
+    for (CampaignBar &bar : plan.bars) {
+        if (bar.observed)
+            continue;
+        const auto [it, fresh] = firstByKey.emplace(bar.key, bar.index);
+        if (!fresh)
+            bar.aliasOf = it->second;
+    }
+}
+
+} // namespace
+
 CampaignPlan
 expandCampaign(const CampaignSpec &spec, const RunOptions &options)
 {
@@ -85,37 +145,8 @@ expandCampaign(const CampaignSpec &spec, const RunOptions &options)
     }
 
     for (const std::optional<std::uint64_t> &seed : seedAxis) {
-        for (const FigureEntry *entry : entries) {
-            const FigureSpec figure = entry->make();
-            for (const FigureBar &fb : figure.bars) {
-                MachineConfig cfg = fb.config;
-                // Spec overrides first, then flags on top (flags
-                // win), then the seed axis (which beats --seed).
-                if (spec.txns)
-                    cfg.workload.transactions = *spec.txns;
-                if (spec.warmup)
-                    cfg.workload.warmupTransactions = *spec.warmup;
-                options.applyTo(cfg.workload);
-                if (seed)
-                    cfg.workload.seed = *seed;
-
-                CampaignBar bar;
-                bar.index = plan.bars.size();
-                bar.figureId = entry->id;
-                bar.name = entry->id + ":" + cfg.name;
-                if (seed)
-                    bar.name += "@s" + std::to_string(*seed);
-                bar.config = cfg;
-                const std::vector<std::uint8_t> bytes =
-                    ckpt::configBytes(cfg);
-                bar.key = stats::resultKey(bytes, cfg.workload.seed,
-                                           options.sample);
-                bar.configDigest = stats::configDigest(bytes);
-                bar.seed = cfg.workload.seed;
-                bar.groupKey = warmGroupKey(cfg);
-                plan.bars.push_back(std::move(bar));
-            }
-        }
+        for (const FigureEntry *entry : entries)
+            appendFigure(plan, entry->id, entry->make(), options, seed);
     }
 
     // Bar names address stats ("<bar>/<stat>") in the merged
@@ -127,15 +158,7 @@ expandCampaign(const CampaignSpec &spec, const RunOptions &options)
                        spec.name.c_str(), bar.name.c_str());
     }
 
-    // Identical cells (same key) collapse to one lease: the later
-    // bar aliases the first and shares its cached result.
-    std::map<std::string, std::size_t> firstByKey;
-    for (CampaignBar &bar : plan.bars) {
-        const auto [it, fresh] =
-            firstByKey.emplace(bar.key, bar.index);
-        if (!fresh)
-            bar.aliasOf = it->second;
-    }
+    markAliases(plan);
 
     // Checkpoint groups (aliases excluded — they never run).
     std::map<std::string, std::vector<std::size_t>> byGroup;
@@ -146,6 +169,46 @@ expandCampaign(const CampaignSpec &spec, const RunOptions &options)
     for (auto &[key, members] : byGroup) {
         if (members.size() >= 2)
             plan.groups.emplace(key, std::move(members));
+    }
+    return plan;
+}
+
+CampaignPlan
+planFigures(const std::vector<FigureSpec> &figures,
+            const RunOptions &options)
+{
+    CampaignPlan plan;
+    plan.sample = options.sample;
+    plan.statsEpochTicks = options.statsEpochTicks;
+    plan.saveCkptDir = options.saveCkptDir;
+    plan.fromCkptDir = options.fromCkptDir;
+    for (const FigureSpec &figure : figures) {
+        const std::size_t first = plan.bars.size();
+        appendFigure(plan, figure.id, figure, options, std::nullopt);
+        if (options.obs.any() && !figure.bars.empty()) {
+            plan.bars[first + std::min(options.obs.traceBar,
+                                       figure.bars.size() - 1)]
+                .observed = true;
+        }
+    }
+    markAliases(plan);
+
+    // Images are named after the machine, and figures reuse machine
+    // names for different configurations: one file would hold two.
+    const std::string &ckptDir =
+        plan.saveCkptDir.empty() ? plan.fromCkptDir : plan.saveCkptDir;
+    std::map<std::string, const CampaignBar *> byPath;
+    for (const CampaignBar &bar : plan.bars) {
+        if (ckptDir.empty() || bar.aliasOf != kNoAlias)
+            continue;
+        const std::string path = checkpointPath(ckptDir, bar.config.name);
+        const auto [it, fresh] = byPath.emplace(path, &bar);
+        if (!fresh)
+            isim_fatal("bars '%s' and '%s' both map to checkpoint '%s' "
+                       "with different configurations; rename one, or "
+                       "run them separately",
+                       it->second->name.c_str(), bar.name.c_str(),
+                       path.c_str());
     }
     return plan;
 }
@@ -162,7 +225,8 @@ CampaignQueue::CampaignQueue(const CampaignPlan &plan,
             ++tally_.aliases;
             continue;
         }
-        if (barResultCached(barStatsPath(out_dir, bar.key), bar.key)) {
+        if (!out_dir.empty() &&
+            barResultCached(barStatsPath(out_dir, bar.key), bar.key)) {
             state_[bar.index] = State::Cached;
             ++tally_.cached;
         }

@@ -9,6 +9,9 @@
  * Each bar carries its content-address key (stats::resultKey) and
  * its warm-image group key.
  *
+ * planFigures() plans in-memory figures the same way, for
+ * ExperimentRunner, with no warm groups: every lease is Cold.
+ *
  * CampaignQueue is the scheduler: it scans the output directory for
  * cached cells, then hands out leases in bar-index order. It is
  * checkpoint-aware — bars whose configurations differ only in
@@ -33,7 +36,7 @@
 
 #include "src/campaign/spec.hh"
 #include "src/config/run_options.hh"
-#include "src/core/machine.hh"
+#include "src/core/experiment.hh"
 
 namespace isim {
 namespace campaign {
@@ -68,6 +71,8 @@ struct CampaignBar
      * primary's cached result and fate.
      */
     std::size_t aliasOf = kNoAlias;
+    /** The --trace-bar of a figure: runs itself, never aliased. */
+    bool observed = false;
 };
 
 struct CampaignPlan
@@ -87,6 +92,10 @@ struct CampaignPlan
      * first member is the group's builder.
      */
     std::map<std::string, std::vector<std::size_t>> groups;
+    /** --stats-epoch, --save-ckpt, --from-ckpt (figure plans only). */
+    Tick statsEpochTicks = 0;
+    std::string saveCkptDir;
+    std::string fromCkptDir;
 };
 
 /**
@@ -104,6 +113,15 @@ std::string warmGroupKey(const MachineConfig &config);
  */
 CampaignPlan expandCampaign(const CampaignSpec &spec,
                             const RunOptions &options);
+
+/**
+ * Plan figure runs: every bar of every spec in order, under the
+ * options' overrides. Identical bars alias; warm groups are off.
+ * Fatal, naming both bars and the path, when two bars that are not
+ * aliases map to one --save-ckpt / --from-ckpt file.
+ */
+CampaignPlan planFigures(const std::vector<FigureSpec> &figures,
+                         const RunOptions &options);
 
 struct Lease
 {
@@ -128,8 +146,9 @@ struct CampaignTally
  * The lease state machine. Not thread-safe itself: the supervisor's
  * lease threads call it only while holding one shared lock.
  * Construction scans `out_dir` for cached bar results and existing
- * warm images; next()/complete()/fail() then drive every bar to
- * Done, Cached or Failed.
+ * warm images (an empty `out_dir` is no cache: every bar runs);
+ * next()/complete()/fail() then drive every bar to Done, Cached or
+ * Failed.
  */
 class CampaignQueue
 {

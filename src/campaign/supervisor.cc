@@ -1,22 +1,21 @@
 /**
  * @file
- * Campaign supervisor: the lease-thread executor.
+ * Campaign supervisor: the campaign's use of the executor
+ * (worker.hh) — cache cells, --stop-after, the merge.
  */
 
 #include "src/campaign/supervisor.hh"
 
-#include <condition_variable>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "src/base/logging.hh"
 #include "src/campaign/cache.hh"
 #include "src/campaign/merge.hh"
 #include "src/campaign/worker.hh"
+#include "src/core/report.hh"
 
 namespace isim {
 namespace campaign {
@@ -74,75 +73,62 @@ mergeAndReport(const CampaignRunConfig &config,
 }
 
 /**
- * The executor: up to `--jobs` lease threads (never more than there
- * are primary bars) sharing one queue behind `mu`. A thread that finds nothing
- * leasable while an image build is in flight waits on `cv`; every
- * completion wakes the waiters, so the last one out sees an empty,
- * idle queue and every thread returns. Leases run outside the lock.
+ * Run one lease and cache its cell: the bar's one-bar stats manifest
+ * (META key included), byte-stable across resumes (docs/CAMPAIGN.md).
+ * An ImageOnly lease leaves only its image.
+ */
+void
+cacheCell(const CampaignRunConfig &config, const CampaignPlan &plan,
+          const Lease &lease)
+{
+    const CampaignBar &bar = plan.bars[lease.index];
+    if (config.options.verbose)
+        isim_inform("campaign: %s %s", leaseModeName(lease.mode),
+                    bar.name.c_str());
+    try {
+        RunResult r = runBar(plan, lease, config.outDir);
+        if (lease.mode == LeaseMode::ImageOnly)
+            return;
+        if (!r.dbConsistent)
+            throw PanicError("TPC-B consistency check failed");
+        r.name = bar.name;
+        FigureResult cell;
+        cell.spec.id = bar.figureId;
+        cell.spec.title = "campaign cell";
+        cell.runs.push_back(std::move(r));
+        writeFileAtomic(barStatsPath(config.outDir, bar.key),
+                        figureStatsJson(cell));
+    } catch (const std::exception &e) {
+        isim_warn("campaign: %s failed: %s", bar.name.c_str(), e.what());
+        throw;
+    }
+}
+
+/**
+ * Execute every pending lease on up to `--jobs` lease threads (never
+ * more than there are primary bars), then merge or report the stop.
  */
 int
-runLeases(const CampaignRunConfig &config, const CampaignPlan &plan)
+executePlan(const CampaignRunConfig &config, const CampaignPlan &plan)
 {
     CampaignQueue queue(plan, config.outDir);
-    std::mutex mu;
-    std::condition_variable cv;
+    const CampaignTally &tally = queue.tally();
     long completions = 0;
-    unsigned inFlight = 0;
-    const auto stopped = [&] {
-        return config.stopAfter >= 0 && completions >= config.stopAfter;
-    };
-
-    const auto serve = [&] {
-        std::unique_lock<std::mutex> lock(mu);
-        while (!stopped()) {
-            const std::optional<Lease> lease = queue.next();
-            if (!lease) {
-                if (inFlight == 0)
-                    return;
-                cv.wait(lock);
-                continue;
-            }
-            const CampaignBar &bar = plan.bars[lease->index];
-            if (config.options.verbose)
-                isim_inform("campaign: %s %s",
-                            leaseModeName(lease->mode),
-                            bar.name.c_str());
-            ++inFlight;
-            lock.unlock();
-            const BarOutcome outcome =
-                runLeasedBar(plan, *lease, config.outDir);
-            lock.lock();
-            --inFlight;
-            if (outcome.ok) {
-                queue.complete(*lease);
-            } else {
-                isim_warn("campaign: %s failed: %s", bar.name.c_str(),
-                          outcome.reason.c_str());
-                queue.fail(*lease, outcome.reason);
-            }
-            ++completions;
-            cv.notify_all();
-        }
-    };
-
     {
-        // Once for the pool's lifetime: the mode is one process-wide
+        // Once for the threads' lifetime: the mode is one process-wide
         // flag, so it must not flip while lease threads run.
         const ScopedPanicThrow guard;
-        const CampaignTally &tally = queue.tally();
-        const unsigned jobs =
-            config.options.effectiveJobs(tally.total - tally.aliases);
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (unsigned t = 0; t < jobs; ++t)
-            pool.emplace_back(serve);
-        for (std::thread &thread : pool)
-            thread.join();
+        completions = runLeases(
+            queue, config.options.effectiveJobs(tally.total - tally.aliases),
+            config.stopAfter,
+            [&](const Lease &lease) { cacheCell(config, plan, lease); });
     }
 
     if (!queue.finished()) {
-        isim_assert(stopped(), "scheduler stalled with work remaining");
-        finishSummary(plan.spec, queue.tally());
+        isim_assert(config.stopAfter >= 0 &&
+                        completions >= config.stopAfter,
+                    "scheduler stalled with work remaining");
+        finishSummary(plan.spec, tally);
         isim_inform("campaign '%s': stopped after %ld completions; "
                     "rerun to resume",
                     plan.spec.name.c_str(), completions);
@@ -178,7 +164,7 @@ runCampaign(const CampaignRunConfig &config)
     std::filesystem::create_directories(config.outDir + "/ckpt");
     checkSpecCopy(config);
 
-    return runLeases(config, plan);
+    return executePlan(config, plan);
 }
 
 } // namespace campaign

@@ -30,7 +30,7 @@ struct CampaignRunConfig
 {
     std::string specPath;
     std::string outDir;
-    RunOptions options; //!< options.jobs sizes the lease-thread pool
+    RunOptions options; //!< options.jobs caps the lease threads
     /**
      * Stop issuing leases after this many completions this session,
      * drain, and exit 3 (< 0 = run to completion). The cache keeps

@@ -1,14 +1,14 @@
 /**
  * @file
- * Campaign lease execution: runs one lease (the four modes of
- * LeaseMode) against the result cache. The supervisor's lease
- * threads call it concurrently; each lease touches only its own
- * bar file and, for Build/ImageOnly, its group's image.
+ * The one executor: a bar runner (runBar) and lease threads over a
+ * CampaignQueue (runLeases). isim-campaign and ExperimentRunner (so
+ * isim-fig) run every bar through both; each passes its own `work`.
  */
 
 #ifndef ISIM_CAMPAIGN_WORKER_HH
 #define ISIM_CAMPAIGN_WORKER_HH
 
+#include <functional>
 #include <string>
 
 #include "src/campaign/queue.hh"
@@ -16,21 +16,27 @@
 namespace isim {
 namespace campaign {
 
-struct BarOutcome
-{
-    bool ok = false;
-    std::string reason; //!< failure description when !ok
-};
+/**
+ * Run one lease's bar: build the machine, or restore it (Restore:
+ * the group image under `out_dir`; --from-ckpt: its exact-config
+ * image), attach `o` and the epoch grid, warm up, save the image
+ * (Build, ImageOnly, --save-ckpt), measure exact or sampled, and
+ * stamp name, key, digest and seed. ImageOnly returns an empty
+ * result. Throws PanicError on failure (under ScopedPanicThrow).
+ */
+RunResult runBar(const CampaignPlan &plan, const Lease &lease,
+                 const std::string &out_dir,
+                 obs::Observability *o = nullptr);
 
 /**
- * Execute one lease: run the bar under its mode, and on success
- * write its single-bar stats manifest (META key included) into the
- * cache — or, for ImageOnly, just regenerate the group's warm
- * image. Simulator panics are reported as failed outcomes; the
- * caller must have setPanicThrow(true) in effect.
+ * Drive `queue` to completion on `jobs` threads (the caller's alone
+ * when jobs <= 1) sharing it under one lock. `work` runs each lease
+ * outside the lock; an exception fails the lease with its what().
+ * No lease is issued after `stop_after` completions (< 0: no limit).
+ * Returns the completions, failures included.
  */
-BarOutcome runLeasedBar(const CampaignPlan &plan, const Lease &lease,
-                        const std::string &out_dir);
+long runLeases(CampaignQueue &queue, unsigned jobs, long stop_after,
+               const std::function<void(const Lease &)> &work);
 
 } // namespace campaign
 } // namespace isim

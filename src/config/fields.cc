@@ -38,7 +38,8 @@ modelConstant(unsigned value)
 constexpr std::array fields{
     ISIM_FIELD("machine.name", name),
     ISIM_FIELD("machine.cpus", numCpus, .min = 1),
-    ISIM_FIELD("machine.cores_per_node", coresPerNode, .min = 1),
+    // A chip holds at most 16 cores (the modelled CMP range).
+    ISIM_FIELD("machine.cores_per_node", coresPerNode, .min = 1, .max = 16),
     ISIM_FIELD("machine.cpu_model", cpuModel),
     ISIM_FIELD("ooo.width", oooParams.width, .min = 1),
     ISIM_FIELD("ooo.window", oooParams.window),

@@ -4,8 +4,8 @@
  * experiment — transaction counts, seeding, JSON output, parallelism,
  * audit decimation, observability capture — resolved exactly once at
  * startup. The environment (ISIM_*) is read in RunOptions::fromEnv()
- * and nowhere else, so worker threads of the parallel experiment
- * engine never call getenv(); command-line flags take precedence over
+ * and nowhere else, so the executor's lease threads never call
+ * getenv(); command-line flags take precedence over
  * the environment (RunOptions::fromCommandLine).
  */
 
@@ -34,9 +34,9 @@ struct RunOptions
     /** Directory figure JSON is written into ("" = don't write). */
     std::string jsonDir;
     /**
-     * Worker threads for multi-bar figures, sweeps and campaign
-     * leases. 0 = one per hardware thread
-     * (std::thread::hardware_concurrency).
+     * Lease threads of the one executor that runs every bar —
+     * figures, sweeps and campaigns alike (campaign::runLeases).
+     * 0 = one per hardware thread (std::thread::hardware_concurrency).
      */
     unsigned jobs = 0;
     /** Full-audit decimation period of the invariant auditor. */
@@ -98,7 +98,7 @@ struct RunOptions
      *   --warmup N               warm-up transactions
      *   --seed N                 workload seed for every bar
      *   --json-dir DIR           write figure JSON into DIR
-     *   --jobs N                 worker threads (0 = one per core)
+     *   --jobs N                 lease threads (0 = one per core)
      *   --audit-period N         invariant full-audit period (>= 1)
      *   --stats-out FILE         write the stats manifest to FILE
      *   --stats-epoch TICKS      embed per-epoch rows on this grid
@@ -128,7 +128,7 @@ struct RunOptions
      */
     void applyGlobal() const;
 
-    /** Worker threads to actually start for `items` work items. */
+    /** Lease threads to actually start for `items` bars that run. */
     unsigned effectiveJobs(std::size_t items) const;
 };
 

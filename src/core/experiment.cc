@@ -1,42 +1,51 @@
 /**
  * @file
- * Experiment harness implementation: the parallel run engine.
- *
- * Thread-safety audit (see tests/test_parallel.cc, which runs the
- * engine under -fsanitize=thread in CI): a Machine owns every piece
- * of mutable state it touches — VM, kernel, OLTP engine (with its
- * Rng), scheduler, memory system, CPU cores — and an observed run
- * owns its obs::Observability bundle, so concurrent runs share only
- * immutable data. The remaining process-wide state is read-only
- * while workers run: the logging flags (setQuiet / setPanicThrow),
- * the invariant-audit period (resolved at startup, see
- * verify::setAuditPeriod), and the RunOptions themselves. stderr
- * progress lines are serialized by a mutex so verbose output never
- * interleaves.
+ * Experiment harness implementation: figures planned and run on the
+ * campaign executor (src/campaign/worker.hh).
  */
 
 #include "src/core/experiment.hh"
 
-#include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <exception>
 #include <filesystem>
-#include <mutex>
-#include <thread>
+#include <fstream>
+#include <iostream>
+#include <memory>
+#include <system_error>
 
+#include "src/base/json.hh"
 #include "src/base/logging.hh"
-#include "src/ckpt/checkpoint.hh"
+#include "src/campaign/worker.hh"
+#include "src/core/report.hh"
 #include "src/core/sweep.hh"
-#include "src/sample/controller.hh"
-#include "src/stats/manifest.hh"
 
 namespace isim {
 
 namespace {
 
-/** Serializes the runner's progress/warning lines across workers. */
-std::mutex logMutex;
+void
+writeTextFile(const std::string &path, const std::string &content,
+              const char *what)
+{
+    std::ofstream out(path);
+    if (!out)
+        isim_fatal("cannot write %s: %s", what, path.c_str());
+    out << content;
+    if (!out)
+        isim_fatal("write of %s failed: %s", what, path.c_str());
+}
+
+/** Create the --json-dir and its parents; fatal, naming it, on failure. */
+void
+makeJsonDir(const std::string &path)
+{
+    std::error_code ec;
+    std::filesystem::create_directories(path, ec);
+    if (ec)
+        isim_fatal("cannot create --json-dir directory %s: %s", path.c_str(),
+                   ec.message().c_str());
+}
 
 } // namespace
 
@@ -59,168 +68,128 @@ checkpointPath(const std::string &dir, const std::string &name)
     return dir + "/" + checkpointSlug(name) + ".ckpt";
 }
 
-RunResult
-ExperimentRunner::runMachine(const MachineConfig &cfg,
-                             obs::Observability *o) const
+std::vector<FigureResult>
+ExperimentRunner::runAll(const std::vector<FigureSpec> &specs) const
 {
-    std::unique_ptr<Machine> machine;
-    if (!options_.fromCkptDir.empty()) {
-        const std::string path =
-            checkpointPath(options_.fromCkptDir, cfg.name);
-        machine = Machine::fromCheckpoint(path);
-        // Measuring a warm image under different knobs would silently
-        // compare incomparable runs; insist on an exact config match.
-        if (ckpt::configBytes(machine->config()) !=
-            ckpt::configBytes(cfg)) {
-            isim_fatal("checkpoint '%s' was taken with a different "
-                       "configuration than '%s' requests (txns/seed/"
-                       "geometry must match exactly)",
-                       path.c_str(), cfg.name.c_str());
+    const campaign::CampaignPlan plan =
+        campaign::planFigures(specs, options_);
+    const std::size_t n = plan.bars.size();
+    std::vector<RunResult> runs(n);
+    std::vector<std::exception_ptr> errors(n);
+    std::vector<std::unique_ptr<obs::Observability>> observed(n);
+
+    campaign::CampaignQueue queue(plan, "");
+    const campaign::CampaignTally &tally = queue.tally();
+    campaign::runLeases(
+        queue, options_.effectiveJobs(tally.total - tally.aliases), -1,
+        [&](const campaign::Lease &lease) {
+            const std::size_t i = lease.index;
+            const char *name = plan.bars[i].config.name.c_str();
+            if (plan.bars[i].observed)
+                observed[i] = std::make_unique<obs::Observability>(options_.obs);
+            if (options_.verbose)
+                isim_inform("running %s%s ...", name,
+                            observed[i] ? " (observed)" : "");
+            try {
+                runs[i] = campaign::runBar(plan, lease, "", observed[i].get());
+            } catch (...) {
+                errors[i] = std::current_exception();
+                throw;
+            }
+            if (!runs[i].dbConsistent)
+                isim_warn("%s: TPC-B consistency check FAILED", name);
+        });
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
+
+    // Figures hold consecutive bars; an alias copies its primary.
+    std::vector<FigureResult> results;
+    std::size_t i = 0;
+    for (const FigureSpec &spec : specs) {
+        FigureResult &result = results.emplace_back();
+        result.spec = spec;
+        for (; result.runs.size() < spec.bars.size(); ++i) {
+            const std::size_t alias = plan.bars[i].aliasOf;
+            result.runs.push_back(runs[alias == campaign::kNoAlias ? i : alias]);
+            if (!observed[i])
+                continue;
+            const std::string written =
+                observed[i]->writeOutputs(runs[i].epochs);
+            if (options_.verbose && !written.empty())
+                isim_inform("%s: wrote %s", plan.bars[i].config.name.c_str(),
+                            written.c_str());
         }
-    } else {
-        machine = std::make_unique<Machine>(cfg);
     }
-    if (o != nullptr)
-        machine->attachObservability(o);
-    // One epoch grid per run: --stats-epoch records every bar, and
-    // the observed bar's timeline CSV renders the same rows.
-    Tick epoch = options_.statsEpochTicks;
-    if (epoch == 0 && o != nullptr && o->config().wantsTimeline())
-        epoch = o->config().epochTicks;
-    if (epoch > 0)
-        machine->recordEpochs(epoch);
-    if (!machine->isWarm()) {
-        machine->runWarmup();
-        if (!options_.saveCkptDir.empty()) {
-            std::filesystem::create_directories(options_.saveCkptDir);
-            machine->saveCheckpoint(
-                checkpointPath(options_.saveCkptDir, cfg.name));
-        }
-    }
-    RunResult r;
-    if (options_.sample.enabled()) {
-        sample::SampleController controller(*machine, options_.sample);
-        r = controller.run();
-    } else {
-        r = machine->runMeasurement();
-    }
-    // Stamp the cell's content-address identity (META block of the
-    // stats manifest; the cache key isim-campaign stores results
-    // under). Computed from the *requested* config, which runMachine's
-    // restore path has already proven byte-equal to the image's.
-    const std::vector<std::uint8_t> cb = ckpt::configBytes(cfg);
-    r.resultKey = stats::resultKey(cb, cfg.workload.seed,
-                                   options_.sample);
-    r.configDigest = stats::configDigest(cb);
-    r.seed = cfg.workload.seed;
-    return r;
-}
-
-RunResult
-ExperimentRunner::runOne(const MachineConfig &config) const
-{
-    MachineConfig cfg = config;
-    options_.applyTo(cfg.workload);
-    if (options_.verbose) {
-        const std::lock_guard<std::mutex> lock(logMutex);
-        isim_inform("running %s ...", cfg.name.c_str());
-    }
-    RunResult r = runMachine(cfg, nullptr);
-    if (!r.dbConsistent) {
-        const std::lock_guard<std::mutex> lock(logMutex);
-        isim_warn("%s: TPC-B consistency check FAILED", cfg.name.c_str());
-    }
-    return r;
-}
-
-RunResult
-ExperimentRunner::runObserved(const MachineConfig &config,
-                              obs::Observability &o) const
-{
-    MachineConfig cfg = config;
-    options_.applyTo(cfg.workload);
-    if (options_.verbose) {
-        const std::lock_guard<std::mutex> lock(logMutex);
-        isim_inform("running %s (observed) ...", cfg.name.c_str());
-    }
-    RunResult r = runMachine(cfg, &o);
-    if (!r.dbConsistent) {
-        const std::lock_guard<std::mutex> lock(logMutex);
-        isim_warn("%s: TPC-B consistency check FAILED", cfg.name.c_str());
-    }
-    const std::string written = o.writeOutputs(r.epochs);
-    if (options_.verbose && !written.empty()) {
-        const std::lock_guard<std::mutex> lock(logMutex);
-        isim_inform("%s: wrote %s", cfg.name.c_str(), written.c_str());
-    }
-    return r;
-}
-
-RunResult
-ExperimentRunner::runBar(const FigureSpec &spec, std::size_t index,
-                         std::size_t observed_index) const
-{
-    if (index == observed_index) {
-        obs::Observability o(options_.obs);
-        return runObserved(spec.bars[index].config, o);
-    }
-    return runOne(spec.bars[index].config);
+    return results;
 }
 
 FigureResult
 ExperimentRunner::run(const FigureSpec &spec) const
 {
-    FigureResult result;
-    result.spec = spec;
-    const std::size_t n = spec.bars.size();
-    result.runs.resize(n);
-
-    const std::size_t observed =
-        (options_.obs.any() && n)
-            ? std::min(options_.obs.traceBar, n - 1)
-            : n; // no bar is observed
-    const unsigned jobs = options_.effectiveJobs(n);
-
-    if (jobs <= 1 || n <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            result.runs[i] = runBar(spec, i, observed);
-        return result;
-    }
-
-    // Worker pool over a shared bar counter. Workers write disjoint
-    // slots of `runs` and disjoint slots of `errors`, so results come
-    // back in spec order no matter which worker finishes when; the
-    // first failing bar's exception (in spec order) is rethrown after
-    // the join so no thread is left running.
-    std::atomic<std::size_t> next{0};
-    std::vector<std::exception_ptr> errors(n);
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t) {
-        pool.emplace_back([&] {
-            for (std::size_t i;
-                 (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
-                try {
-                    result.runs[i] = runBar(spec, i, observed);
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
-            }
-        });
-    }
-    for (std::thread &worker : pool)
-        worker.join();
-    for (const std::exception_ptr &error : errors) {
-        if (error)
-            std::rethrow_exception(error);
-    }
-    return result;
+    return std::move(runAll({spec}).front());
 }
 
 FigureResult
 ExperimentRunner::run(const SweepSpec &sweep) const
 {
     return run(sweep.expand());
+}
+
+RunResult
+ExperimentRunner::runOne(const MachineConfig &config) const
+{
+    FigureSpec spec;
+    spec.bars.push_back({config, std::nullopt, std::nullopt});
+    return std::move(run(spec).runs.front());
+}
+
+std::string
+figureJsonStem(const FigureSpec &spec)
+{
+    return checkpointSlug(spec.id + "_" + spec.title);
+}
+
+std::vector<FigureResult>
+runFigures(const std::vector<FigureSpec> &specs, const RunOptions &options)
+{
+    if (specs.empty())
+        return {};
+    options.applyGlobal();
+    // Fail on an unusable --json-dir before any bar is simulated.
+    if (!options.jsonDir.empty())
+        makeJsonDir(options.jsonDir);
+    return ExperimentRunner(options).runAll(specs);
+}
+
+void
+printFigure(const FigureResult &result, const RunOptions &options)
+{
+    // The report is the CLI's product output, not a diagnostic.
+    // isim-lint: allow(logging): figure reports are the CLI's stdout contract
+    printFigureReport(std::cout, result);
+    const std::string stem =
+        options.jsonDir + "/" + figureJsonStem(result.spec);
+    if (!options.jsonDir.empty()) {
+        const std::string path = stem + ".json";
+        writeTextFile(path, figureToJson(result), "figure JSON");
+        isim_inform("json written to %s", path.c_str());
+    }
+    if (!options.statsOut.empty() || !options.jsonDir.empty()) {
+        const std::string path = !options.statsOut.empty()
+                                     ? options.statsOut
+                                     : stem + ".stats.json";
+        const std::string manifest = figureStatsJson(result);
+        // The manifest is a machine-interface contract (isim-stat,
+        // CI regression diffs); prove it parses before shipping it.
+        std::string err;
+        if (!jsonValidate(manifest, &err))
+            isim_panic("stats manifest does not validate: %s",
+                       err.c_str());
+        writeTextFile(path, manifest, "stats manifest");
+        isim_inform("stats written to %s", path.c_str());
+    }
 }
 
 } // namespace isim

@@ -4,16 +4,13 @@
  * plus the paper's published (normalized) bar heights; running it
  * produces measured results side by side with the paper's values.
  *
- * Every bar of a figure is an independent machine, so the runner
- * executes them on a small worker pool (RunOptions::jobs threads,
- * default one per core). Each run is self-contained — per-machine
- * state, per-run observability bundle, RNG seeded from the config —
- * and every option reaches the runner through the caller's
- * RunOptions, resolved once, up front (a front end folds the ISIM_*
- * environment and its flags in via RunOptions::fromCommandLine; the
- * runner never reads the environment). Results land in spec order
- * regardless of completion order, so a figure's output is
- * bit-identical at any job count.
+ * ExperimentRunner plans its figures with campaign::planFigures (no
+ * cache, no warm groups: every bar runs cold, identical bars once)
+ * and runs the plan on the campaign executor's lease threads
+ * (RunOptions::jobs). Every option reaches it through the caller's
+ * RunOptions, resolved once, up front; the runner never reads the
+ * environment. Results land in spec order whatever the completion
+ * order, so output is bit-identical at any job count.
  */
 
 #ifndef ISIM_CORE_EXPERIMENT_HH
@@ -59,18 +56,15 @@ struct FigureResult
 };
 
 /**
- * Filesystem slug of a machine name (lower-cased alphanumerics,
- * everything else `_`, 64 chars max — the figure-stem rules), and the
- * checkpoint path `<dir>/<slug>.ckpt` the runner saves/restores.
+ * Filesystem slug of a name (lower-cased alphanumerics, everything
+ * else `_`, 64 chars max; figure JSON stems use it too), and the
+ * checkpoint path `<dir>/<slug>.ckpt` a bar saves/restores.
  */
 std::string checkpointSlug(const std::string &name);
 std::string checkpointPath(const std::string &dir,
                            const std::string &name);
 
-/**
- * Runs every configuration of a figure, concurrently when the
- * options allow (each run builds a fresh machine; see RunOptions).
- */
+/** Runs figures on the campaign executor (see the file comment). */
 class ExperimentRunner
 {
   public:
@@ -80,28 +74,42 @@ class ExperimentRunner
     {
     }
 
+    /**
+     * Run several figures as one plan: their bars share the lease
+     * threads, and a bar identical to an earlier one copies its
+     * result. Once every bar is done, rethrows the first failed
+     * bar's error in spec order; otherwise writes each figure's
+     * observed-bar capture files, in spec order, on this thread.
+     */
+    std::vector<FigureResult>
+    runAll(const std::vector<FigureSpec> &specs) const;
     FigureResult run(const FigureSpec &spec) const;
     /** Expand the sweep's cross-product and run it like a figure. */
     FigureResult run(const SweepSpec &sweep) const;
-    /** Run one configuration. */
+    /** Run one configuration (as a one-bar figure). */
     RunResult runOne(const MachineConfig &config) const;
 
   private:
-    /** Run one configuration with an observability bundle attached. */
-    RunResult runObserved(const MachineConfig &config,
-                          obs::Observability &o) const;
-    RunResult runBar(const FigureSpec &spec, std::size_t index,
-                     std::size_t observed_index) const;
-    /**
-     * Build (or restore, with fromCkptDir) the machine, run it, and
-     * save a warm checkpoint when saveCkptDir asks for one. The
-     * shared back end of runOne / runObserved.
-     */
-    RunResult runMachine(const MachineConfig &config,
-                         obs::Observability *o) const;
-
     RunOptions options_;
 };
+
+/**
+ * For front ends: install the options' process-wide knobs, create
+ * the `--json-dir` (an unusable one fails before any bar runs), then
+ * runAll(). An empty list does nothing.
+ */
+std::vector<FigureResult> runFigures(const std::vector<FigureSpec> &specs,
+                                     const RunOptions &options);
+
+/**
+ * Print a figure's report to stdout; write `<jsonDir>/<stem>.json`
+ * when a JSON directory is set, and the stats manifest to
+ * `--stats-out` or next to the JSON.
+ */
+void printFigure(const FigureResult &result, const RunOptions &options);
+
+/** The JSON file stem of a figure ("figure_5_oltp_with_..."). */
+std::string figureJsonStem(const FigureSpec &spec);
 
 } // namespace isim
 

@@ -70,6 +70,13 @@ MachineConfig::validate() const
                    "divisible by the cores per node",
                    numCpus, coresPerNode);
     }
+    if (numNodes() > 32) {
+        isim_fatal("config keys 'machine.cpus' = %u, "
+                   "'machine.cores_per_node' = %u: %u nodes: the model "
+                   "supports 1..32 nodes (the directory's sharer mask is "
+                   "32 bits)",
+                   numCpus, coresPerNode, numNodes());
+    }
     if (workload.rowBytes > workload.blockBytes) {
         isim_fatal("config keys 'workload.row_size' = %llu, "
                    "'workload.block_size' = %u: a block must hold a row",

@@ -120,7 +120,7 @@ struct RunResult
     std::vector<stats::EpochRow> epochs;
 
     // Content-address identity of this run's (config, seed) cell,
-    // filled by ExperimentRunner::runMachine and echoed into the
+    // filled by the bar runner (campaign::runBar) and echoed into the
     // stats manifest's META block (stats::resultKey semantics). Empty
     // for runs driven outside the runner (unit tests on raw Machine).
     std::string resultKey;

@@ -243,7 +243,31 @@ TEST(MachineFromConfigDeathTest, MoreThan16CoresPerChipIsFatal)
         "machine.cores_per_node = 32\n");
     EXPECT_EXIT(Machine(machineFromConfig(kv)),
                 ::testing::ExitedWithCode(1),
-                "32 cores per node: the model supports 1..16 cores");
+                "config key 'machine.cores_per_node': 32 exceeds the "
+                "limit 16");
+}
+
+// The model limits are rejected by the parse itself, before any
+// machine is built, in messages that name the .cfg keys.
+TEST(MachineFromConfigDeathTest, SeventeenCoresPerNodeFailAtParse)
+{
+    EXPECT_EXIT(machineFromConfig(KvConfig::fromString(
+                    "machine.cpus = 17\n"
+                    "machine.cores_per_node = 17\n")),
+                ::testing::ExitedWithCode(1),
+                "config key 'machine.cores_per_node': 17 exceeds the "
+                "limit 16");
+}
+
+TEST(MachineFromConfigDeathTest, ThirtyThreeNodesFailAtParse)
+{
+    EXPECT_EXIT(machineFromConfig(KvConfig::fromString(
+                    "machine.cpus = 66\n"
+                    "machine.cores_per_node = 2\n")),
+                ::testing::ExitedWithCode(1),
+                "config keys 'machine.cpus' = 66, "
+                "'machine.cores_per_node' = 2: 33 nodes: the model "
+                "supports 1..32 nodes");
 }
 
 TEST(MachineFromConfigDeathTest, BadGeometryIsFatal)

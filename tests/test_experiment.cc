@@ -11,9 +11,10 @@
 #include <string>
 
 #include "src/base/logging.hh"
-#include "src/core/driver.hh"
+#include "src/campaign/worker.hh"
 #include "src/core/experiment.hh"
 #include "src/core/figures.hh"
+#include "src/core/report.hh"
 
 namespace isim {
 namespace {
@@ -116,9 +117,9 @@ TEST(Experiment, JsonDirIsCreatedWithItsParents)
     const std::string dir = root + "/a/b";
     const FigureSpec spec = oneBarSpec();
     ::testing::internal::CaptureStdout();
-    const int rc = runFigureAndPrint(spec, quietOneJob(dir));
+    const RunOptions opts = quietOneJob(dir);
+    printFigure(runFigures({spec}, opts).front(), opts);
     ::testing::internal::GetCapturedStdout();
-    EXPECT_EQ(rc, 0);
     const std::string stem = dir + "/" + figureJsonStem(spec);
     EXPECT_TRUE(std::filesystem::is_regular_file(stem + ".json"));
     EXPECT_TRUE(std::filesystem::is_regular_file(stem + ".stats.json"));
@@ -135,7 +136,7 @@ TEST(Experiment, UncreatableJsonDirFailsBeforeAnyBar)
     ScopedPanicThrow throws;
     ::testing::internal::CaptureStdout();
     try {
-        runFigureAndPrint(oneBarSpec(), quietOneJob(dir));
+        runFigures({oneBarSpec()}, quietOneJob(dir));
         ADD_FAILURE() << "an uncreatable --json-dir was accepted";
     } catch (const PanicError &e) {
         EXPECT_NE(std::string(e.what()).find(dir), std::string::npos)
@@ -144,6 +145,59 @@ TEST(Experiment, UncreatableJsonDirFailsBeforeAnyBar)
     // No bar ran, so no report was printed.
     EXPECT_EQ(::testing::internal::GetCapturedStdout(), "");
     std::filesystem::remove(blocker);
+}
+
+TEST(Experiment, IdenticalBarsRunOnceAndShareTheirResult)
+{
+    setQuiet(true);
+    FigureSpec spec = oneBarSpec();
+    spec.bars.push_back(spec.bars.front());
+
+    // The plan leases the first bar and makes the second its alias.
+    const campaign::CampaignPlan plan =
+        campaign::planFigures({spec}, quietOptions());
+    campaign::CampaignQueue queue(plan, "");
+    int leases = 0;
+    campaign::runLeases(queue, 1, -1,
+                        [&](const campaign::Lease &) { ++leases; });
+    EXPECT_EQ(leases, 1);
+    EXPECT_EQ(queue.tally().ran, 1u);
+    EXPECT_EQ(queue.tally().aliases, 1u);
+
+    // The alias carries its primary's result, byte for byte.
+    const FigureResult result = ExperimentRunner(quietOptions()).run(spec);
+    ASSERT_EQ(result.runs.size(), 2u);
+    FigureResult first = result;
+    FigureResult second = result;
+    first.runs.pop_back();
+    second.runs.erase(second.runs.begin());
+    EXPECT_EQ(figureStatsJson(first), figureStatsJson(second));
+    EXPECT_EQ(figureToJson(first), figureToJson(second));
+}
+
+TEST(Experiment, CheckpointPathCollisionIsFatalBeforeAnyBar)
+{
+    // Two bars named alike but configured differently would write one
+    // image file; the plan refuses them before anything runs.
+    const std::string dir = ::testing::TempDir() + "/isim_ckpt_collision";
+    std::filesystem::remove_all(dir);
+    FigureSpec spec = oneBarSpec();
+    spec.bars.push_back(spec.bars.front());
+    spec.bars[1].config.l2.assoc = 2;
+    RunOptions opts = quietOptions();
+    opts.saveCkptDir = dir;
+    const ScopedPanicThrow throws;
+    try {
+        ExperimentRunner(opts).run(spec);
+        ADD_FAILURE() << "two bars were allowed one checkpoint path";
+    } catch (const PanicError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'test:uni' and 'test:uni'"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find(checkpointPath(dir, "uni")), std::string::npos)
+            << what;
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 } // namespace

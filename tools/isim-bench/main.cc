@@ -54,7 +54,6 @@
 
 #include "src/base/json.hh"
 #include "src/base/logging.hh"
-#include "src/core/driver.hh"
 #include "src/core/registry.hh"
 #include "src/sample/spec.hh"
 

@@ -20,13 +20,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "src/config/options.hh"
-#include "src/core/driver.hh"
+#include "src/core/experiment.hh"
 #include "src/core/registry.hh"
 #include "tools/isim-fig/tables.hh"
 
@@ -45,8 +44,9 @@ usage(std::FILE *to, const char *argv0)
         "       %s run <id|prefix|all>... [options]\n"
         "\n"
         "Runs figures/ablations/extensions from the registry and "
-        "prints the\npaper-style reports and tables. Bars of a figure "
-        "run concurrently (--jobs).\n"
+        "prints the\npaper-style reports and tables. The bars of every "
+        "selected figure run as\none plan on --jobs threads; identical "
+        "bars run once.\n"
         "\nOptions:\n%s%s"
         "\nEnvironment fallbacks: ISIM_TXNS, ISIM_WARMUP, ISIM_SEED, "
         "ISIM_JOBS,\nISIM_JSON_DIR, ISIM_AUDIT_PERIOD (flags win).\n",
@@ -59,7 +59,8 @@ struct Item
 {
     std::string id;
     std::string description;
-    std::function<int(const RunOptions &)> run;
+    const isim::fig::TableEntry *table = nullptr;
+    const FigureEntry *figure = nullptr;
 };
 
 /** The tables, then the registry, each in its own catalog order. */
@@ -67,21 +68,10 @@ std::vector<Item>
 catalog()
 {
     std::vector<Item> items;
-    for (const isim::fig::TableEntry &t : isim::fig::tableEntries()) {
-        items.push_back({t.id, t.description, [&t](const RunOptions &) {
-                             t.print(std::cout);
-                             return 0;
-                         }});
-    }
-    for (const FigureEntry &e : FigureRegistry::instance().entries()) {
-        items.push_back(
-            {e.id, e.description, [&e](const RunOptions &opts) {
-                 const int rc = isim::runFigureAndPrint(e.make(), opts);
-                 if (rc == 0 && !e.note.empty())
-                     std::cout << e.note;
-                 return rc;
-             }});
-    }
+    for (const isim::fig::TableEntry &t : isim::fig::tableEntries())
+        items.push_back({t.id, t.description, &t, nullptr});
+    for (const FigureEntry &e : FigureRegistry::instance().entries())
+        items.push_back({e.id, e.description, nullptr, &e});
     return items;
 }
 
@@ -140,10 +130,23 @@ run(const std::vector<std::string> &ids, const RunOptions &opts)
             }
         }
     }
+    // Every selected figure's bars run first, as one plan; the
+    // reports, tables and files then follow in selection order.
+    std::vector<isim::FigureSpec> specs;
     for (const Item *item : selected) {
-        const int rc = item->run(opts);
-        if (rc != 0)
-            return rc;
+        if (item->figure != nullptr)
+            specs.push_back(item->figure->make());
+    }
+    const std::vector<isim::FigureResult> results =
+        isim::runFigures(specs, opts);
+    auto result = results.begin();
+    for (const Item *item : selected) {
+        if (item->table != nullptr) {
+            item->table->print(std::cout);
+            continue;
+        }
+        isim::printFigure(*result++, opts);
+        std::cout << item->figure->note;
     }
     return 0;
 }
