@@ -106,11 +106,43 @@ markAliases(CampaignPlan &plan)
     }
 }
 
+/**
+ * A campaign writes only under its --out directory. Fatal on the
+ * first run option that asks for an output or an image elsewhere,
+ * which no campaign lease would honour.
+ */
+void
+rejectUnhonouredOptions(const RunOptions &options)
+{
+    const struct
+    {
+        bool set;
+        const char *flag;
+    } unhonoured[] = {
+        {options.statsEpochTicks != 0, "--stats-epoch (ISIM_STATS_EPOCH)"},
+        {!options.saveCkptDir.empty(), "--save-ckpt (ISIM_SAVE_CKPT)"},
+        {!options.fromCkptDir.empty(), "--from-ckpt (ISIM_FROM_CKPT)"},
+        {!options.statsOut.empty(), "--stats-out (ISIM_STATS_OUT)"},
+        {!options.obs.traceOutPath.empty(), "--trace-out"},
+        {!options.obs.traceBinPath.empty(), "--trace-bin"},
+        {!options.obs.timelineOutPath.empty(), "--timeline-out"},
+        {options.obs.traceBar != 0, "--trace-bar"},
+    };
+    for (const auto &[set, flag] : unhonoured) {
+        if (set)
+            isim_fatal("campaigns cannot honour %s: a campaign writes "
+                       "only under --out; run the figure with isim-fig "
+                       "for that output",
+                       flag);
+    }
+}
+
 } // namespace
 
 CampaignPlan
 expandCampaign(const CampaignSpec &spec, const RunOptions &options)
 {
+    rejectUnhonouredOptions(options);
     CampaignPlan plan;
     plan.spec = spec;
     plan.sample = options.sample;

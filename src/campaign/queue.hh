@@ -110,6 +110,9 @@ std::string warmGroupKey(const MachineConfig &config);
  * Expand a spec against the figure registry. Fatal on an unknown
  * figure id. `options` supplies the txns/warmup/seed overrides that
  * beat the spec's (flags win; the spec's seed axis beats --seed).
+ * Fatal, naming the flag, when `options` asks for an output a
+ * campaign does not write (--stats-epoch, --stats-out, --save-ckpt,
+ * --from-ckpt or a capture flag).
  */
 CampaignPlan expandCampaign(const CampaignSpec &spec,
                             const RunOptions &options);

@@ -1,7 +1,6 @@
 #include "src/ckpt/serializer.hh"
 
 #include <array>
-#include <bit>
 #include <cstring>
 #include <fstream>
 
@@ -26,39 +25,6 @@ fourccName(std::uint32_t tag_value)
         name += (c >= 0x20 && c < 0x7f) ? c : '?';
     }
     return name;
-}
-
-/** `v` in little-endian byte order (the image encoding). */
-template <typename T>
-T
-littleEndian(T v)
-{
-    if constexpr (std::endian::native == std::endian::big) {
-        if constexpr (sizeof(T) == 2)
-            return __builtin_bswap16(v);
-        else if constexpr (sizeof(T) == 4)
-            return __builtin_bswap32(v);
-        else if constexpr (sizeof(T) == 8)
-            return __builtin_bswap64(v);
-    }
-    return v;
-}
-
-template <typename T>
-void
-storeLe(std::uint8_t *p, T v)
-{
-    v = littleEndian(v);
-    std::memcpy(p, &v, sizeof(v));
-}
-
-template <typename T>
-T
-loadLe(const std::uint8_t *p)
-{
-    T v;
-    std::memcpy(&v, p, sizeof(v));
-    return littleEndian(v);
 }
 
 using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
@@ -87,6 +53,9 @@ makeCrcTables()
 constexpr CrcTables kCrcTables = makeCrcTables();
 
 } // namespace
+
+using detail::loadLe;
+using detail::storeLe;
 
 std::uint32_t
 crc32(const std::uint8_t *data, std::size_t size)
@@ -124,48 +93,12 @@ Serializer::Serializer()
 }
 
 void
-Serializer::u8(std::uint8_t v)
-{
-    *append(1) = v;
-}
-
-void
-Serializer::u16(std::uint16_t v)
-{
-    storeLe(append(2), v);
-}
-
-void
-Serializer::u32(std::uint32_t v)
-{
-    storeLe(append(4), v);
-}
-
-void
-Serializer::u64(std::uint64_t v)
-{
-    storeLe(append(8), v);
-}
-
-void
-Serializer::i64(std::int64_t v)
-{
-    u64(static_cast<std::uint64_t>(v));
-}
-
-void
 Serializer::f64(double v)
 {
     std::uint64_t bits = 0;
     static_assert(sizeof(bits) == sizeof(v));
     std::memcpy(&bits, &v, sizeof(bits));
     u64(bits);
-}
-
-void
-Serializer::b(bool v)
-{
-    u8(v ? 1 : 0);
 }
 
 void
@@ -251,50 +184,22 @@ Deserializer::fromFile(const std::string &path)
     return Deserializer(std::move(data));
 }
 
-const std::uint8_t *
-Deserializer::need(std::size_t n)
+void
+Deserializer::overrun(std::size_t n) const
 {
     if (buf_.size() - pos_ < n)
         isim_fatal("checkpoint truncated: need %zu bytes at offset "
                    "%zu, only %zu remain",
                    n, pos_, buf_.size() - pos_);
-    if (sectionOpen_ && pos_ + n > sectionEnd_)
-        isim_fatal("checkpoint section overrun: read of %zu bytes at "
-                   "offset %zu crosses the section end at %zu",
-                   n, pos_, sectionEnd_);
-    const std::uint8_t *p = buf_.data() + pos_;
-    pos_ += n;
-    return p;
+    isim_fatal("checkpoint section overrun: read of %zu bytes at "
+               "offset %zu crosses the section end at %zu",
+               n, pos_, sectionEnd_);
 }
 
-std::uint8_t
-Deserializer::u8()
+void
+Deserializer::badBool(std::uint8_t v)
 {
-    return *need(1);
-}
-
-std::uint16_t
-Deserializer::u16()
-{
-    return loadLe<std::uint16_t>(need(2));
-}
-
-std::uint32_t
-Deserializer::u32()
-{
-    return loadLe<std::uint32_t>(need(4));
-}
-
-std::uint64_t
-Deserializer::u64()
-{
-    return loadLe<std::uint64_t>(need(8));
-}
-
-std::int64_t
-Deserializer::i64()
-{
-    return static_cast<std::int64_t>(u64());
+    isim_fatal("checkpoint corrupt: bool byte is %u", v);
 }
 
 double
@@ -304,15 +209,6 @@ Deserializer::f64()
     double v = 0.0;
     std::memcpy(&v, &bits, sizeof(v));
     return v;
-}
-
-bool
-Deserializer::b()
-{
-    const std::uint8_t v = u8();
-    if (v > 1)
-        isim_fatal("checkpoint corrupt: bool byte is %u", v);
-    return v != 0;
 }
 
 std::string

@@ -30,8 +30,10 @@
 #define ISIM_CKPT_SERIALIZER_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -68,6 +70,43 @@ sectionTag(const char (&fourcc)[5])
                << 24;
 }
 
+namespace detail {
+
+/** `v` in little-endian byte order (the image encoding). */
+template <typename T>
+inline T
+littleEndian(T v)
+{
+    if constexpr (std::endian::native == std::endian::big) {
+        if constexpr (sizeof(T) == 2)
+            return __builtin_bswap16(v);
+        else if constexpr (sizeof(T) == 4)
+            return __builtin_bswap32(v);
+        else if constexpr (sizeof(T) == 8)
+            return __builtin_bswap64(v);
+    }
+    return v;
+}
+
+template <typename T>
+inline void
+storeLe(std::uint8_t *p, T v)
+{
+    v = littleEndian(v);
+    std::memcpy(p, &v, sizeof(v));
+}
+
+template <typename T>
+inline T
+loadLe(const std::uint8_t *p)
+{
+    T v;
+    std::memcpy(&v, p, sizeof(v));
+    return littleEndian(v);
+}
+
+} // namespace detail
+
 /** CRC-32 (IEEE 802.3 polynomial, reflected), eight bytes a step. */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t size);
 
@@ -84,14 +123,15 @@ class Serializer
   public:
     Serializer();
 
-    void u8(std::uint8_t v);
-    void u16(std::uint16_t v);
-    void u32(std::uint32_t v);
-    void u64(std::uint64_t v);
-    void i64(std::int64_t v);
+    // The primitives are inline: a large image makes millions of calls.
+    void u8(std::uint8_t v) { *append(1) = v; }
+    void u16(std::uint16_t v) { detail::storeLe(append(2), v); }
+    void u32(std::uint32_t v) { detail::storeLe(append(4), v); }
+    void u64(std::uint64_t v) { detail::storeLe(append(8), v); }
+    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
     /** Encoded as the IEEE-754 bit pattern (bit-exact round trip). */
     void f64(double v);
-    void b(bool v);
+    void b(bool v) { u8(v ? 1 : 0); }
     /** u64 length followed by the raw bytes. */
     void str(const std::string &v);
     void memRef(const MemRef &r);
@@ -136,13 +176,28 @@ class Deserializer
     /** Load a checkpoint file; isim_fatal if unreadable. */
     static Deserializer fromFile(const std::string &path);
 
-    std::uint8_t u8();
-    std::uint16_t u16();
-    std::uint32_t u32();
-    std::uint64_t u64();
-    std::int64_t i64();
+    std::uint8_t u8() { return *need(1); }
+    std::uint16_t u16()
+    {
+        return detail::loadLe<std::uint16_t>(need(2));
+    }
+    std::uint32_t u32()
+    {
+        return detail::loadLe<std::uint32_t>(need(4));
+    }
+    std::uint64_t u64()
+    {
+        return detail::loadLe<std::uint64_t>(need(8));
+    }
+    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
     double f64();
-    bool b();
+    bool b()
+    {
+        const std::uint8_t v = u8();
+        if (v > 1)
+            badBool(v);
+        return v != 0;
+    }
     std::string str();
     MemRef memRef();
 
@@ -164,7 +219,19 @@ class Deserializer
     void finish() const;
 
   private:
-    const std::uint8_t *need(std::size_t n);
+    /** The next `n` bytes, consumed; fatal past the section or data. */
+    const std::uint8_t *need(std::size_t n)
+    {
+        const std::size_t end = sectionOpen_ ? sectionEnd_ : buf_.size();
+        if (end - pos_ < n)
+            overrun(n);
+        const std::uint8_t *p = buf_.data() + pos_;
+        pos_ += n;
+        return p;
+    }
+    /** The fatal of a need() that runs past the section or the data. */
+    [[noreturn]] void overrun(std::size_t n) const;
+    [[noreturn]] static void badBool(std::uint8_t v);
 
     std::vector<std::uint8_t> buf_;
     std::size_t pos_ = 0;

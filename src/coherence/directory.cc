@@ -6,6 +6,7 @@
 #include "src/coherence/directory.hh"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "src/ckpt/serializer.hh"
@@ -14,7 +15,7 @@ namespace isim {
 
 namespace {
 
-/** Block slots in a fresh table (13 KiB); it doubles from here as needed. */
+/** Key slots in a fresh table (1 KiB); it doubles from here as needed. */
 constexpr std::size_t initialBlocks = 64;
 
 /** Bytes one saved entry takes: u64 line, u8 state, u32 sharers, u32 owner. */
@@ -26,13 +27,13 @@ Directory::Directory(const HomeMap &home_map, unsigned line_bits)
     : homeMap_(home_map), lineBits_(line_bits)
 {
     isim_assert(homeMap_.numNodes >= 1 && homeMap_.numNodes <= 32);
-    reset(initialBlocks);
+    resetKeys(initialBlocks);
 }
 
 void
-Directory::reset(std::size_t capacity)
+Directory::resetKeys(std::size_t capacity)
 {
-    blocks_.assign(capacity, Block{emptyBlock, 0, {}});
+    keys_.assign(capacity, Key{emptyBlock, 0, 0});
     mask_ = capacity - 1;
     hashShift_ = 64 - static_cast<unsigned>(__builtin_ctzll(capacity));
     liveBlocks_ = 0;
@@ -40,14 +41,14 @@ Directory::reset(std::size_t capacity)
 }
 
 void
-Directory::place(const Block &b)
+Directory::claim(const Key &key)
 {
-    std::size_t i = homeOfBlock(b.block);
-    while (blocks_[i].block != emptyBlock)
+    std::size_t i = homeOfBlock(key.block);
+    while (keys_[i].block != emptyBlock)
         i = (i + 1) & mask_;
-    blocks_[i] = b;
+    keys_[i] = key;
     ++liveBlocks_;
-    size_ += static_cast<std::size_t>(__builtin_popcount(b.present));
+    size_ += static_cast<std::size_t>(__builtin_popcount(key.present));
 }
 
 DirEntry &
@@ -55,28 +56,39 @@ Directory::entry(Addr line_addr)
 {
     const Addr block = line_addr >> 4;
     std::size_t i = probe(block);
-    if (blocks_[i].block != block) {
-        if (2 * (liveBlocks_ + 1) > blocks_.size()) {
-            std::vector<Block> old;
-            old.swap(blocks_);
-            reset(old.size() * 2);
-            for (const Block &b : old) {
-                if (b.block != emptyBlock)
-                    place(b);
+    if (keys_[i].block != block) {
+        if (2 * (liveBlocks_ + 1) > keys_.size()) {
+            // Growth rehashes the keys alone: payloads stay put.
+            std::vector<Key> old;
+            old.swap(keys_);
+            resetKeys(old.size() * 2);
+            for (const Key &key : old) {
+                if (key.block != emptyBlock)
+                    claim(key);
             }
             i = probe(block);
         }
-        blocks_[i].block = block;
+        std::uint32_t payload;
+        if (!freePayloads_.empty()) {
+            payload = freePayloads_.back();
+            freePayloads_.pop_back();
+        } else {
+            isim_assert(payloads_.size() < ~std::uint32_t{0});
+            payload = static_cast<std::uint32_t>(payloads_.size());
+            payloads_.emplace_back();
+        }
+        keys_[i] = Key{block, 0, payload};
         ++liveBlocks_;
     }
-    Block &b = blocks_[i];
+    Key &key = keys_[i];
     const unsigned off = line_addr & 15;
-    if (!((b.present >> off) & 1u)) {
-        b.present |= 1u << off;
-        b.entries[off] = DirEntry{};
+    DirEntry &e = payloads_[key.payload].entries[off];
+    if (!((key.present >> off) & 1u)) {
+        key.present |= 1u << off;
+        e = DirEntry{};
         ++size_;
     }
-    return b.entries[off];
+    return e;
 }
 
 void
@@ -84,24 +96,24 @@ Directory::erase(Addr line_addr)
 {
     std::size_t hole = probe(line_addr >> 4);
     const std::uint32_t bit = 1u << (line_addr & 15);
-    if (!(blocks_[hole].present & bit))
+    if (!(keys_[hole].present & bit))
         return;
     --size_;
-    if ((blocks_[hole].present &= ~bit) != 0)
+    if ((keys_[hole].present &= ~bit) != 0)
         return;
-    // The block's last line went: backward shift. Move each later
-    // member of the probe run whose home slot is not cyclically inside
-    // (hole, j] back into the hole.
-    for (std::size_t j = (hole + 1) & mask_; blocks_[j].block != emptyBlock;
+    // The block's last line went: free its payload, then backward
+    // shift the keys. Move each later member of the probe run whose
+    // home slot is not cyclically inside (hole, j] back into the hole.
+    freePayloads_.push_back(keys_[hole].payload);
+    for (std::size_t j = (hole + 1) & mask_; keys_[j].block != emptyBlock;
          j = (j + 1) & mask_) {
-        const std::size_t home = homeOfBlock(blocks_[j].block);
+        const std::size_t home = homeOfBlock(keys_[j].block);
         if (((j - home) & mask_) >= ((j - hole) & mask_)) {
-            blocks_[hole] = blocks_[j];
+            keys_[hole] = keys_[j];
             hole = j;
         }
     }
-    blocks_[hole].block = emptyBlock;
-    blocks_[hole].present = 0;
+    keys_[hole] = Key{emptyBlock, 0, 0};
     --liveBlocks_;
 }
 
@@ -109,11 +121,11 @@ void
 Directory::forEachEntry(
     const std::function<void(Addr line_addr, const DirEntry &)> &fn) const
 {
-    for (const Block &b : blocks_) {
-        for (std::uint32_t bits = b.present; bits != 0; bits &= bits - 1) {
+    for (const Key &key : keys_) {
+        for (std::uint32_t bits = key.present; bits != 0; bits &= bits - 1) {
             const unsigned off =
                 static_cast<unsigned>(__builtin_ctz(bits));
-            fn(b.block << 4 | off, b.entries[off]);
+            fn(key.block << 4 | off, payloads_[key.payload].entries[off]);
         }
     }
 }
@@ -159,24 +171,24 @@ Directory::checkEntry(const DirEntry &e)
 void
 Directory::saveState(ckpt::Serializer &s) const
 {
-    // Sorting blocks by number and writing each block's lines in
-    // offset order gives the lines in increasing order.
-    std::vector<const Block *> live;
+    // Sorting the live keys by block number and writing each block's
+    // lines in offset order gives the lines in increasing order.
+    std::vector<Key> live;
     live.reserve(liveBlocks_);
-    for (const Block &b : blocks_) {
-        if (b.block != emptyBlock)
-            live.push_back(&b);
+    for (const Key &key : keys_) {
+        if (key.block != emptyBlock)
+            live.push_back(key);
     }
-    std::sort(live.begin(), live.end(), [](const Block *x, const Block *y) {
-        return x->block < y->block;
+    std::sort(live.begin(), live.end(), [](const Key &x, const Key &y) {
+        return x.block < y.block;
     });
     s.u64(size_);
-    for (const Block *b : live) {
-        for (std::uint32_t bits = b->present; bits != 0; bits &= bits - 1) {
+    for (const Key &key : live) {
+        for (std::uint32_t bits = key.present; bits != 0; bits &= bits - 1) {
             const unsigned off =
                 static_cast<unsigned>(__builtin_ctz(bits));
-            const DirEntry &e = b->entries[off];
-            s.u64(b->block << 4 | off);
+            const DirEntry &e = payloads_[key.payload].entries[off];
+            s.u64(key.block << 4 | off);
             s.u8(static_cast<std::uint8_t>(e.state));
             s.u32(e.sharers);
             s.u32(e.owner);
@@ -197,8 +209,11 @@ Directory::restoreState(ckpt::Deserializer &d)
     const Addr line_limit =
         homeMap_.nodeBase(homeMap_.numNodes) >> lineBits_;
     // Lines arrive in increasing order, so each block's lines arrive
-    // together: collect the blocks, then size the table once.
-    std::vector<Block> sorted;
+    // together: fill the payloads in that order, then size the key
+    // table once for the blocks.
+    std::vector<Key> keys;
+    payloads_.clear();
+    freePayloads_.clear();
     Addr prev = 0;
     for (std::uint64_t n = 0; n < count; ++n) {
         const Addr line_addr = d.u64();
@@ -222,18 +237,21 @@ Directory::restoreState(ckpt::Deserializer &d)
         e.owner = d.u32();
         checkEntry(e, homeMap_.numNodes);
         const Addr block = line_addr >> 4;
-        if (sorted.empty() || sorted.back().block != block)
-            sorted.push_back(Block{block, 0, {}});
+        if (keys.empty() || keys.back().block != block) {
+            keys.push_back(
+                Key{block, 0, static_cast<std::uint32_t>(payloads_.size())});
+            payloads_.emplace_back();
+        }
         const unsigned off = line_addr & 15;
-        sorted.back().present |= 1u << off;
-        sorted.back().entries[off] = e;
+        keys.back().present |= 1u << off;
+        payloads_.back().entries[off] = e;
     }
     std::size_t capacity = initialBlocks;
-    while (capacity < 2 * sorted.size())
+    while (capacity < 2 * keys.size())
         capacity *= 2;
-    reset(capacity);
-    for (const Block &b : sorted)
-        place(b);
+    resetKeys(capacity);
+    for (const Key &key : keys)
+        claim(key);
 }
 
 } // namespace isim

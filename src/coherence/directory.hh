@@ -74,16 +74,21 @@ struct DirEntry
  * logical directory serves all homes (the home node of each entry is
  * derivable from the address).
  *
- * Storage is one open-addressing table of 16-line blocks: each slot
- * holds a block number, a presence mask and the block's 16 entries.
- * Blocks hash by block number with linear probing, power-of-two
- * capacity, doubled at load 1/2, and backward-shift removal (no
- * tombstones) once a block's last line is erased. A lookup probes one
- * block and tests one bit, and a sequential scan stays in one slot.
+ * Storage is one open-addressing table of 16-line blocks. Each slot
+ * is a 16-byte key: block number, presence mask and the index of the
+ * block's payload (its 16 entries) in a dense payload pool. Keys hash
+ * by block number with linear probing, power-of-two capacity, doubled
+ * at load 1/2, and backward-shift removal (no tombstones) once a
+ * block's last line is erased; its payload then goes on a free list
+ * for the next new block. Probing, growth, removal and the save-time
+ * scan move and read only keys; a payload never moves once placed,
+ * and the pool holds no more payloads than the most blocks ever live
+ * at once. A lookup probes one block and tests one bit, and a
+ * sequential scan stays in one slot.
  *
- * Pointer stability: entry() may grow the table and erase() shifts
- * slots, so a DirEntry pointer or reference is valid only until the
- * next entry() or erase() call. Protocol code holds one only across
+ * Pointer stability: entry() may grow the payload pool and erase()
+ * frees a block's payload for reuse, so a DirEntry pointer or
+ * reference is valid only until the next entry() or erase() call. Protocol code holds one only across
  * cache probes (invalidateNode/downgradeNode), which never touch the
  * directory.
  */
@@ -101,15 +106,19 @@ class Directory
     /** Lookup; returns nullptr when the line is uncached everywhere. */
     const DirEntry *find(Addr line_addr) const
     {
-        const Block &b = blocks_[probe(line_addr >> 4)];
+        const Key &key = keys_[probe(line_addr >> 4)];
         const unsigned off = line_addr & 15;
-        return (b.present >> off) & 1u ? &b.entries[off] : nullptr;
+        return (key.present >> off) & 1u
+                   ? &payloads_[key.payload].entries[off]
+                   : nullptr;
     }
     DirEntry *find(Addr line_addr)
     {
-        Block &b = blocks_[probe(line_addr >> 4)];
+        const Key &key = keys_[probe(line_addr >> 4)];
         const unsigned off = line_addr & 15;
-        return (b.present >> off) & 1u ? &b.entries[off] : nullptr;
+        return (key.present >> off) & 1u
+                   ? &payloads_[key.payload].entries[off]
+                   : nullptr;
     }
 
     /** Lookup-or-create (created entries start Uncached). */
@@ -120,7 +129,7 @@ class Directory
 
     std::size_t population() const { return size_; }
     /** Lines the allocated blocks can hold (16 per block slot). */
-    std::size_t capacity() const { return blocks_.size() * 16; }
+    std::size_t capacity() const { return keys_.size() * 16; }
 
     /**
      * Structural self-check of one entry; panics on violation.
@@ -149,12 +158,19 @@ class Directory
     void restoreState(ckpt::Deserializer &d);
 
   private:
-    /** Sixteen consecutive lines: `block` is their line address >> 4. */
-    struct Block
+    /** A slot's key: which sixteen consecutive lines, which present. */
+    struct Key
     {
-        Addr block;
+        Addr block;            //!< their line address >> 4
         std::uint32_t present; //!< bit i: line block*16+i has an entry
-        DirEntry entries[16];  //!< meaningful where `present` is set
+        std::uint32_t payload; //!< the block's entries: payloads_ index
+    };
+    static_assert(sizeof(Key) == 16);
+
+    /** A block's entries, meaningful where its key's `present` is set. */
+    struct Payload
+    {
+        DirEntry entries[16];
     };
 
     /**
@@ -174,25 +190,31 @@ class Directory
     std::size_t probe(Addr block) const
     {
         std::size_t i = homeOfBlock(block);
-        while (blocks_[i].block != block && blocks_[i].block != emptyBlock)
+        while (keys_[i].block != block && keys_[i].block != emptyBlock)
             i = (i + 1) & mask_;
         return i;
     }
 
-    /** Fresh empty table of `capacity` block slots (a power of two). */
-    void reset(std::size_t capacity);
-    /** Copy a block known to be absent into its first free slot. */
-    void place(const Block &b);
+    /**
+     * Fresh empty key table of `capacity` slots (a power of two). The
+     * payload pool is left alone: growth re-claims every live key.
+     */
+    void resetKeys(std::size_t capacity);
+    /** Put the key of a block known to be absent into its first free slot. */
+    void claim(const Key &key);
 
     HomeMap homeMap_;
     // ckpt: transient(lineBits_): derived from the line size at construction
     unsigned lineBits_;
-    std::vector<Block> blocks_;
-    // ckpt: transient(mask_): capacity - 1, set with blocks_
+    std::vector<Key> keys_; //!< one per slot
+    std::vector<Payload> payloads_; //!< indexed by Key::payload
+    // ckpt: transient(freePayloads_): pool slots of erased blocks
+    std::vector<std::uint32_t> freePayloads_;
+    // ckpt: transient(mask_): capacity - 1, set with keys_
     std::size_t mask_ = 0;
-    // ckpt: transient(hashShift_): 64 - log2(capacity), set with blocks_
+    // ckpt: transient(hashShift_): 64 - log2(capacity), set with keys_
     unsigned hashShift_ = 0;
-    // ckpt: transient(liveBlocks_): blocks with a line present, set with blocks_
+    // ckpt: transient(liveBlocks_): blocks with a line present, set with keys_
     std::size_t liveBlocks_ = 0;
     std::size_t size_ = 0;
 };

@@ -5,17 +5,94 @@
 
 #include "src/oltp/tables.hh"
 
-#include <algorithm>
-#include <numeric>
-
 #include "src/base/intmath.hh"
 #include "src/base/logging.hh"
 #include "src/ckpt/serializer.hh"
 
 namespace isim {
 
+namespace {
+
+/** Bytes one saved nonzero row takes: u64 row, i64 balance. */
+constexpr std::size_t savedRowBytes = 8 + 8;
+
+} // namespace
+
+std::int64_t
+BalanceTable::balance(std::uint64_t row) const
+{
+    const auto it = nonzero_.find(row);
+    return it == nonzero_.end() ? 0 : it->second;
+}
+
+void
+BalanceTable::add(std::uint64_t row, std::int64_t delta)
+{
+    isim_assert(row < rows_);
+    const auto it = nonzero_.try_emplace(row, 0).first;
+    it->second += delta;
+    if (it->second == 0)
+        nonzero_.erase(it);
+}
+
+std::int64_t
+BalanceTable::sum() const
+{
+    std::int64_t total = 0;
+    for (const auto &[row, v] : nonzero_)
+        total += v;
+    return total;
+}
+
+void
+BalanceTable::saveState(ckpt::Serializer &s) const
+{
+    s.u64(rows_);
+    s.u64(nonzero_.size());
+    for (const auto &[row, v] : nonzero_) {
+        s.u64(row);
+        s.i64(v);
+    }
+}
+
+void
+BalanceTable::restoreState(ckpt::Deserializer &d)
+{
+    if (d.u64() != rows_)
+        isim_fatal("checkpoint %s table size mismatch", name_);
+    const std::uint64_t count = d.u64();
+    if (count > d.sectionRemaining() / savedRowBytes)
+        isim_fatal("checkpoint corrupt: %s table claims %llu nonzero "
+                   "rows, but only %zu bytes remain in the section",
+                   name_, static_cast<unsigned long long>(count),
+                   d.sectionRemaining());
+    nonzero_.clear();
+    std::uint64_t prev = 0;
+    for (std::uint64_t n = 0; n < count; ++n) {
+        const std::uint64_t row = d.u64();
+        if (row >= rows_)
+            isim_fatal("checkpoint corrupt: %s row %llu out of range",
+                       name_, static_cast<unsigned long long>(row));
+        if (n > 0 && row <= prev)
+            isim_fatal("checkpoint corrupt: %s row %llu does not follow "
+                       "row %llu in increasing order",
+                       name_, static_cast<unsigned long long>(row),
+                       static_cast<unsigned long long>(prev));
+        const std::int64_t v = d.i64();
+        if (v == 0)
+            isim_fatal("checkpoint corrupt: %s row %llu has a zero "
+                       "balance, which is never saved",
+                       name_, static_cast<unsigned long long>(row));
+        nonzero_.emplace_hint(nonzero_.end(), row, v);
+        prev = row;
+    }
+}
+
 TpcbDatabase::TpcbDatabase(const WorkloadParams &params, const Sga &sga)
-    : params_(params), rowsPerBlock_(params.rowsPerBlock())
+    : params_(params), rowsPerBlock_(params.rowsPerBlock()),
+      accounts_("account", params.totalAccounts()),
+      tellers_("teller", params.totalTellers()),
+      branches_("branch", params.branches)
 {
     isim_assert(rowsPerBlock_ >= 1);
 
@@ -45,10 +122,6 @@ TpcbDatabase::TpcbDatabase(const WorkloadParams &params, const Sga &sga)
                    params_.blockBytes);
     }
     maxHistoryBlocks_ = sga.numBlocks() - historyBase_;
-
-    accounts_.assign(params_.totalAccounts(), 0);
-    tellers_.assign(params_.totalTellers(), 0);
-    branches_.assign(params_.branches, 0);
 }
 
 RowLocation
@@ -114,93 +187,45 @@ void
 TpcbDatabase::applyTransaction(std::uint64_t account, std::uint64_t teller,
                                std::uint64_t branch, std::int64_t delta)
 {
-    isim_assert(account < accounts_.size());
-    isim_assert(teller < tellers_.size());
-    isim_assert(branch < branches_.size());
-    accounts_[account] += delta;
-    tellers_[teller] += delta;
-    branches_[branch] += delta;
+    accounts_.add(account, delta);
+    tellers_.add(teller, delta);
+    branches_.add(branch, delta);
     historyDeltaSum_ += delta;
 }
 
 std::int64_t
 TpcbDatabase::accountBalance(std::uint64_t account) const
 {
-    return accounts_[account];
+    return accounts_.balance(account);
 }
 
 std::int64_t
 TpcbDatabase::tellerBalance(std::uint64_t teller) const
 {
-    return tellers_[teller];
+    return tellers_.balance(teller);
 }
 
 std::int64_t
 TpcbDatabase::branchBalance(std::uint64_t branch) const
 {
-    return branches_[branch];
+    return branches_.balance(branch);
 }
 
 bool
 TpcbDatabase::checkConsistency() const
 {
-    const std::int64_t acc =
-        std::accumulate(accounts_.begin(), accounts_.end(),
-                        std::int64_t{0});
-    const std::int64_t tel =
-        std::accumulate(tellers_.begin(), tellers_.end(),
-                        std::int64_t{0});
-    const std::int64_t brn =
-        std::accumulate(branches_.begin(), branches_.end(),
-                        std::int64_t{0});
+    const std::int64_t acc = accounts_.sum();
+    const std::int64_t tel = tellers_.sum();
+    const std::int64_t brn = branches_.sum();
     return acc == tel && tel == brn && brn == historyDeltaSum_;
 }
-
-namespace {
-
-void
-saveBalances(ckpt::Serializer &s,
-             const std::vector<std::int64_t> &balances)
-{
-    s.u64(balances.size());
-    std::uint64_t nonzero = 0;
-    for (std::int64_t v : balances)
-        if (v != 0)
-            ++nonzero;
-    s.u64(nonzero);
-    for (std::size_t i = 0; i < balances.size(); ++i) {
-        if (balances[i] != 0) {
-            s.u64(i);
-            s.i64(balances[i]);
-        }
-    }
-}
-
-void
-restoreBalances(ckpt::Deserializer &d,
-                std::vector<std::int64_t> &balances, const char *table)
-{
-    if (d.u64() != balances.size())
-        isim_fatal("checkpoint %s table size mismatch", table);
-    std::fill(balances.begin(), balances.end(), std::int64_t{0});
-    const std::uint64_t nonzero = d.u64();
-    for (std::uint64_t n = 0; n < nonzero; ++n) {
-        const std::uint64_t i = d.u64();
-        if (i >= balances.size())
-            isim_fatal("checkpoint corrupt: %s row %llu out of range",
-                       table, static_cast<unsigned long long>(i));
-        balances[i] = d.i64();
-    }
-}
-
-} // namespace
 
 void
 TpcbDatabase::saveState(ckpt::Serializer &s) const
 {
-    saveBalances(s, accounts_);
-    saveBalances(s, tellers_);
-    saveBalances(s, branches_);
+    accounts_.saveState(s);
+    tellers_.saveState(s);
+    branches_.saveState(s);
     s.u64(historyCount_);
     s.i64(historyDeltaSum_);
 }
@@ -208,9 +233,9 @@ TpcbDatabase::saveState(ckpt::Serializer &s) const
 void
 TpcbDatabase::restoreState(ckpt::Deserializer &d)
 {
-    restoreBalances(d, accounts_, "account");
-    restoreBalances(d, tellers_, "teller");
-    restoreBalances(d, branches_, "branch");
+    accounts_.restoreState(d);
+    tellers_.restoreState(d);
+    branches_.restoreState(d);
     historyCount_ = d.u64();
     historyDeltaSum_ = d.i64();
 }

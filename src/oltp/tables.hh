@@ -12,7 +12,7 @@
 #define ISIM_OLTP_TABLES_HH
 
 #include <cstdint>
-#include <vector>
+#include <map>
 
 #include "src/ckpt/fwd.hh"
 #include "src/oltp/sga.hh"
@@ -25,6 +25,43 @@ struct RowLocation
 {
     std::uint64_t block = 0;
     std::uint32_t offset = 0; //!< byte offset within the block
+};
+
+/**
+ * One balance column of a fixed row count, every row starting at zero.
+ * Only rows with a nonzero balance are stored: a warm-up touches a
+ * few hundred of the account table's millions of rows, so building,
+ * summing, saving and restoring a table cost what its touched rows
+ * cost, not what its capacity costs.
+ */
+class BalanceTable
+{
+  public:
+    BalanceTable(const char *name, std::uint64_t rows)
+        : name_(name), rows_(rows)
+    {
+    }
+
+    std::int64_t balance(std::uint64_t row) const;
+    void add(std::uint64_t row, std::int64_t delta);
+    /** Sum of every row's balance. */
+    std::int64_t sum() const;
+
+    /**
+     * The row count, the nonzero-row count, then each nonzero row as
+     * (u64 row, i64 balance) in ascending row order. Restore rejects
+     * anything save never writes: a count the section cannot hold,
+     * rows out of range or out of order, and zero balances.
+     */
+    void saveState(ckpt::Serializer &s) const;
+    void restoreState(ckpt::Deserializer &d);
+
+  private:
+    // ckpt: transient(name_): the table's label, for restore messages
+    const char *name_;
+    std::uint64_t rows_;
+    /** Row -> balance, for exactly the rows whose balance is nonzero. */
+    std::map<std::uint64_t, std::int64_t> nonzero_;
 };
 
 /** The functional database. */
@@ -72,7 +109,7 @@ class TpcbDatabase
 
     /**
      * Checkpoint the balances and history accumulators. Balances are
-     * written sparsely (only nonzero entries) — a warmed TPC-B run
+     * written sparsely (BalanceTable::saveState) — a warmed TPC-B run
      * touches a small fraction of the account table.
      */
     void saveState(ckpt::Serializer &s) const;
@@ -103,9 +140,9 @@ class TpcbDatabase
     // ckpt: transient(maxHistoryBlocks_): layout derived from params_
     std::uint64_t maxHistoryBlocks_;
 
-    std::vector<std::int64_t> accounts_;
-    std::vector<std::int64_t> tellers_;
-    std::vector<std::int64_t> branches_;
+    BalanceTable accounts_;
+    BalanceTable tellers_;
+    BalanceTable branches_;
     std::uint64_t historyCount_ = 0;
     std::int64_t historyDeltaSum_ = 0;
 

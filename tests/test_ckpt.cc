@@ -4,9 +4,9 @@
  * continued execution, byte-identical figure output from a warm
  * restore, latency-override restores, corrupt-input robustness
  * (truncation, bad magic, wrong version, flipped payload bytes and
- * forged directory lists must all fail with a clean PanicError, never
- * undefined behaviour), the read-only legacy META warm-up mode byte,
- * and the CRC-32 against a bytewise reference.
+ * forged directory and balance lists must all fail with a clean
+ * PanicError, never undefined behaviour), the read-only legacy META
+ * warm-up mode byte, and the CRC-32 against a bytewise reference.
  */
 
 #include <gtest/gtest.h>
@@ -460,6 +460,87 @@ TEST_F(CheckpointCorruption, DirectoryLineOutsideMemoryIsCorrupt)
                   std::string::npos)
             << err;
     }
+}
+
+/**
+ * The OLTP section's account table: offset of its u64 nonzero-row
+ * count (rows of 16 bytes follow: u64 row, i64 balance). The three
+ * balance tables follow the engine's counters and latency histogram;
+ * they are found as three consecutive runs of (u64 row count, u64
+ * nonzero count, nonzero x 16 bytes) with the account, teller and
+ * branch row counts.
+ */
+std::size_t
+accountCountAt(const std::vector<std::uint8_t> &image)
+{
+    const WorkloadParams p = smallConfig(3, CpuModel::InOrder, 1).workload;
+    const std::size_t header = sectionHeaderAt(image, ckpt::tagOltp);
+    const std::size_t end = header + 16 + readLe(image, header + 4, 8);
+    for (std::size_t at = header + 16; at + 16 <= end; ++at) {
+        std::size_t next = at;
+        bool tables = true;
+        for (const std::uint64_t rows :
+             {p.totalAccounts(), p.totalTellers(),
+              std::uint64_t{p.branches}}) {
+            tables = next + 16 <= end && readLe(image, next, 8) == rows &&
+                     readLe(image, next + 8, 8) <= (end - next - 16) / 16;
+            if (!tables)
+                break;
+            next += 16 + 16 * readLe(image, next + 8, 8);
+        }
+        if (tables)
+            return at + 8;
+    }
+    ADD_FAILURE() << "no balance tables in the OLTP section";
+    return 0;
+}
+
+TEST_F(CheckpointCorruption, ForgedAccountCountIsCorrupt)
+{
+    const ScopedPanicThrow guard;
+    std::vector<std::uint8_t> bad = image_;
+    writeLe(bad, accountCountAt(bad), 8, std::uint64_t{1} << 60);
+    reCrc(bad, sectionHeaderAt(bad, ckpt::tagOltp));
+    const std::string err = restoreError(bad);
+    EXPECT_NE(err.find("checkpoint corrupt: account table claims " +
+                       std::to_string(std::uint64_t{1} << 60) +
+                       " nonzero rows"),
+              std::string::npos)
+        << err;
+}
+
+TEST_F(CheckpointCorruption, RepeatedAccountRowIsCorrupt)
+{
+    const ScopedPanicThrow guard;
+    std::vector<std::uint8_t> bad = image_;
+    const std::size_t count_at = accountCountAt(bad);
+    ASSERT_GE(readLe(bad, count_at, 8), 2u);
+    const std::uint64_t first = readLe(bad, count_at + 8, 8);
+    writeLe(bad, count_at + 8 + 16, 8, first);
+    reCrc(bad, sectionHeaderAt(bad, ckpt::tagOltp));
+    const std::string err = restoreError(bad);
+    const std::string row = std::to_string(first);
+    EXPECT_NE(err.find("checkpoint corrupt: account row " + row +
+                       " does not follow row " + row +
+                       " in increasing order"),
+              std::string::npos)
+        << err;
+}
+
+TEST_F(CheckpointCorruption, ZeroAccountBalanceIsCorrupt)
+{
+    const ScopedPanicThrow guard;
+    std::vector<std::uint8_t> bad = image_;
+    const std::size_t count_at = accountCountAt(bad);
+    ASSERT_GE(readLe(bad, count_at, 8), 1u);
+    writeLe(bad, count_at + 8 + 8, 8, 0);
+    reCrc(bad, sectionHeaderAt(bad, ckpt::tagOltp));
+    const std::string err = restoreError(bad);
+    EXPECT_NE(err.find("checkpoint corrupt: account row " +
+                       std::to_string(readLe(bad, count_at + 8, 8)) +
+                       " has a zero balance"),
+              std::string::npos)
+        << err;
 }
 
 /** The textbook bytewise CRC-32, kept here as the reference. */

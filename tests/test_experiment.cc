@@ -5,6 +5,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -29,6 +30,18 @@ smallWorkload()
     p.transactions = 40;
     p.warmupTransactions = 15;
     return p;
+}
+
+/**
+ * A scratch path of this test process. ctest runs this binary's tests
+ * twice at once (plain and `.UnderIsimEnv`), so a fixed name would
+ * let one process delete what the other is writing.
+ */
+std::string
+scratchPath(const std::string &name)
+{
+    return ::testing::TempDir() + "/" + name + "." +
+           std::to_string(::getpid());
 }
 
 /**
@@ -112,7 +125,7 @@ quietOneJob(const std::string &json_dir)
 
 TEST(Experiment, JsonDirIsCreatedWithItsParents)
 {
-    const std::string root = ::testing::TempDir() + "/isim_json_nested";
+    const std::string root = scratchPath("isim_json_nested");
     std::filesystem::remove_all(root);
     const std::string dir = root + "/a/b";
     const FigureSpec spec = oneBarSpec();
@@ -129,7 +142,7 @@ TEST(Experiment, JsonDirIsCreatedWithItsParents)
 TEST(Experiment, UncreatableJsonDirFailsBeforeAnyBar)
 {
     // A regular file stands where the JSON directory's parent must go.
-    const std::string blocker = ::testing::TempDir() + "/isim_json_blocker";
+    const std::string blocker = scratchPath("isim_json_blocker");
     std::filesystem::remove_all(blocker);
     std::ofstream(blocker) << "not a directory\n";
     const std::string dir = blocker + "/json";
@@ -179,7 +192,7 @@ TEST(Experiment, CheckpointPathCollisionIsFatalBeforeAnyBar)
 {
     // Two bars named alike but configured differently would write one
     // image file; the plan refuses them before anything runs.
-    const std::string dir = ::testing::TempDir() + "/isim_ckpt_collision";
+    const std::string dir = scratchPath("isim_ckpt_collision");
     std::filesystem::remove_all(dir);
     FigureSpec spec = oneBarSpec();
     spec.bars.push_back(spec.bars.front());
