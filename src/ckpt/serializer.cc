@@ -6,7 +6,20 @@
 
 #include "src/base/logging.hh"
 
+// The folded CRC needs x86-64's carry-less multiply (PCLMULQDQ); the
+// target attribute compiles it without raising the baseline, and
+// crc32() picks it only on a host that has the instruction.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define ISIM_CRC_FOLD 1
+#include <immintrin.h>
+#else
+#define ISIM_CRC_FOLD 0
+#endif
+
 namespace isim::ckpt {
+
+using detail::loadLe;
+using detail::storeLe;
 
 namespace {
 
@@ -29,6 +42,9 @@ fourccName(std::uint32_t tag_value)
 
 using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
 
+/** The reflected IEEE polynomial (x^32 implicit). */
+constexpr std::uint32_t kCrcPolyReflected = 0xedb88320u;
+
 /**
  * Slice-by-8 tables: row 0 is the bytewise table; row k advances a
  * byte's contribution k more bytes through the register.
@@ -40,7 +56,7 @@ makeCrcTables()
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k)
-            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+            c = (c & 1) ? kCrcPolyReflected ^ (c >> 1) : c >> 1;
         t[0][i] = c;
     }
     for (std::size_t k = 1; k < 8; ++k) {
@@ -52,16 +68,11 @@ makeCrcTables()
 
 constexpr CrcTables kCrcTables = makeCrcTables();
 
-} // namespace
-
-using detail::loadLe;
-using detail::storeLe;
-
+/** Advance the CRC register `crc` over `size` bytes, slice-by-8. */
 std::uint32_t
-crc32(const std::uint8_t *data, std::size_t size)
+crc32Update(std::uint32_t crc, const std::uint8_t *data, std::size_t size)
 {
     const CrcTables &t = kCrcTables;
-    std::uint32_t crc = 0xffffffffu;
     for (; size >= 8; data += 8, size -= 8) {
         const std::uint32_t lo = loadLe<std::uint32_t>(data) ^ crc;
         const std::uint32_t hi = loadLe<std::uint32_t>(data + 4);
@@ -72,7 +83,197 @@ crc32(const std::uint8_t *data, std::size_t size)
     }
     for (; size > 0; ++data, --size)
         crc = t[0][(crc ^ *data) & 0xff] ^ (crc >> 8);
-    return crc ^ 0xffffffffu;
+    return crc;
+}
+
+#if ISIM_CRC_FOLD
+
+/*
+ * Folding constants of Gopal et al., "Fast CRC Computation for
+ * Generic Polynomials Using PCLMULQDQ Instruction" (Intel, 2009), for
+ * the bit-reflected domain: k = reflect32(x^n mod P) << 1, a 33-bit
+ * value, and the Barrett pair P' and mu' = reflect33(x^64 div P).
+ */
+
+/** The unreflected polynomial's low 32 bits (x^32 implicit). */
+constexpr std::uint32_t kCrcPoly = 0x04c11db7u;
+
+/** x^n mod P(x), bit i the coefficient of x^i. */
+constexpr std::uint32_t
+xPowModP(unsigned n)
+{
+    std::uint32_t r = 1;
+    for (unsigned i = 0; i < n; ++i)
+        r = (r & 0x80000000u) ? (r << 1) ^ kCrcPoly : r << 1;
+    return r;
+}
+
+/** The low `bits` bits of `v`, in reverse order. */
+constexpr std::uint64_t
+reflectBits(std::uint64_t v, unsigned bits)
+{
+    std::uint64_t r = 0;
+    for (unsigned i = 0; i < bits; ++i)
+        r |= ((v >> i) & 1) << (bits - 1 - i);
+    return r;
+}
+
+/** The folding constant that moves a 64-bit half `n` bits ahead. */
+constexpr std::uint64_t
+foldConstant(unsigned n)
+{
+    return reflectBits(xPowModP(n), 32) << 1;
+}
+
+/** floor(x^64 / P(x)), a polynomial of degree 32. */
+constexpr std::uint64_t
+xPow64DivP()
+{
+    constexpr std::uint64_t p = std::uint64_t{1} << 32 | kCrcPoly;
+    // The x^64 step: quotient bit 32, remainder x^64 - x^32 * P.
+    std::uint64_t q = std::uint64_t{1} << 32;
+    std::uint64_t r = std::uint64_t{kCrcPoly} << 32;
+    for (unsigned i = 64; i-- > 32;) {
+        if ((r >> i) & 1) {
+            q |= std::uint64_t{1} << (i - 32);
+            r ^= p << (i - 32);
+        }
+    }
+    return q;
+}
+
+// Four 128-bit lanes fold 512 bits a step; one lane folds 128.
+constexpr std::uint64_t kK1 = foldConstant(4 * 128 + 32);
+constexpr std::uint64_t kK2 = foldConstant(4 * 128 - 32);
+constexpr std::uint64_t kK3 = foldConstant(128 + 32);
+constexpr std::uint64_t kK4 = foldConstant(128 - 32);
+constexpr std::uint64_t kK5 = foldConstant(64);
+constexpr std::uint64_t kPolyReflected =
+    reflectBits(std::uint64_t{1} << 32 | kCrcPoly, 33);
+constexpr std::uint64_t kMuReflected = reflectBits(xPow64DivP(), 33);
+static_assert(kPolyReflected == (std::uint64_t{kCrcPolyReflected} << 1 | 1));
+
+/** Sixteen bytes at `p`, any alignment. */
+__m128i
+load16(const std::uint8_t *p)
+{
+    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+}
+
+/** Two 64-bit constants as one register, `lo` in the low half. */
+__m128i
+pair(std::uint64_t lo, std::uint64_t hi)
+{
+    return _mm_set_epi64x(static_cast<long long>(hi),
+                          static_cast<long long>(lo));
+}
+
+/** One fold step: `x` moved ahead by `k` (low half by k's low, high by
+ *  its high), xored into the next 128 bits. */
+__attribute__((target("pclmul"))) inline __m128i
+fold(__m128i x, __m128i k, __m128i next)
+{
+    const __m128i lo = _mm_clmulepi64_si128(x, k, 0x00);
+    const __m128i hi = _mm_clmulepi64_si128(x, k, 0x11);
+    return _mm_xor_si128(_mm_xor_si128(hi, lo), next);
+}
+
+/**
+ * Advance the CRC register `crc` over `size` bytes, `size` >= 64 and
+ * a multiple of 16: fold four lanes, fold them into one, fold 128
+ * bits to 64 and Barrett-reduce to 32.
+ */
+__attribute__((target("pclmul"))) std::uint32_t
+crc32Fold(std::uint32_t crc, const std::uint8_t *data, std::size_t size)
+{
+    __m128i x1 = _mm_xor_si128(load16(data),
+                               _mm_cvtsi32_si128(static_cast<int>(crc)));
+    __m128i x2 = load16(data + 16);
+    __m128i x3 = load16(data + 32);
+    __m128i x4 = load16(data + 48);
+    data += 64;
+    size -= 64;
+
+    const __m128i k1k2 = pair(kK1, kK2);
+    for (; size >= 64; data += 64, size -= 64) {
+        x1 = fold(x1, k1k2, load16(data));
+        x2 = fold(x2, k1k2, load16(data + 16));
+        x3 = fold(x3, k1k2, load16(data + 32));
+        x4 = fold(x4, k1k2, load16(data + 48));
+    }
+
+    const __m128i k3k4 = pair(kK3, kK4);
+    x1 = fold(x1, k3k4, x2);
+    x1 = fold(x1, k3k4, x3);
+    x1 = fold(x1, k3k4, x4);
+    for (; size >= 16; data += 16, size -= 16)
+        x1 = fold(x1, k3k4, load16(data));
+
+    // 128 -> 64 bits: the low half times k4 joins the high half.
+    const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+    x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                       _mm_clmulepi64_si128(x1, k3k4, 0x10));
+    // 64 -> 32 bits (k5), then the Barrett reduction.
+    x1 = _mm_xor_si128(_mm_srli_si128(x1, 4),
+                       _mm_clmulepi64_si128(_mm_and_si128(x1, low32),
+                                            pair(kK5, 0), 0x00));
+    const __m128i barrett = pair(kPolyReflected, kMuReflected);
+    __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), barrett,
+                                     0x10);
+    t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), barrett, 0x00);
+    x1 = _mm_xor_si128(x1, t);
+    return static_cast<std::uint32_t>(
+        _mm_cvtsi128_si32(_mm_srli_si128(x1, 4)));
+}
+
+#endif // ISIM_CRC_FOLD
+
+} // namespace
+
+namespace detail {
+
+std::uint32_t
+crc32Sliced(const std::uint8_t *data, std::size_t size)
+{
+    return crc32Update(0xffffffffu, data, size) ^ 0xffffffffu;
+}
+
+bool
+crc32FoldSupported()
+{
+#if ISIM_CRC_FOLD
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("pclmul");
+#else
+    return false;
+#endif
+}
+
+std::uint32_t
+crc32Folded(const std::uint8_t *data, std::size_t size)
+{
+#if ISIM_CRC_FOLD
+    std::uint32_t crc = 0xffffffffu;
+    if (size >= 64) {
+        const std::size_t folded = size & ~std::size_t{15};
+        crc = crc32Fold(crc, data, folded);
+        data += folded;
+        size -= folded;
+    }
+    return crc32Update(crc, data, size) ^ 0xffffffffu;
+#else
+    isim_panic("crc32Folded on a build without the folded CRC");
+#endif
+}
+
+} // namespace detail
+
+std::uint32_t
+crc32(const std::uint8_t *data, std::size_t size)
+{
+    static const bool folded = detail::crc32FoldSupported();
+    return folded ? detail::crc32Folded(data, size)
+                  : detail::crc32Sliced(data, size);
 }
 
 std::uint64_t
@@ -86,8 +287,9 @@ fnv1a64(const std::uint8_t *data, std::size_t size)
     return hash;
 }
 
-Serializer::Serializer()
+Serializer::Serializer(std::size_t sizeHint)
 {
+    buf_.resize(sizeHint);
     std::memcpy(append(magicBytes), kMagic, magicBytes);
     u32(formatVersion);
 }

@@ -107,8 +107,26 @@ loadLe(const std::uint8_t *p)
 
 } // namespace detail
 
-/** CRC-32 (IEEE 802.3 polynomial, reflected), eight bytes a step. */
+/**
+ * CRC-32 (IEEE 802.3 polynomial, reflected). Folds sixteen bytes a
+ * step with carry-less multiplies where the host has PCLMULQDQ (chosen
+ * once, at the first call) and runs slice-by-8 elsewhere; both give
+ * the same value.
+ */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t size);
+
+namespace detail {
+
+/** The portable CRC-32: slice-by-8 tables, eight bytes a step. */
+std::uint32_t crc32Sliced(const std::uint8_t *data, std::size_t size);
+
+/** True when this host can run crc32Folded(). */
+bool crc32FoldSupported();
+
+/** The PCLMULQDQ CRC-32; call only when crc32FoldSupported(). */
+std::uint32_t crc32Folded(const std::uint8_t *data, std::size_t size);
+
+} // namespace detail
 
 /** FNV-1a 64-bit hash; used for whole-checkpoint state digests. */
 std::uint64_t fnv1a64(const std::uint8_t *data, std::size_t size);
@@ -121,7 +139,12 @@ std::uint64_t fnv1a64(const std::uint8_t *data, std::size_t size);
 class Serializer
 {
   public:
-    Serializer();
+    /**
+     * `sizeHint` sizes the buffer once, up front: an image that stays
+     * within it is written without regrowing. A larger image still
+     * comes out the same, through geometric growth.
+     */
+    explicit Serializer(std::size_t sizeHint = 0);
 
     // The primitives are inline: a large image makes millions of calls.
     void u8(std::uint8_t v) { *append(1) = v; }
@@ -144,8 +167,11 @@ class Serializer
     /** Moves the finished image out; write nothing more after this. */
     std::vector<std::uint8_t> take();
 
-  private:
-    /** Room for `n` more bytes; returns where they go. */
+    /**
+     * Room for `n` more bytes; returns where they go. Writers of runs
+     * of fixed-size records take a whole run at once and fill it with
+     * detail::storeLe, in the byte order the primitives would write.
+     */
     std::uint8_t *append(std::size_t n)
     {
         if (buf_.size() - size_ < n)
@@ -155,6 +181,7 @@ class Serializer
         return p;
     }
 
+  private:
     std::vector<std::uint8_t> buf_; //!< grows geometrically; size_ used
     std::size_t size_ = 0;
     std::size_t headerAt_ = 0; //!< offset of the open section header

@@ -18,9 +18,6 @@ namespace {
 /** Key slots in a fresh table (1 KiB); it doubles from here as needed. */
 constexpr std::size_t initialBlocks = 64;
 
-/** Bytes one saved entry takes: u64 line, u8 state, u32 sharers, u32 owner. */
-constexpr std::size_t savedEntryBytes = 8 + 1 + 4 + 4;
-
 } // namespace
 
 Directory::Directory(const HomeMap &home_map, unsigned line_bits)
@@ -183,15 +180,17 @@ Directory::saveState(ckpt::Serializer &s) const
         return x.block < y.block;
     });
     s.u64(size_);
+    std::uint8_t *p = s.append(size_ * savedEntryBytes);
     for (const Key &key : live) {
         for (std::uint32_t bits = key.present; bits != 0; bits &= bits - 1) {
             const unsigned off =
                 static_cast<unsigned>(__builtin_ctz(bits));
             const DirEntry &e = payloads_[key.payload].entries[off];
-            s.u64(key.block << 4 | off);
-            s.u8(static_cast<std::uint8_t>(e.state));
-            s.u32(e.sharers);
-            s.u32(e.owner);
+            ckpt::detail::storeLe<std::uint64_t>(p, key.block << 4 | off);
+            p[8] = static_cast<std::uint8_t>(e.state);
+            ckpt::detail::storeLe<std::uint32_t>(p + 9, e.sharers);
+            ckpt::detail::storeLe<std::uint32_t>(p + 13, e.owner);
+            p += savedEntryBytes;
         }
     }
 }

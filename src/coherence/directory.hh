@@ -149,6 +149,10 @@ class Directory
         const std::function<void(Addr line_addr, const DirEntry &)> &fn)
         const;
 
+    /** Bytes saveState writes per entry: u64 line, u8 state, u32
+     *  sharers, u32 owner. */
+    static constexpr std::size_t savedEntryBytes = 8 + 1 + 4 + 4;
+
     /**
      * Checkpoint every entry. Entries are written in sorted line-addr
      * order so the encoding is canonical (table order depends on the

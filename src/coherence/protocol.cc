@@ -370,6 +370,26 @@ MemorySystem::saveState(ckpt::Serializer &s) const
     }
 }
 
+std::size_t
+MemorySystem::savedRecordBytes() const
+{
+    // A victim-buffer entry is a u64 line and a u8 state.
+    constexpr std::size_t victimBytes = 8 + 1;
+    std::uint64_t lines = 0;
+    std::size_t bytes = dir_.population() * Directory::savedEntryBytes;
+    for (const auto &node : nodes_) {
+        lines += node->l2.array().validLines();
+        if (node->rac)
+            lines += node->rac->cache().array().validLines();
+        for (const Cache &c : node->l1i)
+            lines += c.array().validLines();
+        for (const Cache &c : node->l1d)
+            lines += c.array().validLines();
+        bytes += node->victims.size() * victimBytes;
+    }
+    return bytes + lines * CacheArray::savedLineBytes;
+}
+
 void
 MemorySystem::restoreState(ckpt::Deserializer &d)
 {

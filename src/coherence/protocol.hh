@@ -281,6 +281,13 @@ class MemorySystem
     void restoreState(ckpt::Deserializer &d);
 
     /**
+     * Bytes of the record runs saveState writes: directory entries,
+     * valid cache lines and victim-buffer entries. Its fixed fields
+     * are not counted.
+     */
+    std::size_t savedRecordBytes() const;
+
+    /**
      * Optional observer invoked on every counted L2 miss (profiling;
      * adds one indirect call per miss when set).
      */

@@ -349,22 +349,27 @@ machineToConfigText(const MachineConfig &cfg)
     return text;
 }
 
-namespace {
-
-/** `--flag=value` matcher: fills `value` when `arg` starts the flag. */
 bool
-flagValue(const char *arg, const char *flag, std::string &value)
+flagValue(int &i, int argc, char **argv, const char *flag,
+          std::string &value)
 {
+    const char *arg = argv[i];
     const std::size_t n = std::strlen(flag);
-    if (std::strncmp(arg, flag, n) != 0 || arg[n] != '=')
+    if (std::strncmp(arg, flag, n) != 0)
         return false;
-    value = arg + n + 1;
-    if (value.empty())
+    if (arg[n] == '=') {
+        value = arg + n + 1;
+        if (value.empty())
+            isim_fatal("%s needs a value", flag);
+        return true;
+    }
+    if (arg[n] != '\0')
+        return false;
+    if (i + 1 >= argc)
         isim_fatal("%s needs a value", flag);
+    value = argv[++i];
     return true;
 }
-
-} // namespace
 
 std::uint64_t
 parseUintFlag(const char *flag, const std::string &text)
@@ -396,16 +401,18 @@ obsFromCommandLine(int &argc, char **argv, Tick stats_epoch)
 {
     obs::ObsConfig cfg;
     int out = 1;
+    std::string v;
+    const auto matches = [&](int &i, const char *flag) {
+        return flagValue(i, argc, argv, flag, v);
+    };
     for (int i = 1; i < argc; ++i) {
-        char *arg = argv[i];
-        std::string v;
-        if (flagValue(arg, "--trace-out", v)) {
+        if (matches(i, "--trace-out")) {
             cfg.traceOutPath = v;
-        } else if (flagValue(arg, "--trace-bin", v)) {
+        } else if (matches(i, "--trace-bin")) {
             cfg.traceBinPath = v;
-        } else if (flagValue(arg, "--timeline-out", v)) {
+        } else if (matches(i, "--timeline-out")) {
             cfg.timelineOutPath = v;
-        } else if (flagValue(arg, "--epoch", v)) {
+        } else if (matches(i, "--epoch")) {
             cfg.epochTicks = parseUintFlag("--epoch", v);
             if (cfg.epochTicks == 0)
                 isim_fatal("--epoch must be positive");
@@ -415,14 +422,14 @@ obsFromCommandLine(int &argc, char **argv, Tick stats_epoch)
                            static_cast<unsigned long long>(cfg.epochTicks),
                            static_cast<unsigned long long>(stats_epoch));
             }
-        } else if (flagValue(arg, "--trace-ring", v)) {
+        } else if (matches(i, "--trace-ring")) {
             cfg.ringCapacity = parseUintFlag("--trace-ring", v);
             if (cfg.ringCapacity == 0)
                 isim_fatal("--trace-ring must be positive");
-        } else if (flagValue(arg, "--trace-bar", v)) {
+        } else if (matches(i, "--trace-bar")) {
             cfg.traceBar = parseUintFlag("--trace-bar", v);
         } else {
-            argv[out++] = arg; // not ours: keep it
+            argv[out++] = argv[i]; // not ours: keep it
         }
     }
     argc = out;

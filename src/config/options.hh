@@ -71,6 +71,15 @@ std::uint64_t parseSize(const std::string &text,
 std::uint64_t parseUintFlag(const char *flag, const std::string &text);
 
 /**
+ * Command-line flag matcher: true when argv[i] is `flag=VALUE` or
+ * `flag` followed by VALUE, with the value in `value`; the second form
+ * steps `i` onto the value. fatal() naming `flag` on an empty value or
+ * a `flag` with nothing after it.
+ */
+bool flagValue(int &i, int argc, char **argv, const char *flag,
+               std::string &value);
+
+/**
  * Build a full machine configuration from a KvConfig: one key per
  * row of machineFields() (src/config/fields.hh), defaulting to
  * MachineConfig's values and the name "from-config". Unknown keys are
@@ -93,6 +102,8 @@ std::string machineToConfigText(const MachineConfig &config);
  * Parse the observability flags every figure run accepts out of
  * argv, consuming the recognized ones (argc/argv are rewritten so
  * remaining arguments keep their order):
+ *
+ * Each also takes the `--flag VALUE` form (flagValue).
  *
  *   --trace-out=FILE     write a Chrome trace_event JSON trace
  *   --trace-bin=FILE     write a binary capture for tools/itrace

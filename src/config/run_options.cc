@@ -90,23 +90,8 @@ RunOptions::fromCommandLine(int &argc, char **argv)
     // dropped so the caller sees only what is left.
     int out = 1;
     std::string value;
-    const auto matches = [&](int &i, const char *flag) -> bool {
-        const char *arg = argv[i];
-        const std::size_t n = std::strlen(flag);
-        if (std::strncmp(arg, flag, n) != 0)
-            return false;
-        if (arg[n] == '=') {
-            value = arg + n + 1;
-            if (value.empty())
-                isim_fatal("%s needs a value", flag);
-            return true;
-        }
-        if (arg[n] != '\0')
-            return false;
-        if (i + 1 >= argc)
-            isim_fatal("%s needs a value", flag);
-        value = argv[++i];
-        return true;
+    const auto matches = [&](int &i, const char *flag) {
+        return flagValue(i, argc, argv, flag, value);
     };
 
     for (int i = 1; i < argc; ++i) {

@@ -186,6 +186,13 @@ class Machine
      * checkpoint image format documented in docs/CHECKPOINT.md.
      */
     std::vector<std::uint8_t> checkpointBytes() const;
+    /**
+     * The size checkpointBytes() sizes its buffer to, once, before the
+     * first section: the memory system's and the VM's record runs at
+     * their encoded sizes plus room for the fixed fields and the small
+     * sections. An image above it is still exact, only written slower.
+     */
+    std::size_t checkpointBytesBound() const;
     /** checkpointBytes() to a file; fatal on I/O error. */
     void saveCheckpoint(const std::string &path) const;
     /** FNV-1a 64 digest of checkpointBytes() (round-trip tests). */

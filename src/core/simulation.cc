@@ -221,10 +221,14 @@ SimState::saveState(ckpt::Serializer &s) const
 }
 
 void
-SimState::restoreState(ckpt::Deserializer &d)
+SimState::restoreState(ckpt::Deserializer &d, std::size_t machine_cpus)
 {
     steps = d.u64();
     const std::uint64_t ncpus = d.u64();
+    if (ncpus != machine_cpus)
+        isim_fatal("checkpoint corrupt: SIMU section has %llu CPUs, "
+                   "machine has %zu",
+                   static_cast<unsigned long long>(ncpus), machine_cpus);
     cpus.assign(ncpus, Cpu{});
     for (Cpu &c : cpus) {
         c.now = d.u64();

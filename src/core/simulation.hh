@@ -68,7 +68,11 @@ struct SimState
     std::uint64_t steps = 0;
 
     void saveState(ckpt::Serializer &s) const;
-    void restoreState(ckpt::Deserializer &d);
+    /**
+     * Fatal, naming the section, when the image's CPU count is not
+     * `machine_cpus`; checked before anything is allocated from it.
+     */
+    void restoreState(ckpt::Deserializer &d, std::size_t machine_cpus);
 };
 
 /** The loop itself. */

@@ -47,7 +47,9 @@ CacheArray::allocate(Addr line_addr, LineState state, Victim &victim)
     }
 
     victim = Victim{};
-    if (slot->valid()) {
+    if (!slot->valid()) {
+        ++valid_;
+    } else {
         victim.valid = true;
         victim.state = slot->state;
         victim.lineAddr = pow2_ ? ((slot->tag << tagShift_) | set)
@@ -59,22 +61,6 @@ CacheArray::allocate(Addr line_addr, LineState state, Victim &victim)
     slot->prefetched = false;
     touch(*slot);
     return *slot;
-}
-
-void
-CacheArray::invalidate(CacheLine &line)
-{
-    line.state = LineState::Invalid;
-}
-
-std::uint64_t
-CacheArray::validLines() const
-{
-    std::uint64_t n = 0;
-    for (const auto &line : lines_)
-        if (line.valid())
-            ++n;
-    return n;
 }
 
 Addr
@@ -106,17 +92,23 @@ CacheArray::saveState(ckpt::Serializer &s) const
     s.u64(useStamp_);
     // Valid lines only, recorded with their slot index so restore
     // reproduces the exact (set, way) placement — allocate() prefers
-    // invalid ways, so placement is behaviour, not just metadata.
-    s.u64(validLines());
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
+    // invalid ways, so placement is behaviour, not just metadata. The
+    // live count sizes the run, so one pass fills it and stops at the
+    // last valid line.
+    s.u64(valid_);
+    std::uint8_t *p = s.append(valid_ * savedLineBytes);
+    const std::uint8_t *const end = p + valid_ * savedLineBytes;
+    for (std::size_t i = 0; p != end; ++i) {
+        isim_assert(i < lines_.size(), "valid-line count above the lines");
         const CacheLine &line = lines_[i];
         if (!line.valid())
             continue;
-        s.u64(i);
-        s.u64(line.tag);
-        s.u8(static_cast<std::uint8_t>(line.state));
-        s.b(line.prefetched);
-        s.u64(line.lastUse);
+        ckpt::detail::storeLe<std::uint64_t>(p, i);
+        ckpt::detail::storeLe<std::uint64_t>(p + 8, line.tag);
+        p[16] = static_cast<std::uint8_t>(line.state);
+        p[17] = line.prefetched ? 1 : 0;
+        ckpt::detail::storeLe<std::uint64_t>(p + 18, line.lastUse);
+        p += savedLineBytes;
     }
 }
 
@@ -136,8 +128,13 @@ CacheArray::restoreState(ckpt::Deserializer &d)
                    static_cast<unsigned long long>(geom_.sizeBytes),
                    geom_.assoc, geom_.lineBytes);
     useStamp_ = d.u64();
-    for (auto &line : lines_)
-        line = CacheLine{};
+    // An array that holds no valid line needs no clearing: allocate()
+    // and every lookup ignore an invalid way's other fields.
+    if (valid_ != 0) {
+        for (auto &line : lines_)
+            line = CacheLine{};
+        valid_ = 0;
+    }
     const auto size_ull = static_cast<unsigned long long>(geom_.sizeBytes);
     const std::uint64_t valid = d.u64();
     if (valid > lines_.size())
@@ -178,6 +175,7 @@ CacheArray::restoreState(ckpt::Deserializer &d)
         line.state = static_cast<LineState>(state);
         line.prefetched = d.b();
         line.lastUse = d.u64();
+        ++valid_;
     }
 }
 

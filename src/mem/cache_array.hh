@@ -96,10 +96,15 @@ class CacheArray
     CacheLine &allocate(Addr line_addr, LineState state, Victim &victim);
 
     /** Drop a line (back-invalidation, protocol invalidation). */
-    void invalidate(CacheLine &line);
+    void invalidate(CacheLine &line)
+    {
+        if (line.valid())
+            --valid_;
+        line.state = LineState::Invalid;
+    }
 
-    /** Number of valid lines currently resident (O(lines), for tests). */
-    std::uint64_t validLines() const;
+    /** Number of valid lines currently resident. */
+    std::uint64_t validLines() const { return valid_; }
 
     /** Reconstruct the full line address of a resident line. */
     Addr lineAddrOf(const CacheLine &line) const;
@@ -108,6 +113,10 @@ class CacheArray
     void forEachValid(
         const std::function<void(Addr line_addr, const CacheLine &)> &fn)
         const;
+
+    /** Bytes saveState writes per valid line (slot, tag, state,
+     *  prefetch flag, LRU stamp). */
+    static constexpr std::size_t savedLineBytes = 8 + 8 + 1 + 1 + 8;
 
     /**
      * Checkpoint the resident lines (exact set/way placement and LRU
@@ -136,6 +145,7 @@ class CacheArray
     // ckpt: transient(tagShift_): derived from geom_ at construction
     unsigned tagShift_;
     std::uint64_t useStamp_ = 0;
+    std::uint64_t valid_ = 0; //!< valid lines in lines_, kept live
     std::vector<CacheLine> lines_;
 };
 

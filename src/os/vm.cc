@@ -252,6 +252,18 @@ VirtualMemory::saveState(ckpt::Serializer &s) const
     }
 }
 
+std::size_t
+VirtualMemory::savedRecordBytes() const
+{
+    // (vpn, frame); (vpn, copy count, one frame per node); one pfn.
+    const std::size_t copies = config_.homeMap.numNodes;
+    std::size_t frames = 0;
+    for (const auto &used : usedFrames_)
+        frames += used.size();
+    return pages_.size() * 16 + replicated_.size() * (16 + 8 * copies) +
+           frames * 8;
+}
+
 void
 VirtualMemory::restoreState(ckpt::Deserializer &d)
 {
@@ -268,9 +280,17 @@ VirtualMemory::restoreState(ckpt::Deserializer &d)
     }
     replicated_.clear();
     const std::uint64_t nrepl = d.u64();
+    const unsigned nodes = config_.homeMap.numNodes;
     for (std::uint64_t i = 0; i < nrepl; ++i) {
         const std::uint64_t vpn = d.u64();
-        std::vector<Addr> copies(d.u64());
+        // Every replicated page has one copy slot per node.
+        const std::uint64_t ncopies = d.u64();
+        if (ncopies != nodes)
+            isim_fatal("checkpoint corrupt: VMEM replicated page %#llx "
+                       "has %llu copies, machine has %u nodes",
+                       static_cast<unsigned long long>(vpn),
+                       static_cast<unsigned long long>(ncopies), nodes);
+        std::vector<Addr> copies(ncopies);
         for (Addr &frame : copies)
             frame = d.u64();
         replicated_[vpn] = std::move(copies);

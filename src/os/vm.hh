@@ -140,6 +140,13 @@ class VirtualMemory
     void saveState(ckpt::Serializer &s) const;
     void restoreState(ckpt::Deserializer &d);
 
+    /**
+     * Bytes of the record runs saveState writes: page-table entries,
+     * replicated pages with their copies and used frames. Its fixed
+     * fields are not counted.
+     */
+    std::size_t savedRecordBytes() const;
+
   private:
     struct Region
     {

@@ -1,7 +1,9 @@
 /**
  * @file
  * Unit and property tests for the set-associative tag array,
- * including a randomized cross-check against a reference LRU model.
+ * including a randomized cross-check against a reference LRU model
+ * and of its live valid-line count and saved bytes against a
+ * placement model with a reference encoder.
  */
 
 #include <gtest/gtest.h>
@@ -225,6 +227,219 @@ TEST(CacheArrayRestore, TagWiderThanTheLineFieldIsFatal)
               std::string::npos)
         << err;
 }
+
+/**
+ * A model of the array's placement: per slot the tag, state, prefetch
+ * flag and LRU stamp, filled the way allocate() fills (first invalid
+ * way, else the least recently used), plus a reference encoder of
+ * saveState written from the Serializer primitives.
+ */
+class PlacementModel
+{
+  public:
+    explicit PlacementModel(const CacheGeometry &g)
+        : geom_(g), sets_(g.sets()), slots_(g.lines())
+    {
+    }
+
+    /** Mirror of CacheArray::allocate; returns the slot filled. */
+    std::size_t allocate(Addr line, LineState state)
+    {
+        const std::size_t base = (line % sets_) * geom_.assoc;
+        std::size_t pick = base;
+        for (std::size_t w = 0; w < geom_.assoc; ++w) {
+            if (slots_[base + w].state == LineState::Invalid) {
+                pick = base + w;
+                break;
+            }
+            if (slots_[base + w].lastUse < slots_[pick].lastUse)
+                pick = base + w;
+        }
+        slots_[pick] = Slot{line / sets_, state, false, ++stamp_};
+        return pick;
+    }
+    void touch(std::size_t slot) { slots_[slot].lastUse = ++stamp_; }
+    void invalidate(std::size_t slot)
+    {
+        slots_[slot].state = LineState::Invalid;
+    }
+    void setPrefetched(std::size_t slot, bool v)
+    {
+        slots_[slot].prefetched = v;
+    }
+    /** The slot holding `line`, or -1. */
+    std::int64_t find(Addr line) const
+    {
+        const std::size_t base = (line % sets_) * geom_.assoc;
+        for (std::size_t w = 0; w < geom_.assoc; ++w) {
+            const Slot &s = slots_[base + w];
+            if (s.state != LineState::Invalid && s.tag == line / sets_)
+                return static_cast<std::int64_t>(base + w);
+        }
+        return -1;
+    }
+
+    std::uint64_t validLines() const
+    {
+        std::uint64_t n = 0;
+        for (const Slot &s : slots_)
+            n += s.state != LineState::Invalid;
+        return n;
+    }
+
+    /** CacheArray::saveState's bytes, one primitive at a time. */
+    void save(ckpt::Serializer &s) const
+    {
+        s.u64(geom_.sizeBytes);
+        s.u32(geom_.assoc);
+        s.u32(geom_.lineBytes);
+        s.u64(stamp_);
+        s.u64(validLines());
+        for (std::size_t i = 0; i < slots_.size(); ++i) {
+            const Slot &slot = slots_[i];
+            if (slot.state == LineState::Invalid)
+                continue;
+            s.u64(i);
+            s.u64(slot.tag);
+            s.u8(static_cast<std::uint8_t>(slot.state));
+            s.b(slot.prefetched);
+            s.u64(slot.lastUse);
+        }
+    }
+
+  private:
+    struct Slot
+    {
+        Addr tag = 0;
+        LineState state = LineState::Invalid;
+        bool prefetched = false;
+        std::uint64_t lastUse = 0;
+    };
+
+    CacheGeometry geom_;
+    std::uint64_t sets_;
+    std::uint64_t stamp_ = 0;
+    std::vector<Slot> slots_;
+};
+
+/** One section holding `save(s)`'s bytes. */
+template <typename Saver>
+std::vector<std::uint8_t>
+sectionBytes(const Saver &save)
+{
+    ckpt::Serializer s;
+    s.beginSection(ckpt::sectionTag("CARR"));
+    save(s);
+    s.endSection();
+    return s.take();
+}
+
+std::vector<std::uint8_t>
+savedBytes(const CacheArray &array)
+{
+    return sectionBytes(
+        [&](ckpt::Serializer &s) { array.saveState(s); });
+}
+
+/** Restore `image` (a sectionBytes) into `array`. */
+void
+restoreBytes(CacheArray &array, const std::vector<std::uint8_t> &image)
+{
+    ckpt::Deserializer d(image);
+    d.beginSection(ckpt::sectionTag("CARR"));
+    array.restoreState(d);
+    d.endSection();
+    d.finish();
+}
+
+std::uint64_t
+scannedValidLines(const CacheArray &array)
+{
+    std::uint64_t n = 0;
+    array.forEachValid([&](Addr, const CacheLine &) { ++n; });
+    return n;
+}
+
+class CacheArrayCodec : public ::testing::TestWithParam<CacheGeometry>
+{
+};
+
+// Random fills, touches, prefetch marks and invalidations, with save ->
+// restore round trips into a fresh array (no clearing pass), into a
+// busy one (cleared first) and into itself along the way: the live
+// count always equals a full scan, and the saved bytes always equal
+// the reference encoding of the placement model.
+TEST_P(CacheArrayCodec, LiveCountAndBytesMatchReference)
+{
+    const CacheGeometry g = GetParam();
+    CacheArray array(g);
+    PlacementModel model(g);
+    Rng rng(0xC0DEC + g.assoc + g.sizeBytes);
+    const std::uint64_t pool = g.lines() * 3;
+    const LineState states[] = {LineState::Shared, LineState::Exclusive,
+                                LineState::Modified};
+
+    for (int step = 0; step < 6000; ++step) {
+        const Addr line = rng.below(pool);
+        const std::int64_t slot = model.find(line);
+        CacheLine *cl = array.findLine(line);
+        ASSERT_EQ(cl != nullptr, slot >= 0) << "step " << step;
+        const std::uint64_t op = rng.below(10);
+        if (cl != nullptr && op < 3) {
+            array.invalidate(*cl);
+            model.invalidate(static_cast<std::size_t>(slot));
+        } else if (cl != nullptr) {
+            array.touch(*cl);
+            model.touch(static_cast<std::size_t>(slot));
+        } else {
+            Victim v;
+            const LineState st = states[rng.below(3)];
+            CacheLine &filled = array.allocate(line, st, v);
+            const std::size_t at = model.allocate(line, st);
+            if (op == 9) {
+                filled.prefetched = true;
+                model.setPrefetched(at, true);
+            }
+        }
+        ASSERT_EQ(array.validLines(), scannedValidLines(array))
+            << "step " << step;
+
+        if (step % 500 == 499) {
+            const std::vector<std::uint8_t> image = savedBytes(array);
+            ASSERT_EQ(image, sectionBytes([&](ckpt::Serializer &s) {
+                          model.save(s);
+                      }))
+                << "step " << step;
+
+            CacheArray fresh(g);
+            restoreBytes(fresh, image);
+            EXPECT_EQ(fresh.validLines(), scannedValidLines(fresh));
+            EXPECT_EQ(savedBytes(fresh), image);
+
+            CacheArray busy(g);
+            Victim v;
+            for (Addr a = 0; a < g.lines(); a += 3)
+                busy.allocate(pool + a, LineState::Modified, v);
+            restoreBytes(busy, image);
+            EXPECT_EQ(busy.validLines(), scannedValidLines(busy));
+            EXPECT_EQ(savedBytes(busy), image);
+
+            restoreBytes(array, image);
+            ASSERT_EQ(array.validLines(), scannedValidLines(array));
+            ASSERT_EQ(savedBytes(array), image);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheArrayCodec,
+    ::testing::Values(CacheGeometry{4 * kib, 1, 64},  // 64 sets
+                      CacheGeometry{32 * kib, 8, 64}, // 64 sets
+                      CacheGeometry{5 * kib, 1, 64},  // 80 sets
+                      CacheGeometry{40 * kib, 8, 64}), // 80 sets
+    [](const ::testing::TestParamInfo<CacheGeometry> &tpi) {
+        return tpi.param.shortName();
+    });
 
 /**
  * Reference model: per-set LRU lists, checked against the array under

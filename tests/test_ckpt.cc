@@ -3,10 +3,12 @@
  * Checkpoint/restore tests: round-trip digests, bit-identical
  * continued execution, byte-identical figure output from a warm
  * restore, latency-override restores, corrupt-input robustness
- * (truncation, bad magic, wrong version, flipped payload bytes and
- * forged directory and balance lists must all fail with a clean
- * PanicError, never undefined behaviour), the read-only legacy META
- * warm-up mode byte, and the CRC-32 against a bytewise reference.
+ * (truncation, bad magic, wrong version, flipped payload bytes,
+ * forged directory and balance lists and forged SIMU and VMEM counts
+ * must all fail with a clean PanicError, never undefined behaviour),
+ * the read-only legacy META warm-up mode byte, the CRC-32 against a
+ * bytewise reference and its folded path against its portable one,
+ * and the one-allocation bound on an image's size.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +27,9 @@
 #include "src/ckpt/serializer.hh"
 #include "src/coherence/directory.hh"
 #include "src/config/fields.hh"
+#include "src/config/options.hh"
 #include "src/core/experiment.hh"
+#include "src/core/figures.hh"
 #include "src/core/machine.hh"
 #include "src/core/registry.hh"
 #include "src/core/report.hh"
@@ -543,6 +547,52 @@ TEST_F(CheckpointCorruption, ZeroAccountBalanceIsCorrupt)
         << err;
 }
 
+TEST_F(CheckpointCorruption, ForgedSimLoopCpuCountIsCorrupt)
+{
+    const ScopedPanicThrow guard;
+    std::vector<std::uint8_t> bad = image_;
+    // SIMU: u64 step count, then the u64 CPU count.
+    const std::size_t header = sectionHeaderAt(bad, ckpt::tagSimLoop);
+    writeLe(bad, header + 16 + 8, 8, std::uint64_t{1} << 60);
+    reCrc(bad, header);
+    const std::string err = restoreError(bad);
+    EXPECT_NE(err.find("checkpoint corrupt: SIMU section has " +
+                       std::to_string(std::uint64_t{1} << 60) +
+                       " CPUs, machine has 1"),
+              std::string::npos)
+        << err;
+}
+
+TEST_F(CheckpointCorruption, ForgedReplicatedCopyCountIsCorrupt)
+{
+    const ScopedPanicThrow guard;
+    MachineConfig cfg = smallConfig(3);
+    cfg.replicateCode = true; // two nodes, code pages replicated
+    Machine m(cfg);
+    m.runWarmup();
+    std::vector<std::uint8_t> bad = m.checkpointBytes();
+    // VMEM: the RNG's four words, the per-node allocation counts, the
+    // page table (u64 count, 16-byte entries), then the replicated
+    // pages: u64 count, and for each a u64 vpn and a u64 copy count.
+    const std::size_t header = sectionHeaderAt(bad, ckpt::tagVm);
+    const std::size_t nodes_at = header + 16 + 32;
+    ASSERT_EQ(readLe(bad, nodes_at, 8), 2u);
+    const std::size_t pages_at = nodes_at + 8 + 2 * 8;
+    const std::size_t repl_at = pages_at + 8 + 16 * readLe(bad, pages_at, 8);
+    ASSERT_GE(readLe(bad, repl_at, 8), 1u);
+    ASSERT_EQ(readLe(bad, repl_at + 16, 8), 2u);
+    writeLe(bad, repl_at + 16, 8, std::uint64_t{1} << 60);
+    reCrc(bad, header);
+    const std::string err = restoreError(bad);
+    EXPECT_NE(err.find("checkpoint corrupt: VMEM replicated page"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find(" has " + std::to_string(std::uint64_t{1} << 60) +
+                       " copies, machine has 2 nodes"),
+              std::string::npos)
+        << err;
+}
+
 /** The textbook bytewise CRC-32, kept here as the reference. */
 std::uint32_t
 bytewiseCrc32(const std::uint8_t *data, std::size_t size)
@@ -578,6 +628,82 @@ TEST(Crc32, KnownAnswerAndBytewiseReference)
     }
     EXPECT_EQ(ckpt::crc32(buf.data(), buf.size()),
               bytewiseCrc32(buf.data(), buf.size()));
+}
+
+/** Random bytes from a fixed seed. */
+std::vector<std::uint8_t>
+randomBytes(std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::uint8_t> buf(n);
+    for (std::uint8_t &byte : buf)
+        byte = static_cast<std::uint8_t>(rng.next());
+    return buf;
+}
+
+// Both paths give the check value. Then the folded path against the
+// portable one: every length up to 4 KiB (the fold's 64- and 16-byte
+// steps and every tail) and an image-sized buffer, each from every
+// start offset modulo 16.
+TEST(Crc32, FoldedMatchesSliced)
+{
+    const std::string check = "123456789";
+    const auto *digits = reinterpret_cast<const std::uint8_t *>(check.data());
+    EXPECT_EQ(ckpt::detail::crc32Sliced(digits, check.size()), 0xcbf43926u);
+    if (!ckpt::detail::crc32FoldSupported())
+        GTEST_SKIP() << "host has no PCLMULQDQ";
+    EXPECT_EQ(ckpt::detail::crc32Folded(digits, check.size()), 0xcbf43926u);
+
+    const std::vector<std::uint8_t> small = randomBytes(4096 + 16, 21);
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+        for (std::size_t len = 0; len <= 4096; ++len) {
+            const std::uint8_t *p = small.data() + offset;
+            ASSERT_EQ(ckpt::detail::crc32Folded(p, len),
+                      ckpt::detail::crc32Sliced(p, len))
+                << "offset " << offset << ", length " << len;
+        }
+    }
+    const std::size_t image = (27 * mib) / 2; // 13.5 MiB
+    const std::vector<std::uint8_t> large = randomBytes(image + 16, 22);
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+        const std::uint8_t *p = large.data() + offset;
+        EXPECT_EQ(ckpt::detail::crc32Folded(p, image),
+                  ckpt::detail::crc32Sliced(p, image))
+            << "offset " << offset;
+    }
+}
+
+// checkpointBytes() sizes its buffer once: on the golden fixture and
+// on the simbench workloads (simbench/replay.cc, seed 1) the image
+// fits the bound, and the buffer it comes in is that one allocation.
+TEST(CheckpointSize, ImageIsOneAllocationWithinItsBound)
+{
+    setQuiet(true);
+    std::vector<std::pair<std::string, MachineConfig>> configs;
+    configs.emplace_back("golden-tiny",
+                         machineFromConfig(KvConfig::fromFile(
+                             std::string(ISIM_SOURCE_DIR) +
+                             "/tests/golden/tiny.cfg")));
+    MachineConfig tpcb_mp8 =
+        figures::offchip(figures::mpNodes, 1 * mib, 1);
+    tpcb_mp8.workload.warmupTransactions = 400 + mix64(1) % 64;
+    configs.emplace_back("tpcb-mp8", tpcb_mp8);
+    MachineConfig tpcb_uni = figures::offchip(1, 1 * mib, 1);
+    tpcb_uni.workload.warmupTransactions = 400 + mix64(1) % 64;
+    configs.emplace_back("tpcb-uni", tpcb_uni);
+    MachineConfig dss_mp8 = figures::baseMachine(figures::mpNodes);
+    dss_mp8.workload.kind = WorkloadKind::DssScan;
+    dss_mp8.workload.warmupTransactions = 32 + mix64(1) % 4;
+    configs.emplace_back("dss-mp8", dss_mp8);
+
+    for (const auto &[name, cfg] : configs) {
+        Machine m(cfg);
+        m.runWarmup();
+        const std::size_t bound = m.checkpointBytesBound();
+        const std::vector<std::uint8_t> image = m.checkpointBytes();
+        EXPECT_LE(image.size(), bound) << name;
+        EXPECT_EQ(image.capacity(), bound) << name << ": the buffer regrew";
+    }
 }
 
 TEST_F(CheckpointCorruption, TruncatedFileFailsCleanly)

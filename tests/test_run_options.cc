@@ -191,6 +191,44 @@ TEST(RunOptions, ObsFlagsFoldIn)
     EXPECT_EQ(opts.txns, 7u);
 }
 
+// The capture flags take `--flag VALUE` as well as `--flag=VALUE`, like
+// every other run option, and both forms give the same configuration.
+TEST(RunOptions, ObsFlagsTakeBothForms)
+{
+    Args joined({"run", "--trace-out=t.json", "--trace-bin=t.bin",
+                 "--timeline-out=tl.csv", "--epoch=300000",
+                 "--trace-ring=1024", "--trace-bar=3", "fig02"});
+    Args spaced({"run", "--trace-out", "t.json", "--trace-bin", "t.bin",
+                 "--timeline-out", "tl.csv", "--epoch", "300000",
+                 "--trace-ring", "1024", "--trace-bar", "3", "fig02"});
+    const obs::ObsConfig a =
+        RunOptions::fromCommandLine(joined.argc(), joined.argv()).obs;
+    const obs::ObsConfig b =
+        RunOptions::fromCommandLine(spaced.argc(), spaced.argv()).obs;
+    EXPECT_EQ(a.traceOutPath, "t.json");
+    EXPECT_EQ(a.traceBinPath, "t.bin");
+    EXPECT_EQ(a.timelineOutPath, "tl.csv");
+    EXPECT_EQ(a.epochTicks, 300000u);
+    EXPECT_EQ(a.ringCapacity, 1024u);
+    EXPECT_EQ(a.traceBar, 3u);
+    EXPECT_EQ(b.traceOutPath, a.traceOutPath);
+    EXPECT_EQ(b.traceBinPath, a.traceBinPath);
+    EXPECT_EQ(b.timelineOutPath, a.timelineOutPath);
+    EXPECT_EQ(b.epochTicks, a.epochTicks);
+    EXPECT_EQ(b.ringCapacity, a.ringCapacity);
+    EXPECT_EQ(b.traceBar, a.traceBar);
+    const std::vector<std::string> left = {"run", "fig02"};
+    EXPECT_EQ(joined.rest(), left);
+    EXPECT_EQ(spaced.rest(), left);
+}
+
+TEST(RunOptionsDeathTest, TrailingCaptureFlagNeedsAValue)
+{
+    Args args({"run", "fig02", "--trace-out"});
+    EXPECT_EXIT(RunOptions::fromCommandLine(args.argc(), args.argv()),
+                ::testing::ExitedWithCode(1), "--trace-out needs a value");
+}
+
 TEST(RunOptions, StatsEpochIsTheTimelineGrid)
 {
     // --stats-epoch fixes the grid of every bar and of the timeline
