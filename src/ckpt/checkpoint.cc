@@ -7,6 +7,7 @@
 #include "src/ckpt/checkpoint.hh"
 
 #include <fstream>
+#include <tuple>
 #include <type_traits>
 
 #include "src/base/logging.hh"
@@ -261,38 +262,40 @@ Machine::restoreFromImage(ckpt::Deserializer &d)
 }
 
 std::unique_ptr<Machine>
-Machine::fromCheckpointBytes(const std::vector<std::uint8_t> &bytes)
+Machine::fromImage(
+    std::span<const std::uint8_t> image,
+    std::optional<std::pair<IntegrationLevel, L2Impl>> latencies)
 {
-    ckpt::Deserializer d(bytes);
-    auto machine = std::make_unique<Machine>(ckpt::readConfig(d));
+    ckpt::Deserializer d(image);
+    MachineConfig config = ckpt::readConfig(d);
+    // Re-resolve the latency table only; cache geometry, workload and
+    // seeds stay those of the image, so the warm state still matches.
+    if (latencies)
+        std::tie(config.level, config.l2Impl) = *latencies;
+    auto machine = std::make_unique<Machine>(config);
     machine->restoreFromImage(d);
     return machine;
 }
 
 std::unique_ptr<Machine>
+Machine::fromCheckpointBytes(const std::vector<std::uint8_t> &bytes)
+{
+    return fromImage(bytes, std::nullopt);
+}
+
+std::unique_ptr<Machine>
 Machine::fromCheckpoint(const std::string &path)
 {
-    ckpt::Deserializer d = ckpt::Deserializer::fromFile(path);
-    auto machine = std::make_unique<Machine>(ckpt::readConfig(d));
-    machine->restoreFromImage(d);
-    return machine;
+    const std::vector<std::uint8_t> image = ckpt::readCheckpointFile(path);
+    return fromImage(image, std::nullopt);
 }
 
 std::unique_ptr<Machine>
 Machine::fromCheckpoint(const std::string &path, IntegrationLevel level,
                         L2Impl l2_impl)
 {
-    ckpt::Deserializer d = ckpt::Deserializer::fromFile(path);
-    MachineConfig config = ckpt::readConfig(d);
-
-    // Re-resolve the latency table only; cache geometry, workload and
-    // seeds stay those of the image, so the warm state still matches.
-    config.level = level;
-    config.l2Impl = l2_impl;
-
-    auto machine = std::make_unique<Machine>(config);
-    machine->restoreFromImage(d);
-    return machine;
+    const std::vector<std::uint8_t> image = ckpt::readCheckpointFile(path);
+    return fromImage(image, std::pair{level, l2_impl});
 }
 
 } // namespace isim

@@ -353,8 +353,8 @@ Serializer::take()
     return std::move(buf_);
 }
 
-Deserializer::Deserializer(std::vector<std::uint8_t> data)
-    : buf_(std::move(data))
+Deserializer::Deserializer(std::span<const std::uint8_t> data)
+    : buf_(data)
 {
     if (buf_.size() < magicBytes + 4)
         isim_fatal("checkpoint truncated: %zu bytes, need at least "
@@ -370,8 +370,8 @@ Deserializer::Deserializer(std::vector<std::uint8_t> data)
                    version, formatVersion);
 }
 
-Deserializer
-Deserializer::fromFile(const std::string &path)
+std::vector<std::uint8_t>
+readCheckpointFile(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
@@ -383,7 +383,7 @@ Deserializer::fromFile(const std::string &path)
         in.read(reinterpret_cast<char *>(data.data()), size);
     if (!in)
         isim_fatal("read of checkpoint '%s' failed", path.c_str());
-    return Deserializer(std::move(data));
+    return data;
 }
 
 void

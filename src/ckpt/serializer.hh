@@ -34,6 +34,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -188,6 +189,9 @@ class Serializer
     bool sectionOpen_ = false;
 };
 
+/** The bytes of a checkpoint file; isim_fatal if unreadable. */
+std::vector<std::uint8_t> readCheckpointFile(const std::string &path);
+
 /**
  * Reads values back in the exact order they were written. All errors
  * (truncation, bad magic, version or tag mismatch, CRC failure,
@@ -197,11 +201,10 @@ class Serializer
 class Deserializer
 {
   public:
-    /** Takes the full file image; validates magic and version. */
-    explicit Deserializer(std::vector<std::uint8_t> data);
-
-    /** Load a checkpoint file; isim_fatal if unreadable. */
-    static Deserializer fromFile(const std::string &path);
+    /** A view over the caller's image; validates magic and version. */
+    explicit Deserializer(std::span<const std::uint8_t> data);
+    /** A temporary image would dangle under the view. */
+    explicit Deserializer(std::vector<std::uint8_t> &&) = delete;
 
     std::uint8_t u8() { return *need(1); }
     std::uint16_t u16()
@@ -260,7 +263,7 @@ class Deserializer
     [[noreturn]] void overrun(std::size_t n) const;
     [[noreturn]] static void badBool(std::uint8_t v);
 
-    std::vector<std::uint8_t> buf_;
+    std::span<const std::uint8_t> buf_;
     std::size_t pos_ = 0;
     std::size_t sectionEnd_ = 0;
     bool sectionOpen_ = false;

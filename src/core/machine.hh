@@ -11,7 +11,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/ckpt/fwd.hh"
@@ -268,6 +271,13 @@ class Machine
      */
     void ensureSim();
 
+    /**
+     * The body of the fromCheckpoint* entry points; `latencies`, when
+     * set, replaces the image's integration level and L2 implementation.
+     */
+    static std::unique_ptr<Machine>
+    fromImage(std::span<const std::uint8_t> image,
+              std::optional<std::pair<IntegrationLevel, L2Impl>> latencies);
     /** Restore component + loop state from an image (checkpoint.cc). */
     void restoreFromImage(ckpt::Deserializer &d);
 

@@ -145,7 +145,7 @@ saveImage(const TpcbDatabase &db)
 void
 restoreImage(TpcbDatabase &db, std::vector<std::uint8_t> image)
 {
-    ckpt::Deserializer d(std::move(image));
+    ckpt::Deserializer d(image);
     d.beginSection(kTag);
     db.restoreState(d);
     d.endSection();

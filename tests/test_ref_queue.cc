@@ -1,46 +1,18 @@
 /**
  * @file
  * Unit tests for RefQueue, the reference FIFO between the reference
- * producers and the simulation loop. This binary replaces the global
- * operator new with a counting one, so it can show that a queue that
- * is refilled only once drained reuses its storage.
+ * producers and the simulation loop. This binary links the counting
+ * operator new (tests/host_meter.hh), so it can show that a queue
+ * that is refilled only once drained reuses its storage.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <deque>
-#include <new>
 #include <vector>
 
 #include "src/trace/record.hh"
-
-namespace {
-
-std::size_t allocations = 0; //!< global operator new calls so far
-
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    ++allocations;
-    if (void *p = std::malloc(size == 0 ? 1 : size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
+#include "tests/host_meter.hh"
 
 namespace isim {
 namespace {
@@ -98,14 +70,14 @@ template <typename Queue>
 std::size_t
 allocationsOfCycles(Queue &q, int cycles, unsigned batch)
 {
-    const std::size_t before = allocations;
+    const std::size_t before = heapAllocations();
     for (int c = 0; c < cycles; ++c) {
         for (unsigned i = 0; i < batch; ++i)
             q.push_back(loadRef(i));
         while (!q.empty())
             q.pop_front();
     }
-    return allocations - before;
+    return heapAllocations() - before;
 }
 
 TEST(RefQueue, RefillAfterDrainAllocatesNothingAfterTheFirstBatch)

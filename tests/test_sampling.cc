@@ -8,7 +8,9 @@
  * campaign resume for sampled cells, and the accuracy regression the
  * whole feature is sold on — a sampled run's CPI lands within its own
  * 95% CI of the full-timing value, and a CI-aware manifest diff
- * against the exact run exits clean.
+ * against the exact run exits clean — and the sampled pipeline's
+ * smoke gate on fig05: at least 2x cheaper, with every bar's CPI
+ * inside its CI or within 8% of the exact run.
  */
 
 #include <gtest/gtest.h>
@@ -30,12 +32,14 @@
 #include "src/core/experiment.hh"
 #include "src/core/figures.hh"
 #include "src/core/machine.hh"
+#include "src/core/registry.hh"
 #include "src/core/report.hh"
 #include "src/sample/controller.hh"
 #include "src/sample/estimator.hh"
 #include "src/sample/spec.hh"
 #include "src/stats/manifest.hh"
 #include "src/stats/registry.hh"
+#include "tests/host_meter.hh"
 
 namespace isim {
 namespace {
@@ -449,6 +453,57 @@ TEST(SampledAccuracy, CiAwareManifestDiffAgainstExactRunIsClean)
                       << diff.b << " (rel " << diff.rel << ")";
     }
     EXPECT_TRUE(d.clean());
+}
+
+// The sampled pipeline at smoke size: fig05 at 60 warm-up and 600
+// measured transactions, exact and then sampled on the schedule of
+// eight periods (ff 66, measure 9, warm 4). Sampling must cost at most
+// half the exact run's CPU time, and each bar's CPI must lie inside
+// its sampled 95% CI or within 8% of the exact CPI: large-L2 bars miss
+// their narrow CI at windows this short (the cold-cache bias of
+// docs/SAMPLING.md). The options are built here, so ISIM_TXNS and
+// ISIM_WARMUP cannot reach them; one lease thread and process CPU
+// time keep the tests ctest runs beside this one out of the ratio.
+TEST(SampledAccuracy, Fig05SmokeSpeedupAndCpiBound)
+{
+#ifdef ISIM_CHECK_INVARIANTS
+    GTEST_SKIP() << "the auditor checks every access, fast-forwarded "
+                    "ones too: sampling measured 1.6x, 0.9x with ASan";
+#endif
+    setQuiet(true);
+    const FigureSpec spec =
+        FigureRegistry::instance().find("fig05")->make();
+    RunOptions options;
+    options.txns = 600;
+    options.warmup = 60;
+    options.jobs = 1;
+    options.verbose = false;
+
+    double start = processCpuSeconds();
+    const FigureResult exact = ExperimentRunner(options).run(spec);
+    const double exactSeconds = processCpuSeconds() - start;
+    options.sample.ff = 66;
+    options.sample.measure = 9;
+    options.sample.warm = 4;
+    start = processCpuSeconds();
+    const FigureResult sampled = ExperimentRunner(options).run(spec);
+    const double sampledSeconds = processCpuSeconds() - start;
+
+    ASSERT_EQ(sampled.runs.size(), exact.runs.size());
+    for (std::size_t i = 0; i < sampled.runs.size(); ++i) {
+        const RunResult &s = sampled.runs[i];
+        const sample::StatCi *ci = s.sampling.find("cpu.cpi");
+        ASSERT_NE(ci, nullptr) << s.name;
+        const double cpi = exact.runs[i].stat("cpu.cpi");
+        const double err = std::fabs(s.stat("cpu.cpi") - cpi);
+        EXPECT_GE(s.sampling.windows, 2u) << s.name;
+        EXPECT_TRUE(err <= ci->ci95 || err <= 0.08 * cpi)
+            << s.name << ": CPI " << cpi << " exact, "
+            << s.stat("cpu.cpi") << " ±" << ci->ci95 << " sampled";
+    }
+    EXPECT_GE(exactSeconds / sampledSeconds, 2.0)
+        << "CPU time: exact " << exactSeconds << " s, sampled "
+        << sampledSeconds << " s";
 }
 
 // ---------------------------------------------------------------------
