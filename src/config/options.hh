@@ -3,7 +3,7 @@
  * Plain-text configuration: a small `key = value` format (comments
  * with '#', dotted keys) and the mapping onto MachineConfig /
  * WorkloadParams, so experiments can be described in files instead of
- * C++ (see examples/run_config and examples/configs/).
+ * C++ (see `isim-fig config` and examples/configs/).
  */
 
 #ifndef ISIM_CONFIG_OPTIONS_HH
@@ -84,7 +84,7 @@ bool flagValue(int &i, int argc, char **argv, const char *flag,
  * row of machineFields() (src/config/fields.hh), defaulting to
  * MachineConfig's values and the name "from-config". Unknown keys are
  * fatal (they are invariably typos), and so is a machine that fails
- * MachineConfig::validate(). `run_config --dump` prints every key
+ * MachineConfig::validate(). `isim-fig dump-cfg` prints every key
  * with its default.
  */
 MachineConfig machineFromConfig(const KvConfig &kv);

@@ -461,8 +461,8 @@ determinism(const SourceFile &file, std::vector<Finding> &out)
 void
 logging(const SourceFile &file, std::vector<Finding> &out)
 {
-    // The rule constrains library code only: CLI mains (tools/,
-    // examples/) and tests own their stdout.
+    // The rule constrains library code only: CLI mains (tools/)
+    // and tests own their stdout.
     if (!file.under("src/"))
         return;
     if (file.isFile("src/base/logging.cc") ||

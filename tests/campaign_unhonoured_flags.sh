@@ -20,12 +20,13 @@ cat > spec.json <<'SPEC'
   "warmup": 10
 }
 SPEC
-for flag in --stats-epoch=1000 "--save-ckpt d" --trace-out=t.json; do
+for flag in --stats-epoch=1000 "--save-ckpt d" "--trace-out t.json"; do
     name=${flag%%[= ]*}
     for command in run expand; do
         rc=0
         # $flag is split on purpose: "--save-ckpt d" is two arguments.
-        # (The capture flags take only the --flag=VALUE form.)
+        # Every flag, the capture flags included, takes both the
+        # --flag=VALUE and the --flag VALUE form; both are tested.
         "$campaign" $command spec.json --out out $flag \
             > out.log 2> err.log || rc=$?
         if [ $rc -eq 0 ] || ! grep -q -- "$name" err.log ||

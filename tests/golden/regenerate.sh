@@ -7,7 +7,7 @@
 set -e
 # Explicit knobs so stray ISIM_* environment can't leak into the
 # fixture's configuration (they must match tiny.cfg and the CI step).
-./build/examples/run_config tests/golden/tiny.cfg --quiet \
+./build/tools/isim-fig config tests/golden/tiny.cfg --quiet \
     --txns 40 --warmup 10 --seed 7 \
     --save-ckpt tests/golden/ckpt \
     --stats-out tests/golden/tiny-stats.json

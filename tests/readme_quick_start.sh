@@ -1,0 +1,34 @@
+#!/bin/sh
+# Every ./build/ command of README.md's Quick start block runs against
+# this build tree: `\` continuations joined, `# comments` dropped and
+# `--txns 20 --warmup 10 --quiet` appended. The commands run in a work
+# directory whose `build` is this build tree and whose other entries
+# link to the source tree, so a README that names a deleted binary or
+# an unknown flag fails here. ISIM_* is cleared.
+# usage: readme_quick_start.sh SOURCE_DIR BUILD_DIR WORK_DIR (absolute paths)
+set -e
+src=$1 bin=$2 work=$3
+unset $(env | sed -n 's/^\(ISIM_[A-Za-z0-9_]*\)=.*/\1/p')
+rm -rf "$work"
+mkdir -p "$work"
+cd "$work"
+for entry in "$src"/*; do
+    ln -s "$entry" .
+done
+rm -f build
+ln -s "$bin" build
+awk '/^## Quick start/ { block = 1; next }
+     block && /^```sh/ { fence = 1; next }
+     fence && /^```/ { exit }
+     fence {
+         if (sub(/\\$/, "")) { line = line $0; next }
+         line = line $0
+         sub(/[ \t]+#.*$/, "", line)
+         if (line ~ /^\.\/build\//) print line
+         line = ""
+     }' "$src/README.md" > commands
+test -s commands
+while read -r command; do
+    echo "$ $command"
+    sh -c "$command --txns 20 --warmup 10 --quiet" < /dev/null > /dev/null
+done < commands

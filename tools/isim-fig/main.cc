@@ -1,14 +1,17 @@
 /**
  * @file
- * isim-fig — the figure front end. One binary that can list and run
- * every figure, ablation, and extension experiment in the
- * FigureRegistry, plus the printed tables of the table catalog
- * (tables.hh), so a new experiment needs a catalog entry instead of
- * a new binary + CMake target.
+ * isim-fig — the one front end. It lists and runs every figure,
+ * ablation, and extension experiment in the FigureRegistry, the printed
+ * tables of the table catalog (tables.hh) and machines written as
+ * `.cfg` files, so a new experiment needs a catalog entry or a config
+ * file instead of a new binary + CMake target.
  *
  * Usage:
  *   isim-fig list
  *   isim-fig run <id|prefix|all>... [options]
+ *   isim-fig config <file.cfg>... [options]
+ *   isim-fig dump-cfg
+ *   isim-fig regions <file.cfg> [--txns N] [--warmup N] [--seed N]
  *
  * Ids resolve exactly first, then by prefix ("fig10" runs fig10-uni
  * and fig10-mp; "ablation" runs every ablation). Options are the
@@ -22,11 +25,14 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/config/options.hh"
 #include "src/core/experiment.hh"
+#include "src/core/machine.hh"
 #include "src/core/registry.hh"
+#include "src/stats/table.hh"
 #include "tools/isim-fig/tables.hh"
 
 namespace {
@@ -42,15 +48,21 @@ usage(std::FILE *to, const char *argv0)
         to,
         "usage: %s list\n"
         "       %s run <id|prefix|all>... [options]\n"
+        "       %s config <file.cfg>... [options]\n"
+        "       %s dump-cfg\n"
+        "       %s regions <file.cfg> [--txns N] [--warmup N] "
+        "[--seed N]\n"
         "\n"
         "Runs figures/ablations/extensions from the registry and "
         "prints the\npaper-style reports and tables. The bars of every "
         "selected figure run as\none plan on --jobs threads; identical "
-        "bars run once.\n"
+        "bars run once. `config` runs .cfg\nfiles as the bars of one "
+        "figure.\n"
         "\nOptions:\n%s%s"
         "\nEnvironment fallbacks: ISIM_TXNS, ISIM_WARMUP, ISIM_SEED, "
         "ISIM_JOBS,\nISIM_JSON_DIR, ISIM_AUDIT_PERIOD (flags win).\n",
-        argv0, argv0, isim::runOptionsHelp(), isim::obsOptionsHelp());
+        argv0, argv0, argv0, argv0, argv0, isim::runOptionsHelp(),
+        isim::obsOptionsHelp());
     return to == stdout ? 0 : 2;
 }
 
@@ -151,6 +163,114 @@ run(const std::vector<std::string> &ids, const RunOptions &opts)
     return 0;
 }
 
+/**
+ * One bar per file, normalized to the first, run and printed as `run`
+ * runs and prints a figure. tests/golden/tiny-stats.json pins the id
+ * and title, which name the figure in its JSON and manifest.
+ */
+int
+config(const std::vector<std::string> &files, const RunOptions &opts)
+{
+    isim::FigureSpec spec;
+    spec.id = "run_config";
+    spec.title = "machines from configuration files";
+    for (const std::string &file : files) {
+        isim::FigureBar bar;
+        bar.config = isim::machineFromConfig(isim::KvConfig::fromFile(file));
+        spec.bars.push_back(bar);
+    }
+    spec.multiprocessor = spec.bars[0].config.numCpus > 1;
+    isim::printFigure(isim::runFigures({spec}, opts).front(), opts);
+    return 0;
+}
+
+/**
+ * Per region: accesses, unique-line footprint and L2 misses of one
+ * machine run in this process. It writes no file, restores no image,
+ * and neither samples nor captures, so a run option that asks for any
+ * of that is fatal.
+ */
+int
+regions(const std::string &file, const RunOptions &opts)
+{
+    using namespace isim;
+
+    const RunOptions none;
+    const sample::SampleSpec &sample = opts.sample;
+    const std::pair<bool, const char *> unhonoured[] = {
+        {opts.jobs != 0, "--jobs (ISIM_JOBS)"},
+        {!opts.jsonDir.empty(), "--json-dir (ISIM_JSON_DIR)"},
+        {!opts.statsOut.empty(), "--stats-out (ISIM_STATS_OUT)"},
+        {opts.statsEpochTicks != 0, "--stats-epoch (ISIM_STATS_EPOCH)"},
+        {!opts.saveCkptDir.empty(), "--save-ckpt (ISIM_SAVE_CKPT)"},
+        {!opts.fromCkptDir.empty(), "--from-ckpt (ISIM_FROM_CKPT)"},
+        {sample.ff != 0, "--sample-ff (ISIM_SAMPLE_FF)"},
+        {sample.measure != 0, "--sample-measure (ISIM_SAMPLE_MEASURE)"},
+        {sample.windows != 0, "--sample-windows (ISIM_SAMPLE_WINDOWS)"},
+        {sample.warm != none.sample.warm, "--sample-warm (ISIM_SAMPLE_WARM)"},
+        {sample.mode != none.sample.mode, "--sample-mode (ISIM_SAMPLE_MODE)"},
+        {!opts.obs.traceOutPath.empty(), "--trace-out"},
+        {!opts.obs.traceBinPath.empty(), "--trace-bin"},
+        {!opts.obs.timelineOutPath.empty(), "--timeline-out"},
+        {opts.obs.epochTicks != none.obs.epochTicks, "--epoch"},
+        {opts.obs.ringCapacity != none.obs.ringCapacity, "--trace-ring"},
+        {opts.obs.traceBar != none.obs.traceBar, "--trace-bar"},
+    };
+    for (const auto &[set, flag] : unhonoured) {
+        if (set)
+            isim_fatal("regions cannot honour %s: it prints one "
+                       "machine's region table and writes nothing",
+                       flag);
+    }
+    MachineConfig cfg = machineFromConfig(KvConfig::fromFile(file));
+    opts.applyTo(cfg.workload);
+    opts.applyGlobal();
+
+    Machine machine(cfg);
+    machine.vm().enableProfiling(true);
+    std::vector<std::uint64_t> region_misses(64, 0);
+    machine.memSys().setMissHook([&](Addr paddr, RefType, MissClass) {
+        const int idx = machine.vm().regionIndexOfPaddr(paddr);
+        if (idx >= 0 && idx < static_cast<int>(region_misses.size()))
+            ++region_misses[idx];
+    });
+    const RunResult r = machine.run();
+
+    std::cout << "profiled " << r.transactions << " transactions on "
+              << cfg.numCpus << " cpu(s); "
+              << static_cast<std::uint64_t>(r.stat("cpu.instructions"))
+              << " instructions\n\n";
+
+    const double txns =
+        static_cast<double>(r.transactions ? r.transactions : 1);
+    Table t({"Region", "Policy", "Size(KB)", "Accesses", "Acc/txn",
+             "UniqLines", "Uniq(KB)", "Misses", "Miss/txn"});
+    std::uint64_t total_lines = 0;
+    const auto profiles = machine.vm().regionProfiles();
+    for (std::size_t i = 0; i < profiles.size(); ++i) {
+        const VirtualMemory::RegionProfile &p = profiles[i];
+        const char *policy =
+            p.policy == PlacePolicy::Interleave ? "stripe"
+            : p.policy == PlacePolicy::Local    ? "local"
+                                                : "repl";
+        t.row()
+            .cell(p.name)
+            .cell(policy)
+            .count(p.size / 1024)
+            .count(p.accesses)
+            .num(static_cast<double>(p.accesses) / txns)
+            .count(p.uniqueLines)
+            .count(p.uniqueLines * 64 / 1024)
+            .count(region_misses[i])
+            .num(static_cast<double>(region_misses[i]) / txns);
+        total_lines += p.uniqueLines;
+    }
+    t.print(std::cout);
+    std::cout << "\ntotal unique footprint: " << total_lines * 64 / 1024
+              << " KB\n";
+    return 0;
+}
+
 } // namespace
 
 int
@@ -167,29 +287,39 @@ main(int argc, char **argv)
         return usage(stderr, argv[0]);
 
     const std::string &command = args.front();
-    if (command == "list") {
-        if (args.size() != 1) {
-            std::fprintf(stderr, "list takes no arguments\n");
-            return 2;
-        }
-        return list();
-    }
-    if (command == "run") {
-        const std::vector<std::string> ids(args.begin() + 1,
-                                           args.end());
-        if (ids.empty()) {
-            std::fprintf(stderr,
-                         "run needs at least one figure id\n");
+    const std::vector<std::string> operands(args.begin() + 1, args.end());
+    for (const std::string &operand : operands) {
+        if (!operand.empty() && operand[0] == '-') {
+            std::fprintf(stderr, "unknown option '%s'\n", operand.c_str());
             return usage(stderr, argv[0]);
         }
-        for (const std::string &id : ids) {
-            if (!id.empty() && id[0] == '-') {
-                std::fprintf(stderr, "unknown option '%s'\n",
-                             id.c_str());
-                return usage(stderr, argv[0]);
-            }
+    }
+    if (command == "list" || command == "dump-cfg") {
+        if (!operands.empty()) {
+            std::fprintf(stderr, "%s takes no arguments\n", command.c_str());
+            return 2;
         }
-        return run(ids, opts);
+        if (command == "list")
+            return list();
+        std::cout << isim::machineToConfigText(isim::MachineConfig{});
+        return 0;
+    }
+    if (command == "run" || command == "config") {
+        if (operands.empty()) {
+            std::fprintf(stderr, "%s needs at least one %s\n",
+                         command.c_str(),
+                         command == "run" ? "figure id" : "config file");
+            return usage(stderr, argv[0]);
+        }
+        return command == "run" ? run(operands, opts)
+                                : config(operands, opts);
+    }
+    if (command == "regions") {
+        if (operands.size() != 1) {
+            std::fprintf(stderr, "regions needs exactly one config file\n");
+            return usage(stderr, argv[0]);
+        }
+        return regions(operands.front(), opts);
     }
     std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
     return usage(stderr, argv[0]);

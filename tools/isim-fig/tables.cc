@@ -8,14 +8,25 @@
 #include "tools/isim-fig/tables.hh"
 
 #include <string>
+#include <vector>
 
 #include "src/core/figures.hh"
+#include "src/noc/network.hh"
 #include "src/stats/table.hh"
 #include "src/timing/component_model.hh"
 
 namespace isim::fig {
 
 namespace {
+
+/** Row and column label of a node: "n3". */
+std::string
+nodeLabel(unsigned node)
+{
+    std::string label = "n";
+    label += std::to_string(node);
+    return label;
+}
 
 /** Figure 2: the Base system parameters. */
 void
@@ -143,7 +154,8 @@ printFigure3(std::ostream &out)
  * cost and the machine size through the component latency model,
  * showing how the 2-hop / 3-hop latencies (and hence everything
  * Figures 6-13 measure about multiprocessors) depend on the network
- * the 21364-style design integrates on chip.
+ * the 21364-style design integrates on chip; then, for the base
+ * 8-node torus, the hops and message latency of every node pair.
  */
 void
 printAblationNoc(std::ostream &out)
@@ -203,6 +215,37 @@ printAblationNoc(std::ostream &out)
                        .remote);
     }
     b.print(out);
+
+    // Where the remote latencies come from, physically: the base
+    // 8-node torus pair by pair.
+    const unsigned nodes = 8;
+    const TorusTopology topo(nodes);
+    const Network net(topo, LinkParams{});
+    out << "\n== " << nodes << "-node torus: " << topo.width() << "x"
+        << topo.height() << ", diameter " << topo.diameter()
+        << ", average hops " << formatNum(topo.averageHops(), 2)
+        << " ==\n\n";
+    std::vector<std::string> headers = {"hops"};
+    for (NodeId node = 0; node < nodes; ++node)
+        headers.push_back(nodeLabel(node));
+    const auto matrix = [&](auto cell) {
+        Table m(headers);
+        for (NodeId from = 0; from < nodes; ++from) {
+            auto row = m.row();
+            row.cell(nodeLabel(from));
+            for (NodeId to = 0; to < nodes; ++to)
+                row.count(cell(from, to));
+        }
+        m.print(out);
+    };
+    matrix([&](NodeId from, NodeId to) { return topo.hops(from, to); });
+    out << "\nOne-way latency for a 64-byte data message "
+           "(cycles @1GHz):\n\n";
+    matrix([&](NodeId from, NodeId to) { return net.oneWay(from, to, 64); });
+
+    out << "\nControl message (8B): average one-way "
+        << net.oneWayAverage(8) << " cycles; data (64B): "
+        << net.oneWayAverage(64) << " cycles.\n";
 }
 
 const TableEntry kTables[] = {
