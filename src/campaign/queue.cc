@@ -123,9 +123,7 @@ rejectUnhonouredOptions(const RunOptions &options)
         {!options.saveCkptDir.empty(), "--save-ckpt (ISIM_SAVE_CKPT)"},
         {!options.fromCkptDir.empty(), "--from-ckpt (ISIM_FROM_CKPT)"},
         {!options.statsOut.empty(), "--stats-out (ISIM_STATS_OUT)"},
-        {!options.obs.traceOutPath.empty(), "--trace-out"},
         {!options.obs.traceBinPath.empty(), "--trace-bin"},
-        {!options.obs.timelineOutPath.empty(), "--timeline-out"},
         {options.obs.traceBar != 0, "--trace-bar"},
     };
     for (const auto &[set, flag] : unhonoured) {
@@ -217,7 +215,7 @@ planFigures(const std::vector<FigureSpec> &figures,
     for (const FigureSpec &figure : figures) {
         const std::size_t first = plan.bars.size();
         appendFigure(plan, figure.id, figure, options, std::nullopt);
-        if (options.obs.any() && !figure.bars.empty()) {
+        if (options.obs.wantsEvents() && !figure.bars.empty()) {
             plan.bars[first + std::min(options.obs.traceBar,
                                        figure.bars.size() - 1)]
                 .observed = true;

@@ -67,13 +67,8 @@ runBar(const CampaignPlan &plan, const Lease &lease,
     }
     if (o != nullptr)
         machine->attachObservability(o);
-    // One epoch grid per run: --stats-epoch records every bar, and
-    // the observed bar's timeline CSV renders the same rows.
-    Tick epoch = plan.statsEpochTicks;
-    if (epoch == 0 && o != nullptr && o->config().wantsTimeline())
-        epoch = o->config().epochTicks;
-    if (epoch > 0)
-        machine->recordEpochs(epoch);
+    if (plan.statsEpochTicks > 0)
+        machine->recordEpochs(plan.statsEpochTicks);
     if (!machine->isWarm()) {
         machine->runWarmup();
         if (!image.empty()) {

@@ -384,20 +384,15 @@ parseUintFlag(const char *flag, const std::string &text)
 const char *
 obsOptionsHelp()
 {
-    return "  --trace-out=FILE     write a Chrome trace_event JSON "
-           "trace (Perfetto)\n"
-           "  --trace-bin=FILE     write a binary capture for "
-           "tools/itrace\n"
-           "  --timeline-out=FILE  write the epoch timeline CSV\n"
-           "  --epoch=TICKS        timeline epoch in simulated ns "
-           "(default 1000000, or the --stats-epoch grid)\n"
+    return "  --trace-bin=FILE     write a binary capture for "
+           "tools/itrace (`itrace chrome`)\n"
            "  --trace-ring=N       event-ring capacity in events "
            "(default 262144)\n"
            "  --trace-bar=N        figure bar to observe (default 0)\n";
 }
 
 obs::ObsConfig
-obsFromCommandLine(int &argc, char **argv, Tick stats_epoch)
+obsFromCommandLine(int &argc, char **argv)
 {
     obs::ObsConfig cfg;
     int out = 1;
@@ -406,22 +401,19 @@ obsFromCommandLine(int &argc, char **argv, Tick stats_epoch)
         return flagValue(i, argc, argv, flag, v);
     };
     for (int i = 1; i < argc; ++i) {
-        if (matches(i, "--trace-out")) {
-            cfg.traceOutPath = v;
-        } else if (matches(i, "--trace-bin")) {
+        if (matches(i, "--trace-bin")) {
             cfg.traceBinPath = v;
+        } else if (matches(i, "--trace-out")) {
+            isim_fatal("--trace-out is gone: capture with "
+                       "--trace-bin=FILE and render it with "
+                       "`itrace chrome FILE -o OUT`");
         } else if (matches(i, "--timeline-out")) {
-            cfg.timelineOutPath = v;
+            isim_fatal("--timeline-out is gone: record with "
+                       "--stats-epoch=TICKS --stats-out=FILE and render "
+                       "it with `isim-stat timeline FILE BAR`");
         } else if (matches(i, "--epoch")) {
-            cfg.epochTicks = parseUintFlag("--epoch", v);
-            if (cfg.epochTicks == 0)
-                isim_fatal("--epoch must be positive");
-            if (stats_epoch > 0 && cfg.epochTicks != stats_epoch) {
-                isim_fatal("--epoch=%llu disagrees with --stats-epoch=%llu:"
-                           " a run has one epoch grid (drop --epoch)",
-                           static_cast<unsigned long long>(cfg.epochTicks),
-                           static_cast<unsigned long long>(stats_epoch));
-            }
+            isim_fatal("--epoch is gone: --stats-epoch=TICKS sets the "
+                       "one epoch grid");
         } else if (matches(i, "--trace-ring")) {
             cfg.ringCapacity = parseUintFlag("--trace-ring", v);
             if (cfg.ringCapacity == 0)
@@ -433,8 +425,6 @@ obsFromCommandLine(int &argc, char **argv, Tick stats_epoch)
         }
     }
     argc = out;
-    if (stats_epoch > 0)
-        cfg.epochTicks = stats_epoch;
     return cfg;
 }
 

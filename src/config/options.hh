@@ -105,21 +105,19 @@ std::string machineToConfigText(const MachineConfig &config);
  *
  * Each also takes the `--flag VALUE` form (flagValue).
  *
- *   --trace-out=FILE     write a Chrome trace_event JSON trace
  *   --trace-bin=FILE     write a binary capture for tools/itrace
- *   --timeline-out=FILE  write the epoch timeline CSV
- *   --epoch=TICKS        timeline epoch in simulated ns
  *   --trace-ring=N       event-ring capacity (events, power of two
  *                        not required)
  *   --trace-bar=N        which bar of the figure to observe
  *
- * A nonzero `stats_epoch` (--stats-epoch) is the run's one epoch
- * grid: it becomes the timeline epoch, and an --epoch that differs
- * is fatal. fatal() on a malformed value. `--help`/`-h` prints usage
- * (including obsOptionsHelp()) and exits.
+ * The capture is a run's one event artifact (`itrace chrome` renders
+ * it as Chrome JSON); epoch rows are the stats manifest's, on the
+ * --stats-epoch grid (`isim-stat timeline` renders them as CSV). The
+ * retired --trace-out, --timeline-out and --epoch are fatal, naming
+ * that replacement. fatal() on a malformed value. `--help`/`-h`
+ * prints usage (including obsOptionsHelp()) and exits.
  */
-obs::ObsConfig obsFromCommandLine(int &argc, char **argv,
-                                  Tick stats_epoch);
+obs::ObsConfig obsFromCommandLine(int &argc, char **argv);
 
 /** One-per-line description of the observability flags. */
 const char *obsOptionsHelp();

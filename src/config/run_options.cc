@@ -152,8 +152,7 @@ RunOptions::fromCommandLine(int &argc, char **argv)
         }
     }
     argc = out;
-    // After --stats-epoch is known: it fixes the timeline's grid too.
-    opts.obs = obsFromCommandLine(argc, argv, opts.statsEpochTicks);
+    opts.obs = obsFromCommandLine(argc, argv);
     // Degenerate sampling configurations (measure without ff, a
     // single window, warm > ff) must fail at the command line, not
     // deep inside a half-finished run.
@@ -207,7 +206,7 @@ runOptionsHelp()
            "  --stats-out=FILE     write the stats manifest to FILE "
            "(default: <json-dir>/<stem>.stats.json)\n"
            "  --stats-epoch=TICKS  embed per-epoch stat rows on this "
-           "tick grid (also the --timeline-out grid)\n"
+           "tick grid (`isim-stat timeline`)\n"
            "  --save-ckpt=DIR      save a warm checkpoint per bar "
            "into DIR after warm-up\n"
            "  --from-ckpt=DIR      restore warm checkpoints from DIR "

@@ -51,8 +51,8 @@ struct RunOptions
     std::string statsOut;
     /**
      * Embed per-epoch counter rows in the manifest, recorded on this
-     * tick grid (0 = off), for EVERY bar, sampled runs included. It
-     * is also the timeline CSV's grid: one grid per run.
+     * tick grid (0 = off), for EVERY bar, sampled runs included: the
+     * run's one epoch grid (`isim-stat timeline` renders the rows).
      */
     Tick statsEpochTicks = 0;
     /** What to capture and where (one observed bar per figure). */

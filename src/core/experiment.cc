@@ -115,11 +115,10 @@ ExperimentRunner::runAll(const std::vector<FigureSpec> &specs) const
             result.runs.push_back(runs[alias == campaign::kNoAlias ? i : alias]);
             if (!observed[i])
                 continue;
-            const std::string written =
-                observed[i]->writeOutputs(runs[i].epochs);
-            if (options_.verbose && !written.empty())
+            observed[i]->writeOutputs();
+            if (options_.verbose)
                 isim_inform("%s: wrote %s", plan.bars[i].config.name.c_str(),
-                            written.c_str());
+                            options_.obs.traceBinPath.c_str());
         }
     }
     return results;

@@ -151,16 +151,6 @@ writeChromeTrace(std::ostream &os,
     os << "\n";
 }
 
-void
-writeChromeTrace(std::ostream &os, const Tracer &tracer)
-{
-    std::vector<TraceEvent> events;
-    events.reserve(tracer.ring().size());
-    tracer.ring().forEach(
-        [&](const TraceEvent &e) { events.push_back(e); });
-    writeChromeTrace(os, events, tracer.ring().dropped());
-}
-
 std::string
 timelineCsvHeader()
 {

@@ -29,9 +29,6 @@ void writeChromeTrace(std::ostream &os,
                       const std::vector<TraceEvent> &events,
                       std::uint64_t dropped = 0);
 
-/** Convenience: export everything retained in a tracer's ring. */
-void writeChromeTrace(std::ostream &os, const Tracer &tracer);
-
 /** Header line of the timeline CSV (no trailing newline). */
 std::string timelineCsvHeader();
 

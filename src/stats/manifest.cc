@@ -306,6 +306,60 @@ manifestMeta(const JsonValue &doc)
     return out;
 }
 
+bool
+manifestEpochs(const JsonValue &doc, const std::string &bar,
+               std::vector<EpochRow> &rows, std::string &err)
+{
+    const JsonValue *found = nullptr;
+    if (const JsonValue *bars = doc.get("bars");
+        bars != nullptr && bars->isArray()) {
+        for (const JsonValue &b : bars->array) {
+            const JsonValue *name = b.get("name");
+            if (name != nullptr && name->isString() && name->text == bar) {
+                found = &b;
+                break;
+            }
+        }
+    }
+    if (found == nullptr) {
+        err = "no bar named '" + bar + "'";
+        return false;
+    }
+    const JsonValue *epochs = found->get("epochs");
+    if (epochs == nullptr || !epochs->isArray()) {
+        err = "bar '" + bar + "' has no \"epochs\" rows (rerun with "
+              "--stats-epoch)";
+        return false;
+    }
+    rows.assign(epochs->array.size(), EpochRow{});
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        const JsonValue &in = epochs->array[r];
+        EpochRow &row = rows[r];
+        const auto field = [&](const char *key, std::uint64_t &out) {
+            const JsonValue *v = in.get(key);
+            // Doubles hold every integer below 2^53 exactly.
+            if (v != nullptr && v->isNumber() && v->number >= 0.0 &&
+                v->number < 0x1p53 && v->number == std::floor(v->number)) {
+                out = static_cast<std::uint64_t>(v->number);
+                return true;
+            }
+            err = "bar '" + bar + "', epoch row " + std::to_string(r) +
+                  ": \"" + key + "\" is missing or not an unsigned "
+                  "integer";
+            return false;
+        };
+        if (!field("epoch", row.epoch) || !field("start", row.start) ||
+            !field("end", row.end)) {
+            return false;
+        }
+        for (std::size_t i = 0; i < numEpochColumns; ++i) {
+            if (!field(epochColumns[i].manifest, row.delta[i]))
+                return false;
+        }
+    }
+    return true;
+}
+
 std::vector<FlatStat>
 flattenCi95(const JsonValue &doc)
 {

@@ -45,9 +45,9 @@
  * covers it. Older manifests may carry "warmup_mode",
  * "exec_mode" or a host-time "host_wall_ms" in META; readers ignore
  * them. "epochs"
- * is present only when the bar's epochs were recorded (--stats-epoch
- * on every bar, --timeline-out on the observed one); its keys are
- * the epochColumns of src/stats/epoch.hh.
+ * is present only when the bar's epochs were recorded (--stats-epoch,
+ * on every bar); its keys are the epochColumns of src/stats/epoch.hh,
+ * and manifestEpochs() reads them back for `isim-stat timeline`.
  * Distribution values are nested objects; undefined quantiles (NaN)
  * serialize as JSON null.
  */
@@ -193,6 +193,17 @@ struct BarMetaView
  * order. Manifests predating the META echo yield an empty vector.
  */
 std::vector<BarMetaView> manifestMeta(const JsonValue &doc);
+
+/**
+ * Decode the "epochs" rows of bar `bar` of a parsed manifest into
+ * `rows`, keyed by epochColumns[i].manifest (the derived "tps" is
+ * recomputed, not read). Returns false with a message naming the bar
+ * in `err` when no bar has that name, the bar has no "epochs" rows,
+ * or a row misses a key or holds anything but an exact unsigned
+ * integer there: a manifest is outside input.
+ */
+bool manifestEpochs(const JsonValue &doc, const std::string &bar,
+                    std::vector<EpochRow> &rows, std::string &err);
 
 /**
  * Flatten every bar's "sampling" block into sorted

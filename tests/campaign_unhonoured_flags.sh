@@ -20,7 +20,7 @@ cat > spec.json <<'SPEC'
   "warmup": 10
 }
 SPEC
-for flag in --stats-epoch=1000 "--save-ckpt d" "--trace-out t.json"; do
+for flag in --stats-epoch=1000 "--save-ckpt d" "--trace-bin t.bin"; do
     name=${flag%%[= ]*}
     for command in run expand; do
         rc=0
@@ -30,7 +30,7 @@ for flag in --stats-epoch=1000 "--save-ckpt d" "--trace-out t.json"; do
         "$campaign" $command spec.json --out out $flag \
             > out.log 2> err.log || rc=$?
         if [ $rc -eq 0 ] || ! grep -q -- "$name" err.log ||
-            [ -e out ] || [ -e d ] || [ -e t.json ]; then
+            [ -e out ] || [ -e d ] || [ -e t.bin ]; then
             echo "$command did not refuse $flag (exit $rc):"
             cat err.log
             exit 1

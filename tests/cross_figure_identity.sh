@@ -2,7 +2,7 @@
 # Figures planned together must print and write exactly what they do
 # run one at a time. fig07's "Base 8M1w" is fig05's bar 3, so the
 # plain pass checks the alias copy and the shared lease threads; the
-# observed pass captures that bar's timeline (--trace-bar=3), so it
+# observed pass captures that bar's events (--trace-bar=3), so it
 # must run on its own, never aliased.
 # usage: cross_figure_identity.sh ISIM_FIG WORK_DIR (absolute paths)
 set -e
@@ -15,7 +15,7 @@ for pass in plain observed; do
     a= b=
     if [ $pass = observed ]; then
         knobs="$knobs --trace-bar=3"
-        a=--timeline-out=A.csv b=--timeline-out=B.csv
+        a=--trace-bin=A.bin b=--trace-bin=B.bin
     fi
     "$fig" run fig05 fig07 $knobs --jobs 3 --json-dir A $a > A.out
     for id in fig05 fig07; do
@@ -24,4 +24,4 @@ for pass in plain observed; do
     cmp A.out B.out
     diff -r A B
 done
-cmp A.csv B.csv
+cmp A.bin B.bin

@@ -1,7 +1,8 @@
 /**
  * @file
- * Host measurements for tests: the process's CPU time, for speed gates
- * that tests running beside them cannot skew, and a count of global
+ * Host measurements for tests: the process's and the calling thread's
+ * CPU time, for speed gates that tests running beside them cannot
+ * skew, and a count of global
  * operator new calls, for tests that show a path allocates nothing. A
  * test binary that calls heapAllocations() links host_meter.cc
  * (tests/CMakeLists.txt), which replaces the global operator new and
@@ -23,6 +24,16 @@ processCpuSeconds()
     timespec ts{};
     // isim-lint: allow(determinism): times the host for a speed gate; never feeds simulated state
     clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
+}
+
+/** CPU seconds the calling thread has used so far. */
+inline double
+threadCpuSeconds()
+{
+    timespec ts{};
+    // isim-lint: allow(determinism): times the host for a speed gate; never feeds simulated state
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
     return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
 }
 

@@ -404,11 +404,9 @@ obs::ObsConfig
 observeEverything()
 {
     obs::ObsConfig cfg;
-    // Non-empty paths make the bundle build its sampler; the test
-    // never calls writeOutputs(), so nothing is written to disk.
-    cfg.traceOutPath = "unused.json";
-    cfg.timelineOutPath = "unused.csv";
-    cfg.epochTicks = 200000; // 0.2 ms: several epochs per test run
+    // A capture path turns event tracing on; the tests never call
+    // writeOutputs(), so nothing is written to disk.
+    cfg.traceBinPath = "unused.bin";
     cfg.ringCapacity = 1u << 16;
     return cfg;
 }
@@ -445,7 +443,7 @@ TEST(ObservedMachine, RecordsAllEventFamilies)
     Machine m(mpConfig());
     obs::Observability o(observeEverything());
     m.attachObservability(&o);
-    m.recordEpochs(o.config().epochTicks);
+    m.recordEpochs(200000); // 0.2 ms: several epochs per test run
     const RunResult r = m.run();
     EXPECT_TRUE(r.dbConsistent);
 
@@ -481,8 +479,10 @@ TEST(ObservedMachine, RecordsAllEventFamilies)
     EXPECT_GT(t.count(EventKind::CtxSwitch), 0u);
 
     // The full capture exports to well-formed Chrome JSON.
+    std::vector<TraceEvent> events;
+    t.ring().forEach([&](const TraceEvent &e) { events.push_back(e); });
     std::ostringstream os;
-    obs::writeChromeTrace(os, t);
+    obs::writeChromeTrace(os, events, t.ring().dropped());
     std::string err;
     EXPECT_TRUE(jsonValidate(os.str(), &err)) << err;
 #endif
@@ -508,9 +508,9 @@ TEST(ObservedMachine, UniprocessorHasNoNocTraffic)
 TEST(ObservedMachine, HostInstrumentationKeepsFigureJsonBitIdentical)
 {
     setQuiet(true);
-    // Host-side observability — an attached trace/timeline bundle —
+    // Host-side observability — an event capture and epoch rows —
     // must leave the figure JSON BYTE-identical to a bare run. Host
-    // data goes to the trace files, never into figure outputs.
+    // data goes to the capture, never into figure outputs.
     FigureSpec spec;
     spec.id = "TestFig";
     spec.title = "host instrumentation bit-identity";
@@ -528,15 +528,12 @@ TEST(ObservedMachine, HostInstrumentationKeepsFigureJsonBitIdentical)
     const std::string bareJson = figureToJson(bare);
 
     RunOptions instrumented = options;
-    instrumented.obs.traceOutPath =
-        testing::TempDir() + "/obs_host_trace.json";
-    instrumented.obs.timelineOutPath =
-        testing::TempDir() + "/obs_host_timeline.csv";
-    instrumented.obs.epochTicks = 200000;
+    instrumented.obs.traceBinPath =
+        testing::TempDir() + "/obs_host_trace.bin";
+    instrumented.statsEpochTicks = 200000;
     const FigureResult observed =
         ExperimentRunner(instrumented).run(spec);
-    std::remove(instrumented.obs.traceOutPath.c_str());
-    std::remove(instrumented.obs.timelineOutPath.c_str());
+    std::remove(instrumented.obs.traceBinPath.c_str());
 
     EXPECT_EQ(bareJson, figureToJson(observed));
 }
@@ -667,23 +664,21 @@ TEST(EpochRows, SampledBarsCarryContiguousRows)
 TEST(EpochRows, StatsEpochIsTheTimelineGridOfTheObservedBar)
 {
     setQuiet(true);
-    RunOptions options = epochOptions(2);
-    options.obs.timelineOutPath =
-        testing::TempDir() + "/epoch_rows_timeline.csv";
-    options.obs.epochTicks = 50000; // overridden by --stats-epoch
     const FigureResult result =
-        ExperimentRunner(options).run(twoBarSpec());
-    for (const RunResult &r : result.runs)
-        expectContiguous(r.epochs, 0, r.epochs.back().end, 200000);
+        ExperimentRunner(epochOptions(2)).run(twoBarSpec());
 
-    // The CSV renders the observed bar's manifest rows, line for line.
-    std::ifstream in(options.obs.timelineOutPath);
-    std::ostringstream expected;
-    obs::writeTimelineCsv(expected, result.runs[0].epochs);
-    std::ostringstream written;
-    written << in.rdbuf();
-    EXPECT_EQ(written.str(), expected.str());
-    std::remove(options.obs.timelineOutPath.c_str());
+    // `isim-stat timeline` renders a bar's manifest rows as the CSV
+    // of the rows the run recorded, line for line.
+    JsonValue doc;
+    ASSERT_TRUE(jsonParse(figureStatsJson(result), doc));
+    std::vector<stats::EpochRow> rows;
+    std::string err;
+    ASSERT_TRUE(stats::manifestEpochs(doc, "bar-a", rows, err)) << err;
+    std::ostringstream rendered, recorded;
+    obs::writeTimelineCsv(rendered, rows);
+    obs::writeTimelineCsv(recorded, result.runs[0].epochs);
+    EXPECT_EQ(rendered.str(), recorded.str());
+    expectContiguous(rows, 0, rows.back().end, 200000);
 }
 
 } // namespace

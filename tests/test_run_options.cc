@@ -71,7 +71,7 @@ TEST(RunOptions, DefaultsAreInert)
     EXPECT_EQ(opts.jobs, 0u);
     EXPECT_EQ(opts.auditPeriod, std::uint64_t{1} << 20);
     EXPECT_TRUE(opts.verbose);
-    EXPECT_FALSE(opts.obs.any());
+    EXPECT_FALSE(opts.obs.wantsEvents());
 
     WorkloadParams params;
     const WorkloadParams before = params;
@@ -181,13 +181,12 @@ TEST(RunOptions, UnrecognizedArgumentsSurviveInOrder)
 
 TEST(RunOptions, ObsFlagsFoldIn)
 {
-    Args args({"--trace-out=/tmp/t.json", "--trace-bar=2",
-               "--txns=7"});
+    Args args({"--trace-bin=/tmp/t.bin", "--trace-bar=2", "--txns=7"});
     const RunOptions opts =
         RunOptions::fromCommandLine(args.argc(), args.argv());
-    EXPECT_EQ(opts.obs.traceOutPath, "/tmp/t.json");
+    EXPECT_EQ(opts.obs.traceBinPath, "/tmp/t.bin");
     EXPECT_EQ(opts.obs.traceBar, 2u);
-    EXPECT_TRUE(opts.obs.any());
+    EXPECT_TRUE(opts.obs.wantsEvents());
     EXPECT_EQ(opts.txns, 7u);
 }
 
@@ -195,26 +194,18 @@ TEST(RunOptions, ObsFlagsFoldIn)
 // every other run option, and both forms give the same configuration.
 TEST(RunOptions, ObsFlagsTakeBothForms)
 {
-    Args joined({"run", "--trace-out=t.json", "--trace-bin=t.bin",
-                 "--timeline-out=tl.csv", "--epoch=300000",
-                 "--trace-ring=1024", "--trace-bar=3", "fig02"});
-    Args spaced({"run", "--trace-out", "t.json", "--trace-bin", "t.bin",
-                 "--timeline-out", "tl.csv", "--epoch", "300000",
-                 "--trace-ring", "1024", "--trace-bar", "3", "fig02"});
+    Args joined({"run", "--trace-bin=t.bin", "--trace-ring=1024",
+                 "--trace-bar=3", "fig02"});
+    Args spaced({"run", "--trace-bin", "t.bin", "--trace-ring", "1024",
+                 "--trace-bar", "3", "fig02"});
     const obs::ObsConfig a =
         RunOptions::fromCommandLine(joined.argc(), joined.argv()).obs;
     const obs::ObsConfig b =
         RunOptions::fromCommandLine(spaced.argc(), spaced.argv()).obs;
-    EXPECT_EQ(a.traceOutPath, "t.json");
     EXPECT_EQ(a.traceBinPath, "t.bin");
-    EXPECT_EQ(a.timelineOutPath, "tl.csv");
-    EXPECT_EQ(a.epochTicks, 300000u);
     EXPECT_EQ(a.ringCapacity, 1024u);
     EXPECT_EQ(a.traceBar, 3u);
-    EXPECT_EQ(b.traceOutPath, a.traceOutPath);
     EXPECT_EQ(b.traceBinPath, a.traceBinPath);
-    EXPECT_EQ(b.timelineOutPath, a.timelineOutPath);
-    EXPECT_EQ(b.epochTicks, a.epochTicks);
     EXPECT_EQ(b.ringCapacity, a.ringCapacity);
     EXPECT_EQ(b.traceBar, a.traceBar);
     const std::vector<std::string> left = {"run", "fig02"};
@@ -224,41 +215,36 @@ TEST(RunOptions, ObsFlagsTakeBothForms)
 
 TEST(RunOptionsDeathTest, TrailingCaptureFlagNeedsAValue)
 {
-    Args args({"run", "fig02", "--trace-out"});
+    Args args({"run", "fig02", "--trace-bin"});
     EXPECT_EXIT(RunOptions::fromCommandLine(args.argc(), args.argv()),
-                ::testing::ExitedWithCode(1), "--trace-out needs a value");
+                ::testing::ExitedWithCode(1), "--trace-bin needs a value");
 }
 
-TEST(RunOptions, StatsEpochIsTheTimelineGrid)
+// Each retired flag wrote a rendering of an artifact the run already
+// writes; it is fatal and names the command that renders it now.
+TEST(RunOptionsDeathTest, TraceOutIsGoneForItraceChrome)
 {
-    // --stats-epoch fixes the grid of every bar and of the timeline
-    // CSV; an --epoch that agrees is accepted.
-    for (const char *epoch : {"", "--epoch=250000"}) {
-        std::vector<std::string> flags = {"--timeline-out=/tmp/tl.csv",
-                                          "--stats-epoch=250000"};
-        if (*epoch != '\0')
-            flags.emplace_back(epoch);
-        Args args(flags);
-        const RunOptions opts =
-            RunOptions::fromCommandLine(args.argc(), args.argv());
-        EXPECT_EQ(opts.statsEpochTicks, 250000u);
-        EXPECT_EQ(opts.obs.epochTicks, 250000u) << epoch;
-        EXPECT_TRUE(args.rest().empty());
-    }
-    // Without --stats-epoch, --epoch alone sets the timeline grid.
-    Args alone({"--epoch=300000"});
-    EXPECT_EQ(RunOptions::fromCommandLine(alone.argc(), alone.argv())
-                  .obs.epochTicks,
-              300000u);
-}
-
-TEST(RunOptionsDeathTest, ConflictingEpochGridsAreFatal)
-{
-    Args args({"--timeline-out=/tmp/tl.csv", "--epoch=200000",
-               "--stats-epoch=1000000"});
+    Args args({"run", "fig02", "--trace-out=t.json"});
     EXPECT_EXIT(RunOptions::fromCommandLine(args.argc(), args.argv()),
                 ::testing::ExitedWithCode(1),
-                "--epoch=200000 disagrees with --stats-epoch=1000000");
+                "--trace-out is gone: .*--trace-bin.*itrace chrome");
+}
+
+TEST(RunOptionsDeathTest, TimelineOutIsGoneForIsimStatTimeline)
+{
+    Args args({"run", "fig02", "--timeline-out", "tl.csv"});
+    EXPECT_EXIT(RunOptions::fromCommandLine(args.argc(), args.argv()),
+                ::testing::ExitedWithCode(1),
+                "--timeline-out is gone: .*--stats-epoch.*isim-stat "
+                "timeline");
+}
+
+TEST(RunOptionsDeathTest, EpochIsGoneForStatsEpoch)
+{
+    Args args({"--stats-epoch=200000", "--epoch=200000"});
+    EXPECT_EXIT(RunOptions::fromCommandLine(args.argc(), args.argv()),
+                ::testing::ExitedWithCode(1),
+                "--epoch is gone: --stats-epoch");
 }
 
 TEST(RunOptions, ApplyToOverridesWorkload)

@@ -209,10 +209,7 @@ regions(const std::string &file, const RunOptions &opts)
         {sample.windows != 0, "--sample-windows (ISIM_SAMPLE_WINDOWS)"},
         {sample.warm != none.sample.warm, "--sample-warm (ISIM_SAMPLE_WARM)"},
         {sample.mode != none.sample.mode, "--sample-mode (ISIM_SAMPLE_MODE)"},
-        {!opts.obs.traceOutPath.empty(), "--trace-out"},
         {!opts.obs.traceBinPath.empty(), "--trace-bin"},
-        {!opts.obs.timelineOutPath.empty(), "--timeline-out"},
-        {opts.obs.epochTicks != none.obs.epochTicks, "--epoch"},
         {opts.obs.ringCapacity != none.obs.ringCapacity, "--trace-ring"},
         {opts.obs.traceBar != none.obs.traceBar, "--trace-bar"},
     };
@@ -276,7 +273,9 @@ regions(const std::string &file, const RunOptions &opts)
 int
 main(int argc, char **argv)
 {
+    const int given = argc;
     const RunOptions opts = RunOptions::fromCommandLine(argc, argv);
+    const bool runFlags = argc != given;
 
     std::vector<std::string> args(argv + 1, argv + argc);
     for (const std::string &arg : args) {
@@ -295,7 +294,7 @@ main(int argc, char **argv)
         }
     }
     if (command == "list" || command == "dump-cfg") {
-        if (!operands.empty()) {
+        if (!operands.empty() || runFlags) {
             std::fprintf(stderr, "%s takes no arguments\n", command.c_str());
             return 2;
         }

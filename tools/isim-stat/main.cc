@@ -8,6 +8,7 @@
  *   isim-stat dump  stats.json                every stat, one per line
  *   isim-stat grep  PATTERN stats.json        stats whose path matches
  *   isim-stat diff  a.json b.json [--tolerance=R] [--ci]
+ *   isim-stat timeline stats.json BAR         BAR's epoch rows as CSV
  *
  * `diff` compares two manifests stat-by-stat and exits 1 when any
  * stat drifted beyond the relative tolerance (default 0: values must
@@ -17,6 +18,9 @@
  * passes when the delta is within the union of the two intervals;
  * stats without a CI fall back to the relative tolerance. PATTERN is
  * a plain substring match on the flattened "<bar>/<stat>" path.
+ * `timeline` prints the "epochs" rows a --stats-epoch run recorded
+ * for one bar as the timeline CSV (obs::writeTimelineCsv), and exits
+ * 1 when the bar or its rows are missing or malformed.
  */
 
 #include <algorithm>
@@ -29,6 +33,7 @@
 #include <vector>
 
 #include "src/base/json.hh"
+#include "src/obs/export.hh"
 #include "src/stats/manifest.hh"
 
 namespace {
@@ -47,7 +52,9 @@ usage(std::ostream &os, int rc)
           "                              compare two manifests; exit "
           "1 on drift,\n"
           "                              2 when either side has no "
-          "stats rows\n\n"
+          "stats rows\n"
+          "  timeline FILE BAR           BAR's epoch rows (--stats-epoch) "
+          "as CSV\n\n"
           "options:\n"
           "  --tolerance=R   relative tolerance for diff "
           "(|b-a|/max(|a|,|b|) <= R\n"
@@ -239,6 +246,20 @@ cmdDiff(const std::string &pathA, const std::string &pathB,
     return 1;
 }
 
+int
+cmdTimeline(const std::string &path, const std::string &bar)
+{
+    const JsonValue doc = loadDoc(path);
+    std::vector<stats::EpochRow> rows;
+    std::string err;
+    if (!stats::manifestEpochs(doc, bar, rows, err)) {
+        std::cerr << "isim-stat: " << path << ": " << err << "\n";
+        return 1;
+    }
+    obs::writeTimelineCsv(std::cout, rows);
+    return 0;
+}
+
 } // namespace
 
 int
@@ -261,6 +282,11 @@ main(int argc, char **argv)
         if (argc != 4)
             return usage(std::cerr, 2);
         return cmdDump(argv[3], argv[2]);
+    }
+    if (command == "timeline") {
+        if (argc != 4)
+            return usage(std::cerr, 2);
+        return cmdTimeline(argv[2], argv[3]);
     }
     if (command == "diff") {
         if (argc < 4)
