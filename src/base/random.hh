@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "src/ckpt/fwd.hh"
 
@@ -79,8 +80,10 @@ class Rng
     /**
      * Zipf-like rank in [0, n): rank r is drawn with probability
      * proportional to 1 / (r + 1)^theta. Uses the rejection-inversion
-     * free approximation (power-law inversion), adequate for footprint
-     * skew modelling.
+     * free approximation (power-law inversion, zipfRank), adequate for
+     * footprint skew modelling. One std::pow per draw: the simulator's
+     * hot paths draw through a ZipfTable, which returns the same ranks
+     * from the same stream; this is the reference.
      */
     std::uint64_t zipf(std::uint64_t n, double theta);
 
@@ -95,6 +98,74 @@ class Rng
     }
 
     std::array<std::uint64_t, 4> state_{};
+};
+
+/** Exponent `a` of Rng::zipf's power-law inversion for a skew theta > 0. */
+double zipfExponent(double theta);
+
+/**
+ * Rng::zipf's rank for the 53-bit draw `k` (`next() >> 11`) over n
+ * ranks with exponent `a`: min(n-1, floor(n * pow(max(k,1) * 2^-53, a))).
+ * The one definition of the skewed draw; ZipfTable is its inverse.
+ */
+std::uint64_t zipfRank(std::uint64_t k, std::uint64_t n, double a);
+
+/**
+ * Rng::zipf(n, theta) without std::pow: the exact inverse of zipfRank,
+ * built once per (n, theta). thr[r] is the least 53-bit draw whose rank
+ * is >= r, and a 4096-entry array holds the rank at the start of each
+ * bucket (the draw's top 12 bits). A draw takes the one next() that
+ * Rng::zipf takes, looks up its bucket's start rank and scans thr
+ * forward, so ranks and generator state equal Rng::zipf's.
+ *
+ * Why it is exact: zipfRank is a monotone step function of k whenever
+ * the computed pow(u, a) is increasing on the 2^-53 grid of u, because
+ * the product with n, the floor and the min are monotone. One grid step
+ * raises u^a by a * u^(a-1) * 2^-53 or more (u^a is convex), which is at
+ * least a/(2u) >= a/2 ULP of u^a since u < 1. glibc's pow (2.28 and
+ * later) is within 0.52 ULP, so the computed pow increases strictly
+ * wherever a >= 2.08 (theta >= 0.52; the default skews 0.6-0.9 give a =
+ * 2.5-9.9). Below the normal range n * u^a < 1 and the rank is 0 on both
+ * sides. The thresholds are then found by bisection on zipfRank itself,
+ * so the table is derived from the formula, not a second model. The
+ * table falls back to Rng::zipf for theta <= 0 (its uniform below(n)
+ * path), a < 2.08, and n above 65536 (or 0).
+ */
+class ZipfTable
+{
+  public:
+    ZipfTable(std::uint64_t n, double theta);
+
+    /** One draw: Rng::zipf(n, theta)'s rank and stream, exactly. */
+    std::uint64_t operator()(Rng &rng) const
+    {
+        if (thr_.empty()) [[unlikely]]
+            return rng.zipf(n_, theta_);
+        const std::uint64_t k = rng.next() >> 11;
+        std::uint64_t r = start_[k >> (53 - bucketBits)];
+        while (thr_[r + 1] <= k)
+            ++r;
+        return r;
+    }
+
+    std::uint64_t ranks() const { return n_; }
+    double theta() const { return theta_; }
+    /** False when draws fall back to Rng::zipf. */
+    bool tabled() const { return !thr_.empty(); }
+    /** Least 53-bit draw whose rank is >= r, for r in [0, n); tabled only. */
+    std::uint64_t threshold(std::uint64_t r) const { return thr_[r]; }
+
+  private:
+    static constexpr unsigned bucketBits = 12;
+    static constexpr std::uint64_t maxTabledRanks = 65536;
+    static constexpr double minTabledExponent = 2.08;
+
+    std::uint64_t n_;
+    double theta_;
+    /** n + 1 entries; thr_[n] is a sentinel above every draw. */
+    std::vector<std::uint64_t> thr_;
+    /** Rank at each bucket's first draw (ranks fit 16 bits when tabled). */
+    std::vector<std::uint16_t> start_;
 };
 
 } // namespace isim

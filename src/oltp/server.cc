@@ -44,8 +44,7 @@ ServerProcess::emitLineData(Rng &rng, RefQueue &out)
         bool store = false;
         if (kind < p.privateFraction) {
             // Stack / PGA: hot, node-private.
-            vaddr = privateBase_ +
-                    rng.zipf(p.privateBytes / 64, p.privateSkew) * 64;
+            vaddr = privateBase_ + engine_.privateZipf()(rng) * 64;
             store = rng.chance(p.mixerStoreFraction);
         } else if (kind < p.privateFraction + p.metadataFraction) {
             // Hot SGA metadata. Half the traffic goes to per-node
@@ -53,8 +52,7 @@ ServerProcess::emitLineData(Rng &rng, RefQueue &out)
             // whose entries are updated often (pin counts, usage
             // counters) — the true-sharing traffic that makes OLTP's
             // communication misses dirty 3-hop ones.
-            const std::uint64_t line =
-                rng.zipf(p.hotMetadataBytes / 128, p.metadataSkew);
+            const std::uint64_t line = engine_.metadataZipf()(rng);
             if (rng.chance(0.5)) {
                 vaddr = engine_.sga().sharedMetadataAddr(line * 64);
                 store = rng.chance(p.sharedMetadataStoreFraction);
@@ -90,11 +88,9 @@ ServerProcess::invokeGroup(unsigned group_base, unsigned group_len,
                            unsigned count)
 {
     const CodeModel &code = engine_.dbCode();
+    const ZipfTable &pick = engine_.functionZipf(group_len);
     for (unsigned i = 0; i < count; ++i) {
-        const unsigned f =
-            group_base +
-            static_cast<unsigned>(
-                rng_.zipf(group_len, engine_.params().functionSkew));
+        const unsigned f = group_base + static_cast<unsigned>(pick(rng_));
         code.invoke(f % code.numFunctions(), rng_, engine_.vm(), cpu(),
                     /*kernel=*/false, pending_, this);
     }
@@ -355,6 +351,24 @@ ServerProcess::restoreState(ckpt::Deserializer &d)
     lastBlockTouched_ = d.u64();
     lastRowLine_ = d.u32();
     warmCursor_ = d.u64();
+    // Each indexes a fixed-size range; a forged value would reach the
+    // SGA's address asserts on the next reference.
+    const WorkloadParams &p = engine_.params();
+    const auto in_range = [&](const char *field, std::uint64_t value,
+                              std::uint64_t bound, const char *what) {
+        if (value >= bound)
+            isim_fatal("checkpoint corrupt: server %u %s %llu is not "
+                       "below %llu %s",
+                       pid(), field,
+                       static_cast<unsigned long long>(value),
+                       static_cast<unsigned long long>(bound), what);
+    };
+    in_range("lastBlockTouched", lastBlockTouched_,
+             engine_.sga().numBlocks(), "SGA blocks");
+    in_range("lastRowLine", lastRowLine_, p.blockBytes / 64,
+             "lines per block");
+    in_range("warmCursor", warmCursor_, p.warmMetadataBytes / 64,
+             "warm metadata lines");
 }
 
 } // namespace isim

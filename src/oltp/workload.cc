@@ -31,6 +31,11 @@ OltpEngine::OltpEngine(const WorkloadParams &params, VirtualMemory &vm,
           cp.seed = mix64(params.seed ^ 0xdb7e47);
           return cp;
       }()),
+      privateZipf_(params_.privateBytes / 64, params_.privateSkew),
+      metadataZipf_(params_.hotMetadataBytes / 128, params_.metadataSkew),
+      functionZipf_{ZipfTable(16, params_.functionSkew),
+                    ZipfTable(32, params_.functionSkew),
+                    ZipfTable(64, params_.functionSkew)},
       txnLatency_("txn-latency-us", 100, 200)
 {
     // Placement: the SGA is striped across the machine (no data
@@ -70,6 +75,16 @@ OltpEngine::OltpEngine(const WorkloadParams &params, VirtualMemory &vm,
     vm_.setPolicy(layout::dbText, 64 * mib, text_policy, "db.text");
     vm_.setPolicy(layout::kernelText, 64 * mib, text_policy,
                   "kernel.text");
+}
+
+const ZipfTable &
+OltpEngine::functionZipf(unsigned group_len) const
+{
+    for (const ZipfTable &table : functionZipf_) {
+        if (table.ranks() == group_len)
+            return table;
+    }
+    isim_panic("no function pick table for a group of %u", group_len);
 }
 
 void

@@ -10,6 +10,7 @@
 #ifndef ISIM_OLTP_WORKLOAD_HH
 #define ISIM_OLTP_WORKLOAD_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -103,6 +104,14 @@ class OltpEngine
     RedoLog &redo() { return redo_; }
     const CodeModel &dbCode() const { return dbCode_; }
 
+    // ---- Skewed draws (Rng::zipf's ranks, see ZipfTable) ----
+    /** Line of a server's private stack / PGA. */
+    const ZipfTable &privateZipf() const { return privateZipf_; }
+    /** Line pair of the hot SGA metadata. */
+    const ZipfTable &metadataZipf() const { return metadataZipf_; }
+    /** Function within a code group of 16, 32 or 64 functions. */
+    const ZipfTable &functionZipf(unsigned group_len) const;
+
     const Histogram &txnLatency() const { return txnLatency_; }
     /** Drop latency samples gathered so far (warm-up boundary). */
     void clearLatencyStats() { txnLatency_.clear(); }
@@ -157,6 +166,12 @@ class OltpEngine
     RedoLog redo_;
     // ckpt: transient(dbCode_): stateless code-footprint model
     CodeModel dbCode_;
+    // ckpt: transient(privateZipf_): derived from params_
+    ZipfTable privateZipf_;
+    // ckpt: transient(metadataZipf_): derived from params_
+    ZipfTable metadataZipf_;
+    // ckpt: transient(functionZipf_): derived from params_; groups of 16, 32, 64
+    std::array<ZipfTable, 3> functionZipf_;
 
     // ckpt: transient(tracer_): observer hook, reattached by the harness
     obs::Tracer *tracer_ = nullptr;

@@ -13,7 +13,10 @@ namespace isim {
 
 KernelModel::KernelModel(VirtualMemory &vm, unsigned num_cpus,
                          const KernelParams &params, std::uint64_t seed)
-    : vm_(vm), params_(params)
+    : vm_(vm), params_(params),
+      sharedZipf_(params_.sharedDataBytes / 64, params_.sharedSkew),
+      perCpuZipf_(params_.perCpuDataBytes / 64, params_.sharedSkew),
+      functionZipf_(params_.numFunctions, params_.sharedSkew)
 {
     CodeModelParams cp;
     cp.vbase = layout::kernelText;
@@ -34,8 +37,10 @@ class KernelLineMixer : public LineDataEmitter
 {
   public:
     KernelLineMixer(VirtualMemory &vm, const KernelParams &params,
-                    NodeId cpu)
-        : vm_(vm), params_(params), cpu_(cpu)
+                    const ZipfTable &shared_line,
+                    const ZipfTable &per_cpu_line, NodeId cpu)
+        : vm_(vm), params_(params), sharedLine_(shared_line),
+          perCpuLine_(per_cpu_line), cpu_(cpu)
     {
     }
 
@@ -49,14 +54,11 @@ class KernelLineMixer : public LineDataEmitter
             const bool store = rng.chance(params_.lineStoreFraction);
             Addr vaddr;
             if (shared) {
-                const std::uint64_t lines = params_.sharedDataBytes / 64;
-                vaddr = layout::kernelShared +
-                        rng.zipf(lines, params_.sharedSkew) * 64;
+                vaddr = layout::kernelShared + sharedLine_(rng) * 64;
             } else {
-                const std::uint64_t lines = params_.perCpuDataBytes / 64;
                 vaddr = layout::kernelPerCpu +
                         cpu_ * layout::kernelPerCpuStride +
-                        rng.zipf(lines, params_.sharedSkew) * 64;
+                        perCpuLine_(rng) * 64;
             }
             const Addr paddr = vm_.translate(vaddr, cpu_);
             out.push_back(store ? storeRef(paddr, 0, true)
@@ -67,6 +69,8 @@ class KernelLineMixer : public LineDataEmitter
   private:
     VirtualMemory &vm_;
     const KernelParams &params_;
+    const ZipfTable &sharedLine_;
+    const ZipfTable &perCpuLine_;
     NodeId cpu_;
 };
 
@@ -76,11 +80,10 @@ void
 KernelModel::invokeFunctions(NodeId cpu, unsigned count, Rng &rng,
                              RefQueue &out)
 {
-    KernelLineMixer mixer(vm_, params_, cpu);
+    KernelLineMixer mixer(vm_, params_, sharedZipf_, perCpuZipf_, cpu);
     for (unsigned i = 0; i < count; ++i) {
         // Skewed choice: dispatch/scheduling routines dominate.
-        const unsigned f = static_cast<unsigned>(
-            rng.zipf(code_->numFunctions(), params_.sharedSkew));
+        const unsigned f = static_cast<unsigned>(functionZipf_(rng));
         instrs_ += code_->invoke(f, rng, vm_, cpu, /*kernel=*/true, out,
                                  &mixer);
     }
@@ -90,9 +93,8 @@ void
 KernelModel::touchShared(NodeId cpu, unsigned refs, unsigned stores,
                          Rng &rng, RefQueue &out)
 {
-    const std::uint64_t lines = params_.sharedDataBytes / 64;
     for (unsigned i = 0; i < refs; ++i) {
-        const std::uint64_t line = rng.zipf(lines, params_.sharedSkew);
+        const std::uint64_t line = sharedZipf_(rng);
         const Addr paddr =
             vm_.translate(layout::kernelShared + line * 64, cpu);
         const bool store = i < stores;
@@ -105,11 +107,10 @@ void
 KernelModel::touchPerCpu(NodeId cpu, unsigned refs, Rng &rng,
                          RefQueue &out)
 {
-    const std::uint64_t lines = params_.perCpuDataBytes / 64;
     const Addr base =
         layout::kernelPerCpu + cpu * layout::kernelPerCpuStride;
     for (unsigned i = 0; i < refs; ++i) {
-        const std::uint64_t line = rng.zipf(lines, params_.sharedSkew);
+        const std::uint64_t line = perCpuZipf_(rng);
         const Addr paddr = vm_.translate(base + line * 64, cpu);
         // Context save/restore alternates loads and stores.
         out.push_back((i & 1) ? storeRef(paddr, 0, true)

@@ -93,6 +93,12 @@ class KernelModel
     KernelParams params_;
     // ckpt: transient(code_): stateless code-footprint model
     std::unique_ptr<CodeModel> code_;
+    // ckpt: transient(sharedZipf_): derived from params_
+    ZipfTable sharedZipf_;
+    // ckpt: transient(perCpuZipf_): derived from params_
+    ZipfTable perCpuZipf_;
+    // ckpt: transient(functionZipf_): derived from params_
+    ZipfTable functionZipf_;
     std::vector<Rng> rngs_;
     std::uint64_t instrs_ = 0;
 };

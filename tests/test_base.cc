@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "src/base/intmath.hh"
 #include "src/base/logging.hh"
 #include "src/base/random.hh"
+#include "src/ckpt/serializer.hh"
+#include "src/oltp/workload_params.hh"
+#include "src/os/kernel.hh"
 
 namespace isim {
 namespace {
@@ -146,6 +150,110 @@ TEST(Rng, ZipfZeroThetaIsUniform)
         ++counts[rng.zipf(n, 0.0)];
     for (auto c : counts)
         EXPECT_NEAR(c, 5000, 600);
+}
+
+/** The (n, theta) of every table the default machine builds. */
+std::vector<std::pair<std::uint64_t, double>>
+defaultZipfPairs()
+{
+    const WorkloadParams w;
+    const KernelParams k;
+    return {{w.privateBytes / 64, w.privateSkew},
+            {w.hotMetadataBytes / 128, w.metadataSkew},
+            {16, w.functionSkew},
+            {32, w.functionSkew},
+            {64, w.functionSkew},
+            {k.sharedDataBytes / 64, k.sharedSkew},
+            {k.perCpuDataBytes / 64, k.sharedSkew},
+            {k.numFunctions, k.sharedSkew}};
+}
+
+/** Default pairs plus a grid of skews and sizes, down to n = 1. */
+std::vector<std::pair<std::uint64_t, double>>
+tabledZipfPairs()
+{
+    std::vector<std::pair<std::uint64_t, double>> pairs = defaultZipfPairs();
+    for (const double theta : {0.53, 0.6, 0.75, 0.85, 0.9, 0.99}) {
+        for (const std::uint64_t n :
+             {1, 2, 3, 16, 48, 256, 1000, 2048, 65536})
+            pairs.emplace_back(n, theta);
+    }
+    return pairs;
+}
+
+/** The generator's state bytes (its position in the stream). */
+std::vector<std::uint8_t>
+rngState(const Rng &rng)
+{
+    ckpt::Serializer s;
+    rng.saveState(s);
+    return s.take();
+}
+
+/**
+ * `draws` seeded draws through `table` equal Rng::zipf's from a twin
+ * generator, and both generators end in the same state.
+ */
+void
+expectTwinDraws(const ZipfTable &table, std::uint64_t seed,
+                unsigned draws)
+{
+    Rng viaTable(seed), viaZipf(seed);
+    for (unsigned i = 0; i < draws; ++i) {
+        const std::uint64_t want = viaZipf.zipf(table.ranks(), table.theta());
+        const std::uint64_t got = table(viaTable);
+        if (got != want) {
+            ADD_FAILURE() << "n=" << table.ranks()
+                          << " theta=" << table.theta() << " draw " << i
+                          << ": table " << got << ", Rng::zipf " << want;
+            return;
+        }
+    }
+    EXPECT_EQ(rngState(viaTable), rngState(viaZipf))
+        << "n=" << table.ranks() << " theta=" << table.theta();
+}
+
+TEST(ZipfTable, ThresholdsBracketTheFormula)
+{
+    constexpr std::uint64_t end = std::uint64_t{1} << 53;
+    for (const auto &[n, theta] : tabledZipfPairs()) {
+        const ZipfTable table(n, theta);
+        ASSERT_TRUE(table.tabled()) << "n=" << n << " theta=" << theta;
+        const double a = zipfExponent(theta);
+        EXPECT_EQ(table.threshold(0), 0u);
+        for (std::uint64_t r = 1; r < n; ++r) {
+            const std::uint64_t k = table.threshold(r);
+            ASSERT_GT(k, 0u) << "n=" << n << " theta=" << theta;
+            ASSERT_LT(k, end) << "n=" << n << " theta=" << theta;
+            // The draw just below ranks below r; the threshold reaches r.
+            ASSERT_LT(zipfRank(k - 1, n, a), r)
+                << "n=" << n << " theta=" << theta << " r=" << r;
+            ASSERT_GE(zipfRank(k, n, a), r)
+                << "n=" << n << " theta=" << theta << " r=" << r;
+        }
+    }
+}
+
+TEST(ZipfTable, DrawsEqualRngZipfAndLeaveTheSameState)
+{
+    std::uint64_t seed = 1;
+    for (const auto &[n, theta] : tabledZipfPairs())
+        expectTwinDraws(ZipfTable(n, theta), mix64(seed++), 1000000);
+}
+
+TEST(ZipfTable, FallbackPathsEqualRngZipf)
+{
+    // Uniform (theta <= 0), too flat for the exactness argument
+    // (a < 2.08), and more ranks than the table holds.
+    const std::pair<std::uint64_t, double> pairs[] = {
+        {1000, 0.0}, {1000, -1.0}, {1000, 0.5}, {1000, 0.3},
+        {65537, 0.9}, {1000000, 0.75}};
+    std::uint64_t seed = 101;
+    for (const auto &[n, theta] : pairs) {
+        const ZipfTable table(n, theta);
+        EXPECT_FALSE(table.tabled()) << "n=" << n << " theta=" << theta;
+        expectTwinDraws(table, mix64(seed++), 200000);
+    }
 }
 
 TEST(Mix64, IsDeterministicAndSpreads)

@@ -35,6 +35,7 @@
 #include "src/core/registry.hh"
 #include "src/core/report.hh"
 #include "src/cpu/core.hh"
+#include "src/oltp/sga.hh"
 #include "tests/host_meter.hh"
 
 namespace isim {
@@ -593,6 +594,74 @@ TEST_F(CheckpointCorruption, ForgedReplicatedCopyCountIsCorrupt)
                        " copies, machine has 2 nodes"),
               std::string::npos)
         << err;
+}
+
+/**
+ * Offset of server 0's u64 lastBlockTouched_ in the SCHD section; its
+ * u32 lastRowLine_ and u64 warmCursor_ follow. SCHD opens with three
+ * u64 counters. Server 0 is the first process: u32 pid, u8 sched state,
+ * u64 wake time, its queued references (u64 count, 13 bytes each), the
+ * RNG's four words, u8 phase, u64 txns, u64 txn start, a bool, and the
+ * four u64 transaction operands.
+ */
+std::size_t
+serverCursorsAt(const std::vector<std::uint8_t> &image)
+{
+    const std::size_t process =
+        sectionHeaderAt(image, ckpt::tagSched) + 16 + 24;
+    EXPECT_EQ(readLe(image, process, 4), 0u); // pid 0
+    const std::size_t pending_at = process + 4 + 1 + 8;
+    return pending_at + 8 + 13 * readLe(image, pending_at, 8) + 32 + 1 +
+           8 + 8 + 1 + 32;
+}
+
+/**
+ * Forging server 0's field at `offset` (from serverCursorsAt, `bytes`
+ * wide) to `bound` or above is an isim_fatal naming field and value.
+ */
+void
+expectServerFieldRefused(const std::vector<std::uint8_t> &image,
+                         const std::string &name, std::size_t offset,
+                         unsigned bytes, std::uint64_t bound)
+{
+    const std::size_t at = serverCursorsAt(image) + offset;
+    // The image's own value is in range, so the offset is right.
+    ASSERT_LT(readLe(image, at, bytes), bound) << name;
+    for (const std::uint64_t forged : {bound, std::uint64_t{0xffffffff}}) {
+        std::vector<std::uint8_t> bad = image;
+        writeLe(bad, at, bytes, forged);
+        reCrc(bad, sectionHeaderAt(bad, ckpt::tagSched));
+        const std::string err = restoreError(bad);
+        EXPECT_NE(err.find("checkpoint corrupt: server 0 " + name + " " +
+                           std::to_string(forged) + " is not below " +
+                           std::to_string(bound)),
+                  std::string::npos)
+            << err;
+    }
+}
+
+TEST_F(CheckpointCorruption, ServerLastBlockOutsideSgaIsCorrupt)
+{
+    const ScopedPanicThrow guard;
+    const WorkloadParams p = smallConfig(3, CpuModel::InOrder, 1).workload;
+    expectServerFieldRefused(image_, "lastBlockTouched", 0, 8,
+                             Sga(p).numBlocks());
+}
+
+TEST_F(CheckpointCorruption, ServerRowLineOutsideBlockIsCorrupt)
+{
+    const ScopedPanicThrow guard;
+    const WorkloadParams p = smallConfig(3, CpuModel::InOrder, 1).workload;
+    expectServerFieldRefused(image_, "lastRowLine", 8, 4,
+                             p.blockBytes / 64);
+}
+
+TEST_F(CheckpointCorruption, ServerWarmCursorOutsideBandIsCorrupt)
+{
+    const ScopedPanicThrow guard;
+    const WorkloadParams p = smallConfig(3, CpuModel::InOrder, 1).workload;
+    expectServerFieldRefused(image_, "warmCursor", 12, 8,
+                             p.warmMetadataBytes / 64);
 }
 
 /** The textbook bytewise CRC-32, kept here as the reference. */
