@@ -119,10 +119,10 @@ rejectUnhonouredOptions(const RunOptions &options)
         bool set;
         const char *flag;
     } unhonoured[] = {
-        {options.statsEpochTicks != 0, "--stats-epoch (ISIM_STATS_EPOCH)"},
-        {!options.saveCkptDir.empty(), "--save-ckpt (ISIM_SAVE_CKPT)"},
-        {!options.fromCkptDir.empty(), "--from-ckpt (ISIM_FROM_CKPT)"},
-        {!options.statsOut.empty(), "--stats-out (ISIM_STATS_OUT)"},
+        {options.statsEpochTicks != 0, "--stats-epoch"},
+        {!options.saveCkptDir.empty(), "--save-ckpt"},
+        {!options.fromCkptDir.empty(), "--from-ckpt"},
+        {!options.statsOut.empty(), "--stats-out"},
         {!options.obs.traceBinPath.empty(), "--trace-bin"},
         {options.obs.traceBar != 0, "--trace-bar"},
     };

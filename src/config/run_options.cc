@@ -1,13 +1,11 @@
 /**
  * @file
- * RunOptions resolution: the environment (once), then flags.
+ * RunOptions resolution from the command line.
  */
 
 #include "src/config/run_options.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -17,74 +15,10 @@
 
 namespace isim {
 
-namespace {
-
-/**
- * Strict uint parse; nullopt on garbage or on a value past 2^64-1
- * (env values are lenient).
- */
-std::optional<std::uint64_t>
-parseUint(const char *text)
-{
-    if (!text || !*text)
-        return std::nullopt;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || text[0] == '-' || errno == ERANGE)
-        return std::nullopt;
-    return static_cast<std::uint64_t>(v);
-}
-
-} // namespace
-
-RunOptions
-RunOptions::fromEnv()
-{
-    RunOptions opts;
-    if (const auto v = parseUint(std::getenv("ISIM_TXNS"));
-        v && *v > 0) {
-        opts.txns = *v;
-    }
-    if (const auto v = parseUint(std::getenv("ISIM_WARMUP")))
-        opts.warmup = *v;
-    if (const auto v = parseUint(std::getenv("ISIM_SEED")))
-        opts.seed = *v;
-    if (const char *dir = std::getenv("ISIM_JSON_DIR"))
-        opts.jsonDir = dir;
-    if (const auto v = parseUint(std::getenv("ISIM_JOBS")))
-        opts.jobs = static_cast<unsigned>(*v);
-    if (const auto v = parseUint(std::getenv("ISIM_AUDIT_PERIOD"));
-        v && *v >= 1) {
-        opts.auditPeriod = *v;
-    }
-    if (const char *path = std::getenv("ISIM_STATS_OUT"))
-        opts.statsOut = path;
-    if (const auto v = parseUint(std::getenv("ISIM_STATS_EPOCH")))
-        opts.statsEpochTicks = *v;
-    if (const char *dir = std::getenv("ISIM_SAVE_CKPT"))
-        opts.saveCkptDir = dir;
-    if (const char *dir = std::getenv("ISIM_FROM_CKPT"))
-        opts.fromCkptDir = dir;
-    if (const auto v = parseUint(std::getenv("ISIM_SAMPLE_FF")))
-        opts.sample.ff = *v;
-    if (const auto v = parseUint(std::getenv("ISIM_SAMPLE_MEASURE")))
-        opts.sample.measure = *v;
-    if (const auto v = parseUint(std::getenv("ISIM_SAMPLE_WINDOWS")))
-        opts.sample.windows = *v;
-    if (const auto v = parseUint(std::getenv("ISIM_SAMPLE_WARM")))
-        opts.sample.warm = *v;
-    if (const char *mode = std::getenv("ISIM_SAMPLE_MODE")) {
-        if (const auto m = sample::sampleModeFromName(mode))
-            opts.sample.mode = *m;
-    }
-    return opts;
-}
-
 RunOptions
 RunOptions::fromCommandLine(int &argc, char **argv)
 {
-    RunOptions opts = fromEnv();
+    RunOptions opts;
 
     // `--flag=value` or `--flag value`; consumed arguments are
     // dropped so the caller sees only what is left.

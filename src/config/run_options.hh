@@ -3,10 +3,9 @@
  * RunOptions: everything that varies between invocations of the same
  * experiment — transaction counts, seeding, JSON output, parallelism,
  * audit decimation, observability capture — resolved exactly once at
- * startup. The environment (ISIM_*) is read in RunOptions::fromEnv()
- * and nowhere else, so the executor's lease threads never call
- * getenv(); command-line flags take precedence over
- * the environment (RunOptions::fromCommandLine).
+ * startup from the command line (RunOptions::fromCommandLine). A run
+ * is its machine configuration plus its flags: nothing else in the
+ * process, the environment included, can change it.
  */
 
 #ifndef ISIM_CONFIG_RUN_OPTIONS_HH
@@ -78,19 +77,7 @@ struct RunOptions
     sample::SampleSpec sample;
 
     /**
-     * Resolve the environment: ISIM_TXNS, ISIM_WARMUP, ISIM_SEED,
-     * ISIM_JSON_DIR, ISIM_JOBS, ISIM_AUDIT_PERIOD,
-     * ISIM_STATS_OUT, ISIM_STATS_EPOCH, ISIM_SAVE_CKPT,
-     * ISIM_FROM_CKPT, ISIM_SAMPLE_FF, ISIM_SAMPLE_MEASURE,
-     * ISIM_SAMPLE_WINDOWS, ISIM_SAMPLE_WARM, ISIM_SAMPLE_MODE. Malformed
-     * values are ignored (the variables are convenience overrides,
-     * often set globally in CI). This is the only getenv() site in
-     * the tree.
-     */
-    static RunOptions fromEnv();
-
-    /**
-     * fromEnv(), then the command line on top of it. Consumes the
+     * RunOptions{} with the command line applied. Consumes the
      * recognized flags out of argv (argc/argv are rewritten, order of
      * the rest preserved):
      *
@@ -114,8 +101,7 @@ struct RunOptions
      *   --quiet                  suppress per-run progress lines
      *
      * plus the observability flags (obsFromCommandLine). Flags
-     * fatal() on malformed values; a flag always wins over its
-     * environment fallback.
+     * fatal() on malformed values.
      */
     static RunOptions fromCommandLine(int &argc, char **argv);
 

@@ -8,9 +8,9 @@
  * cache, no warm groups: every bar runs cold, identical bars once)
  * and runs the plan on the campaign executor's lease threads
  * (RunOptions::jobs). Every option reaches it through the caller's
- * RunOptions, resolved once, up front; the runner never reads the
- * environment. Results land in spec order whatever the completion
- * order, so output is bit-identical at any job count.
+ * RunOptions, resolved once, up front. Results land in spec order
+ * whatever the completion order, so output is bit-identical at any
+ * job count.
  */
 
 #ifndef ISIM_CORE_EXPERIMENT_HH

@@ -418,14 +418,11 @@ determinism(const SourceFile &file, std::vector<Finding> &out)
         if (tok.kind != TokKind::Identifier)
             continue;
         if (tok.text == "getenv") {
-            if (file.isFile("src/config/run_options.cc"))
-                continue;
             out.push_back(
                 {file.path(), tok.line, "determinism",
-                 "getenv() outside src/config/run_options.cc; "
-                 "runtime configuration is resolved exactly once by "
-                 "RunOptions so results cannot depend on ambient "
-                 "environment"});
+                 "getenv() is banned; run options are command-line "
+                 "flags resolved once by RunOptions so results cannot "
+                 "depend on ambient environment"});
             continue;
         }
         const auto &banned = bannedEntropyIdents();

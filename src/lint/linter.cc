@@ -58,8 +58,8 @@ Linter::rules()
         {"determinism",
          "no ambient entropy, wall-clock, or getenv in simulation "
          "code",
-         "getenv() is allowed only in src/config/run_options.cc (the "
-         "tree's single configuration-resolution site); rand(), "
+         "getenv() is banned everywhere (run options are command-line "
+         "flags, resolved once by RunOptions); rand(), "
          "std::random_device, std engines, time(), system_clock and "
          "friends are banned everywhere except src/base/random.* — "
          "every stochastic or time-like input must flow through an "

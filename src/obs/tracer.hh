@@ -94,14 +94,12 @@ class Tracer
                static_cast<std::uint16_t>(clockCpu_), cls, arg, addr);
     }
 
-    /** NoC message hop; also accumulates the byte counter. */
+    /** NoC message hop. */
     void nocHop(EventKind kind, Tick tick, NodeId src, NodeId dst,
                 unsigned bytes, Addr addr)
     {
         record(kind, tick, 0, static_cast<std::uint16_t>(src),
                static_cast<std::uint8_t>(bytes), dst, addr);
-        if (kind == EventKind::NocEnqueue)
-            nocBytes_ += bytes;
     }
 
     // ---- Accounting ----
@@ -110,20 +108,16 @@ class Tracer
     {
         return counts_[static_cast<std::size_t>(kind)];
     }
-    /** Payload bytes handed to the interconnect (all messages). */
-    std::uint64_t nocBytes() const { return nocBytes_; }
 
     void clear()
     {
         ring_.clear();
         counts_.fill(0);
-        nocBytes_ = 0;
     }
 
   private:
     EventRing ring_;
     std::array<std::uint64_t, numEventKinds> counts_;
-    std::uint64_t nocBytes_ = 0;
     Tick clockNow_ = 0;
     NodeId clockCpu_ = 0;
     bool enabled_ = false;

@@ -33,8 +33,8 @@ std::optional<SampleMode> sampleModeFromName(const std::string &name);
 constexpr std::uint64_t kAutoWarm = ~std::uint64_t{0};
 
 /**
- * The sampling axis as configured (RunOptions --sample-* flags /
- * ISIM_SAMPLE_* environment). Disabled unless `measure` is set.
+ * The sampling axis as configured (RunOptions --sample-* flags).
+ * Disabled unless `measure` is set.
  */
 struct SampleSpec
 {

@@ -8,39 +8,28 @@
 #include <atomic>
 #include <string>
 
-#include "src/config/run_options.hh"
-
 namespace isim::verify {
 
 namespace {
 
-/**
- * Resolved before main() — single-threaded, so the one getenv() in
- * RunOptions::fromEnv() never runs on a worker thread — and then
- * overridable via setAuditPeriod() (RunOptions::applyGlobal()).
- */
-const std::uint64_t startupAuditPeriod =
-    RunOptions::fromEnv().auditPeriod;
-std::atomic<std::uint64_t> auditPeriodOverride{0};
+constexpr std::uint64_t kDefaultAuditPeriod = std::uint64_t{1} << 20;
+
+/** Constant-initialised, so it is valid before any dynamic init. */
+std::atomic<std::uint64_t> currentAuditPeriod{kDefaultAuditPeriod};
 
 } // namespace
 
 void
 setAuditPeriod(std::uint64_t period)
 {
-    auditPeriodOverride.store(period, std::memory_order_relaxed);
+    currentAuditPeriod.store(period ? period : kDefaultAuditPeriod,
+                             std::memory_order_relaxed);
 }
 
 std::uint64_t
 auditPeriod()
 {
-    const std::uint64_t v =
-        auditPeriodOverride.load(std::memory_order_relaxed);
-    if (v)
-        return v;
-    // The fallback guards against use before this TU's dynamic init.
-    return startupAuditPeriod ? startupAuditPeriod
-                              : std::uint64_t{1} << 20;
+    return currentAuditPeriod.load(std::memory_order_relaxed);
 }
 
 namespace {
@@ -419,7 +408,7 @@ TransitionAudit::finish(const AccessOutcome &out)
     checkOutcome(expected_, out, core_, type_, lineAddr_);
     auditLine(ms_, lineAddr_);
     auditStats(ms_);
-    // Full audits log-spaced early, then every ISIM_AUDIT_PERIOD.
+    // Full audits log-spaced early, then every auditPeriod().
     const std::uint64_t t = ms_.transitionCount();
     if ((t & (t - 1)) == 0 || t % auditPeriod() == 0)
         auditFull(ms_);

@@ -29,8 +29,7 @@
  * Build with -DISIM_CHECK_INVARIANTS=ON to run these audits after
  * every protocol transition (see MemorySystem::access); the audit
  * period for the O(cache lines) full audit is tunable via
- * setAuditPeriod() — resolved at startup from ISIM_AUDIT_PERIOD /
- * --audit-period by RunOptions.
+ * setAuditPeriod(), which RunOptions calls with --audit-period.
  */
 
 #ifndef ISIM_VERIFY_INVARIANTS_HH
@@ -100,9 +99,8 @@ void auditLine(const MemorySystem &ms, Addr line_addr);
  * Full-audit decimation period: TransitionAudit runs auditFull()
  * log-spaced early, then every `auditPeriod()` transitions. The
  * default (2^20) can be overridden once at startup — typically via
- * RunOptions::applyGlobal(), which carries ISIM_AUDIT_PERIOD /
- * --audit-period — so audits on worker threads never consult the
- * environment. Thread-safe; a period of 0 restores the startup value.
+ * RunOptions::applyGlobal(), which carries --audit-period.
+ * Thread-safe; a period of 0 restores the default.
  */
 void setAuditPeriod(std::uint64_t period);
 std::uint64_t auditPeriod();

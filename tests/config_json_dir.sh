@@ -1,12 +1,12 @@
 #!/bin/sh
 # `isim-fig config --json-dir D` writes the figure JSON and its stats
 # manifest into D, and that manifest is the one --stats-out writes for
-# the same machine and knobs. Workload knobs are flags and ISIM_* is
-# cleared, so no environment can change the run.
+# the same machine and knobs. The flags are the run's only input: with
+# ISIM_JSON_DIR and ISIM_STATS_EPOCH exported, a run writes the same
+# manifest and nothing else.
 # usage: config_json_dir.sh ISIM_FIG SOURCE_DIR WORK_DIR (absolute paths)
 set -e
 fig=$1 src=$2 work=$3
-unset $(env | sed -n 's/^\(ISIM_[A-Za-z0-9_]*\)=.*/\1/p')
 rm -rf "$work"
 mkdir -p "$work"
 cd "$work"
@@ -18,3 +18,8 @@ manifest=$(ls D/*.stats.json)
 test "$(ls D | wc -l)" -eq 2
 test -s "${manifest%.stats.json}.json"
 cmp "$manifest" stats.json
+ISIM_JSON_DIR=E ISIM_STATS_EPOCH=100000 \
+    "$fig" config "$src/tests/golden/tiny.cfg" $knobs \
+    --stats-out env.json > /dev/null
+cmp env.json stats.json
+test ! -e E

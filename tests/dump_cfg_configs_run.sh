@@ -1,11 +1,9 @@
 #!/bin/sh
 # Every key the emitter writes parses back: the default machine's full
 # key dump and each shipped examples/configs/*.cfg run end to end.
-# ISIM_* is cleared; the knobs are flags.
 # usage: dump_cfg_configs_run.sh ISIM_FIG SOURCE_DIR WORK_DIR (absolute paths)
 set -e
 fig=$1 src=$2 work=$3
-unset $(env | sed -n 's/^\(ISIM_[A-Za-z0-9_]*\)=.*/\1/p')
 rm -rf "$work"
 mkdir -p "$work"
 cd "$work"

@@ -1,9 +1,7 @@
 #!/bin/sh
 # Warm the golden fixture machine from scratch, save its image and
 # compare it byte for byte with the committed golden image: a change
-# that alters what a save writes fails here. Workload knobs are
-# explicit so stray ISIM_* environment cannot change the fixture's
-# configuration.
+# that alters what a save writes fails here.
 # usage: check_resave.sh SOURCE_DIR WORK_DIR ISIM_FIG
 set -e
 src=$1 work=$2 fig=$3

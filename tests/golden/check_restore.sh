@@ -1,7 +1,6 @@
 #!/bin/sh
 # Restore the committed golden warm image and diff its stats against
-# the golden manifest. Workload knobs are explicit so stray ISIM_*
-# environment cannot change the fixture's configuration.
+# the golden manifest.
 # usage: check_restore.sh SOURCE_DIR WORK_DIR ISIM_FIG ISIM_STAT
 set -e
 src=$1 work=$2 fig=$3 isim_stat=$4

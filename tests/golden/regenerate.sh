@@ -5,8 +5,7 @@
 # the CI regression diffs against. Run from the repo root with a
 # built tree.
 set -e
-# Explicit knobs so stray ISIM_* environment can't leak into the
-# fixture's configuration (they must match tiny.cfg and the CI step).
+# The knobs must match tiny.cfg and the CI step.
 ./build/tools/isim-fig config tests/golden/tiny.cfg --quiet \
     --txns 40 --warmup 10 --seed 7 \
     --save-ckpt tests/golden/ckpt \

@@ -6,11 +6,10 @@
 # run flags). The commands run in a work
 # directory whose `build` is this build tree and whose other entries
 # link to the source tree, so a README that names a deleted binary or
-# an unknown flag fails here. ISIM_* is cleared.
+# an unknown flag fails here.
 # usage: readme_quick_start.sh SOURCE_DIR BUILD_DIR WORK_DIR (absolute paths)
 set -e
 src=$1 bin=$2 work=$3
-unset $(env | sed -n 's/^\(ISIM_[A-Za-z0-9_]*\)=.*/\1/p')
 rm -rf "$work"
 mkdir -p "$work"
 cd "$work"

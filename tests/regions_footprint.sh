@@ -1,11 +1,10 @@
 #!/bin/sh
 # `isim-fig regions` prints a region row and the footprint line, and
 # refuses a run option it cannot honour (--json-dir) by name, writing
-# nothing. ISIM_* is cleared; the knobs are flags.
+# nothing.
 # usage: regions_footprint.sh ISIM_FIG SOURCE_DIR WORK_DIR (absolute paths)
 set -e
 fig=$1 src=$2 work=$3
-unset $(env | sed -n 's/^\(ISIM_[A-Za-z0-9_]*\)=.*/\1/p')
 rm -rf "$work"
 mkdir -p "$work"
 cd "$work"

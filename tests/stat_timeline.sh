@@ -6,7 +6,6 @@
 # usage: stat_timeline.sh ISIM_FIG ISIM_STAT SOURCE_DIR WORK_DIR (absolute paths)
 set -e
 fig=$1 stat=$2 src=$3 work=$4
-unset $(env | sed -n 's/^\(ISIM_[A-Za-z0-9_]*\)=.*/\1/p')
 rm -rf "$work"
 mkdir -p "$work"
 cd "$work"

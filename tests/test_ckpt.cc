@@ -799,9 +799,8 @@ TEST(Deserializer, ReadsTheImageWithoutCopyingIt)
 // The warm-image pipeline's payoff on a warm-up-dominated figure:
 // fig05 at 500 warm-up and 25 measured transactions, measured from
 // warm images, costs at most a third of the cold run's CPU time and
-// gives the same results. The options are built here, so ISIM_TXNS
-// and ISIM_WARMUP cannot reach them; one lease thread and process CPU
-// time keep the tests ctest runs beside this one out of the ratio.
+// gives the same results. One lease thread and process CPU time keep
+// the tests ctest runs beside this one out of the ratio.
 TEST(WarmRestore, Fig05RestoreBeatsColdThreeTimes)
 {
     setQuiet(true);

@@ -5,7 +5,6 @@
  */
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -32,22 +31,13 @@ smallWorkload()
     return p;
 }
 
-/**
- * A scratch path of this test process. ctest runs this binary's tests
- * twice at once (plain and `.UnderIsimEnv`), so a fixed name would
- * let one process delete what the other is writing.
- */
 std::string
 scratchPath(const std::string &name)
 {
-    return ::testing::TempDir() + "/" + name + "." +
-           std::to_string(::getpid());
+    return ::testing::TempDir() + "/" + name;
 }
 
-/**
- * Explicit options, no progress lines. The runner sees nothing else:
- * an ISIM_* variable set around the test binary must not reach it.
- */
+/** Explicit options, no progress lines. */
 RunOptions
 quietOptions()
 {

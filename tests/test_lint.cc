@@ -97,13 +97,22 @@ TEST(LintDeterminism, AcceptsSeededRngAndJustifiedSuppression)
 
 TEST(LintDeterminism, ExemptsTheSanctionedImplementations)
 {
-    // The one RNG implementation and the one getenv site are exempt.
+    // The one RNG implementation is exempt.
     const auto findings = lintText({
         {"src/base/random.cc", "int x = std::mt19937{}();"},
+    });
+    EXPECT_EQ(countRule(findings, "determinism"), 0u);
+}
+
+TEST(LintDeterminism, FlagsGetenvEvenInRunOptions)
+{
+    // Run options are flags only; no file may read the environment.
+    const auto findings = lintText({
         {"src/config/run_options.cc",
          "const char *v = getenv(\"ISIM_JOBS\");"},
     });
-    EXPECT_EQ(countRule(findings, "determinism"), 0u);
+    EXPECT_EQ(countRule(findings, "determinism"), 1u);
+    EXPECT_TRUE(anyMessageContains(findings, "getenv"));
 }
 
 // ---------------------------------------------------------------- //

@@ -1,13 +1,11 @@
 /**
  * @file
- * Tests for RunOptions: environment resolution, command-line flags,
- * flag-over-env precedence, workload application, and the global
- * audit-period wiring.
+ * Tests for RunOptions: command-line flags, workload application, and
+ * the global audit-period wiring.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -17,19 +15,6 @@
 
 namespace isim {
 namespace {
-
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *key, const char *value) : key_(key)
-    {
-        ::setenv(key, value, 1);
-    }
-    ~EnvGuard() { ::unsetenv(key_); }
-
-  private:
-    const char *key_;
-};
 
 /** Mutable argv for fromCommandLine (which rewrites it). */
 class Args
@@ -81,51 +66,33 @@ TEST(RunOptions, DefaultsAreInert)
     EXPECT_EQ(params.seed, before.seed);
 }
 
-TEST(RunOptions, FromEnvReadsEveryVariable)
+// Each of the fifteen run knobs has one input: its flag.
+TEST(RunOptions, FlagsSetEveryRunKnob)
 {
-    EnvGuard txns("ISIM_TXNS", "123");
-    EnvGuard warm("ISIM_WARMUP", "45");
-    EnvGuard seed("ISIM_SEED", "7");
-    EnvGuard jobs("ISIM_JOBS", "3");
-    EnvGuard dir("ISIM_JSON_DIR", "/tmp/isim-json");
-    EnvGuard audit("ISIM_AUDIT_PERIOD", "512");
-    const RunOptions opts = RunOptions::fromEnv();
-    EXPECT_EQ(opts.txns, 123u);
-    EXPECT_EQ(opts.warmup, 45u);
-    EXPECT_EQ(opts.seed, 7u);
-    EXPECT_EQ(opts.jobs, 3u);
-    EXPECT_EQ(opts.jsonDir, "/tmp/isim-json");
-    EXPECT_EQ(opts.auditPeriod, 512u);
-}
-
-TEST(RunOptions, FromEnvIgnoresGarbage)
-{
-    EnvGuard txns("ISIM_TXNS", "not-a-number");
-    EnvGuard warm("ISIM_WARMUP", "-3");
-    EnvGuard jobs("ISIM_JOBS", "2x");
-    EnvGuard audit("ISIM_AUDIT_PERIOD", "0");
-    EnvGuard seed("ISIM_SEED", "99999999999999999999"); // > 2^64-1
-    const RunOptions opts = RunOptions::fromEnv();
-    EXPECT_FALSE(opts.txns);
-    EXPECT_FALSE(opts.warmup);
-    EXPECT_FALSE(opts.seed);
-    EXPECT_EQ(opts.jobs, 0u);
-    EXPECT_EQ(opts.auditPeriod, std::uint64_t{1} << 20);
-}
-
-TEST(RunOptions, FlagsWinOverEnvironment)
-{
-    EnvGuard txns("ISIM_TXNS", "111");
-    EnvGuard warm("ISIM_WARMUP", "99");
-    Args args({"--txns=222", "--jobs", "4", "--seed", "5",
-               "--json-dir=/tmp/j", "--quiet"});
+    Args args({"--txns=222", "--warmup", "99", "--seed", "5",
+               "--json-dir=/tmp/j", "--jobs", "4", "--audit-period=512",
+               "--stats-out", "s.json", "--stats-epoch=100000",
+               "--save-ckpt", "save", "--from-ckpt=from",
+               "--sample-ff", "66", "--sample-measure=9",
+               "--sample-windows", "8", "--sample-warm=4",
+               "--sample-mode", "random", "--quiet"});
     const RunOptions opts =
         RunOptions::fromCommandLine(args.argc(), args.argv());
-    EXPECT_EQ(opts.txns, 222u);   // flag beat ISIM_TXNS
-    EXPECT_EQ(opts.warmup, 99u);  // env fallback survives
-    EXPECT_EQ(opts.jobs, 4u);
+    EXPECT_EQ(opts.txns, 222u);
+    EXPECT_EQ(opts.warmup, 99u);
     EXPECT_EQ(opts.seed, 5u);
     EXPECT_EQ(opts.jsonDir, "/tmp/j");
+    EXPECT_EQ(opts.jobs, 4u);
+    EXPECT_EQ(opts.auditPeriod, 512u);
+    EXPECT_EQ(opts.statsOut, "s.json");
+    EXPECT_EQ(opts.statsEpochTicks, 100000u);
+    EXPECT_EQ(opts.saveCkptDir, "save");
+    EXPECT_EQ(opts.fromCkptDir, "from");
+    EXPECT_EQ(opts.sample.ff, 66u);
+    EXPECT_EQ(opts.sample.measure, 9u);
+    EXPECT_EQ(opts.sample.windows, 8u);
+    EXPECT_EQ(opts.sample.warm, 4u);
+    EXPECT_EQ(opts.sample.mode, sample::SampleMode::Random);
     EXPECT_FALSE(opts.verbose);
     EXPECT_TRUE(args.rest().empty()); // everything was consumed
 }
@@ -291,7 +258,7 @@ TEST(RunOptions, ApplyGlobalInstallsAuditPeriod)
     opts.auditPeriod = 4096;
     opts.applyGlobal();
     EXPECT_EQ(verify::auditPeriod(), 4096u);
-    verify::setAuditPeriod(0); // restore the startup value
+    verify::setAuditPeriod(0); // restore the default
     EXPECT_EQ(verify::auditPeriod(), before);
 }
 

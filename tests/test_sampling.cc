@@ -461,9 +461,8 @@ TEST(SampledAccuracy, CiAwareManifestDiffAgainstExactRunIsClean)
 // half the exact run's CPU time, and each bar's CPI must lie inside
 // its sampled 95% CI or within 8% of the exact CPI: large-L2 bars miss
 // their narrow CI at windows this short (the cold-cache bias of
-// docs/SAMPLING.md). The options are built here, so ISIM_TXNS and
-// ISIM_WARMUP cannot reach them; one lease thread and process CPU
-// time keep the tests ctest runs beside this one out of the ratio.
+// docs/SAMPLING.md). One lease thread and process CPU time keep the
+// tests ctest runs beside this one out of the ratio.
 TEST(SampledAccuracy, Fig05SmokeSpeedupAndCpiBound)
 {
 #ifdef ISIM_CHECK_INVARIANTS

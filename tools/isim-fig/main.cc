@@ -16,8 +16,7 @@
  * Ids resolve exactly first, then by prefix ("fig10" runs fig10-uni
  * and fig10-mp; "ablation" runs every ablation). Options are the
  * shared run flags (--txns, --warmup, --seed, --jobs, --json-dir,
- * --quiet, --audit-period) and the observability capture flags; the
- * ISIM_* environment variables are fallbacks for the same knobs.
+ * --quiet, --audit-period) and the observability capture flags.
  * Tables simulate nothing and ignore them.
  */
 
@@ -58,9 +57,7 @@ usage(std::FILE *to, const char *argv0)
         "selected figure run as\none plan on --jobs threads; identical "
         "bars run once. `config` runs .cfg\nfiles as the bars of one "
         "figure.\n"
-        "\nOptions:\n%s%s"
-        "\nEnvironment fallbacks: ISIM_TXNS, ISIM_WARMUP, ISIM_SEED, "
-        "ISIM_JOBS,\nISIM_JSON_DIR, ISIM_AUDIT_PERIOD (flags win).\n",
+        "\nOptions:\n%s%s",
         argv0, argv0, argv0, argv0, argv0, isim::runOptionsHelp(),
         isim::obsOptionsHelp());
     return to == stdout ? 0 : 2;
@@ -198,17 +195,17 @@ regions(const std::string &file, const RunOptions &opts)
     const RunOptions none;
     const sample::SampleSpec &sample = opts.sample;
     const std::pair<bool, const char *> unhonoured[] = {
-        {opts.jobs != 0, "--jobs (ISIM_JOBS)"},
-        {!opts.jsonDir.empty(), "--json-dir (ISIM_JSON_DIR)"},
-        {!opts.statsOut.empty(), "--stats-out (ISIM_STATS_OUT)"},
-        {opts.statsEpochTicks != 0, "--stats-epoch (ISIM_STATS_EPOCH)"},
-        {!opts.saveCkptDir.empty(), "--save-ckpt (ISIM_SAVE_CKPT)"},
-        {!opts.fromCkptDir.empty(), "--from-ckpt (ISIM_FROM_CKPT)"},
-        {sample.ff != 0, "--sample-ff (ISIM_SAMPLE_FF)"},
-        {sample.measure != 0, "--sample-measure (ISIM_SAMPLE_MEASURE)"},
-        {sample.windows != 0, "--sample-windows (ISIM_SAMPLE_WINDOWS)"},
-        {sample.warm != none.sample.warm, "--sample-warm (ISIM_SAMPLE_WARM)"},
-        {sample.mode != none.sample.mode, "--sample-mode (ISIM_SAMPLE_MODE)"},
+        {opts.jobs != 0, "--jobs"},
+        {!opts.jsonDir.empty(), "--json-dir"},
+        {!opts.statsOut.empty(), "--stats-out"},
+        {opts.statsEpochTicks != 0, "--stats-epoch"},
+        {!opts.saveCkptDir.empty(), "--save-ckpt"},
+        {!opts.fromCkptDir.empty(), "--from-ckpt"},
+        {sample.ff != 0, "--sample-ff"},
+        {sample.measure != 0, "--sample-measure"},
+        {sample.windows != 0, "--sample-windows"},
+        {sample.warm != none.sample.warm, "--sample-warm"},
+        {sample.mode != none.sample.mode, "--sample-mode"},
         {!opts.obs.traceBinPath.empty(), "--trace-bin"},
         {opts.obs.ringCapacity != none.obs.ringCapacity, "--trace-ring"},
         {opts.obs.traceBar != none.obs.traceBar, "--trace-bar"},

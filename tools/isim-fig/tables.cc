@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/coherence/protocol.hh"
 #include "src/core/figures.hh"
 #include "src/noc/network.hh"
 #include "src/stats/table.hh"
@@ -33,15 +34,19 @@ void
 printFigure2(std::ostream &out)
 {
     const MachineConfig cfg = figures::baseMachine(figures::mpNodes);
+    // The L1 geometry every Machine builds (both L1I and L1D).
+    const MemSysConfig mem;
+    const std::string l1Size = std::to_string(mem.l1Size / kib) + " KB";
+    const std::string l1Assoc = std::to_string(mem.l1Assoc) + "-way";
 
     Table t({"Base System Parameter", "Value"});
     t.row().cell("Processor speed").cell("1 GHz");
     t.row().cell("Cache line size").cell(
         std::to_string(cfg.l2.lineBytes) + " bytes");
-    t.row().cell("L1 data cache size (on-chip)").cell("64 KB");
-    t.row().cell("L1 data cache associativity").cell("2-way");
-    t.row().cell("L1 instruction cache size (on-chip)").cell("64 KB");
-    t.row().cell("L1 instruction cache associativity").cell("2-way");
+    t.row().cell("L1 data cache size (on-chip)").cell(l1Size);
+    t.row().cell("L1 data cache associativity").cell(l1Assoc);
+    t.row().cell("L1 instruction cache size (on-chip)").cell(l1Size);
+    t.row().cell("L1 instruction cache associativity").cell(l1Assoc);
     t.row().cell("L2 cache size (off-chip)").cell(
         std::to_string(cfg.l2.sizeBytes / mib) + " MB");
     t.row().cell("L2 cache associativity").cell(
