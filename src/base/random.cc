@@ -67,17 +67,6 @@ Rng::range(std::uint64_t lo, std::uint64_t hi)
     return lo + below(hi - lo + 1);
 }
 
-double
-Rng::exponential(double mean)
-{
-    isim_assert(mean > 0.0);
-    double u = uniform();
-    // Guard against log(0).
-    if (u <= 0.0)
-        u = 0x1.0p-53;
-    return -mean * std::log(u);
-}
-
 std::uint64_t
 Rng::zipf(std::uint64_t n, double theta)
 {

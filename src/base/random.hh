@@ -74,9 +74,6 @@ class Rng
         return uniform() < p;
     }
 
-    /** Exponentially distributed value with the given mean. */
-    double exponential(double mean);
-
     /**
      * Zipf-like rank in [0, n): rank r is drawn with probability
      * proportional to 1 / (r + 1)^theta. Uses the rejection-inversion

@@ -10,7 +10,7 @@
  * its warm-image group key.
  *
  * planFigures() plans in-memory figures the same way, for
- * ExperimentRunner, with no warm groups: every lease is Cold.
+ * runFigures(), with no warm groups: every lease is Cold.
  *
  * CampaignQueue is the scheduler: it scans the output directory for
  * cached cells, then hands out leases in bar-index order. It is

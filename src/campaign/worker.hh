@@ -1,7 +1,7 @@
 /**
  * @file
  * The one executor: a bar runner (runBar) and lease threads over a
- * CampaignQueue (runLeases). isim-campaign and ExperimentRunner (so
+ * CampaignQueue (runLeases). isim-campaign and runFigures() (so
  * isim-fig) run every bar through both; each passes its own `work`.
  */
 

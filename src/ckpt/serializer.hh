@@ -242,10 +242,7 @@ class Deserializer
      */
     std::size_t sectionRemaining() const { return sectionEnd_ - pos_; }
 
-    /** True once every byte has been consumed. */
-    bool atEnd() const { return pos_ == buf_.size(); }
-
-    /** Fatal unless atEnd() — call after the last section. */
+    /** Fatal unless every byte is consumed; call after the last section. */
     void finish() const;
 
   private:

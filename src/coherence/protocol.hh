@@ -219,7 +219,6 @@ class MemorySystem
 
     /** Interconnect traffic from directory transactions (always on). */
     const NocCounters &nocStats() const { return nocStats_; }
-    const TorusTopology &nocTopology() const { return nocTopo_; }
 
     /** L1 caches are per *core* (global core id). */
     const Cache &l1i(NodeId core) const;
@@ -256,7 +255,6 @@ class MemorySystem
      * verification layer). Tests only; never set during measurement.
      */
     void setMutationForTest(ProtocolMutation m) { mutation_ = m; }
-    ProtocolMutation mutationForTest() const { return mutation_; }
 
     /** Latency charged for a class (exposed for the CPU models). */
     Cycles latencyFor(MissClass cls, bool rac_hit, bool from_remote_rac,

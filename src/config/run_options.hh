@@ -34,7 +34,7 @@ struct RunOptions
     std::string jsonDir;
     /**
      * Lease threads of the one executor that runs every bar —
-     * figures, sweeps and campaigns alike (campaign::runLeases).
+     * figures and campaigns alike (campaign::runLeases).
      * 0 = one per hardware thread (std::thread::hardware_concurrency).
      */
     unsigned jobs = 0;

@@ -18,7 +18,6 @@
 #include "src/base/logging.hh"
 #include "src/campaign/worker.hh"
 #include "src/core/report.hh"
-#include "src/core/sweep.hh"
 
 namespace isim {
 
@@ -68,11 +67,22 @@ checkpointPath(const std::string &dir, const std::string &name)
     return dir + "/" + checkpointSlug(name) + ".ckpt";
 }
 
-std::vector<FigureResult>
-ExperimentRunner::runAll(const std::vector<FigureSpec> &specs) const
+std::string
+figureJsonStem(const FigureSpec &spec)
 {
+    return checkpointSlug(spec.id + "_" + spec.title);
+}
+
+std::vector<FigureResult>
+runFigures(const std::vector<FigureSpec> &specs, const RunOptions &options)
+{
+    if (specs.empty())
+        return {};
+    // Fail on an unusable --json-dir before any bar is simulated.
+    if (!options.jsonDir.empty())
+        makeJsonDir(options.jsonDir);
     const campaign::CampaignPlan plan =
-        campaign::planFigures(specs, options_);
+        campaign::planFigures(specs, options);
     const std::size_t n = plan.bars.size();
     std::vector<RunResult> runs(n);
     std::vector<std::exception_ptr> errors(n);
@@ -81,13 +91,13 @@ ExperimentRunner::runAll(const std::vector<FigureSpec> &specs) const
     campaign::CampaignQueue queue(plan, "");
     const campaign::CampaignTally &tally = queue.tally();
     campaign::runLeases(
-        queue, options_.effectiveJobs(tally.total - tally.aliases), -1,
+        queue, options.effectiveJobs(tally.total - tally.aliases), -1,
         [&](const campaign::Lease &lease) {
             const std::size_t i = lease.index;
             const char *name = plan.bars[i].config.name.c_str();
             if (plan.bars[i].observed)
-                observed[i] = std::make_unique<obs::Observability>(options_.obs);
-            if (options_.verbose)
+                observed[i] = std::make_unique<obs::Observability>(options.obs);
+            if (options.verbose)
                 isim_inform("running %s%s ...", name,
                             observed[i] ? " (observed)" : "");
             try {
@@ -116,50 +126,12 @@ ExperimentRunner::runAll(const std::vector<FigureSpec> &specs) const
             if (!observed[i])
                 continue;
             observed[i]->writeOutputs();
-            if (options_.verbose)
+            if (options.verbose)
                 isim_inform("%s: wrote %s", plan.bars[i].config.name.c_str(),
-                            options_.obs.traceBinPath.c_str());
+                            options.obs.traceBinPath.c_str());
         }
     }
     return results;
-}
-
-FigureResult
-ExperimentRunner::run(const FigureSpec &spec) const
-{
-    return std::move(runAll({spec}).front());
-}
-
-FigureResult
-ExperimentRunner::run(const SweepSpec &sweep) const
-{
-    return run(sweep.expand());
-}
-
-RunResult
-ExperimentRunner::runOne(const MachineConfig &config) const
-{
-    FigureSpec spec;
-    spec.bars.push_back({config, std::nullopt, std::nullopt});
-    return std::move(run(spec).runs.front());
-}
-
-std::string
-figureJsonStem(const FigureSpec &spec)
-{
-    return checkpointSlug(spec.id + "_" + spec.title);
-}
-
-std::vector<FigureResult>
-runFigures(const std::vector<FigureSpec> &specs, const RunOptions &options)
-{
-    if (specs.empty())
-        return {};
-    options.applyGlobal();
-    // Fail on an unusable --json-dir before any bar is simulated.
-    if (!options.jsonDir.empty())
-        makeJsonDir(options.jsonDir);
-    return ExperimentRunner(options).runAll(specs);
 }
 
 void

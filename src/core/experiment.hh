@@ -4,13 +4,14 @@
  * plus the paper's published (normalized) bar heights; running it
  * produces measured results side by side with the paper's values.
  *
- * ExperimentRunner plans its figures with campaign::planFigures (no
- * cache, no warm groups: every bar runs cold, identical bars once)
- * and runs the plan on the campaign executor's lease threads
- * (RunOptions::jobs). Every option reaches it through the caller's
- * RunOptions, resolved once, up front. Results land in spec order
- * whatever the completion order, so output is bit-identical at any
- * job count.
+ * runFigures() is the one call that runs figures. It plans them with
+ * campaign::planFigures (no cache, no warm groups: every bar runs
+ * cold, identical bars once) and runs the plan on the campaign
+ * executor's lease threads (RunOptions::jobs). Every option reaches
+ * it through the caller's RunOptions; it writes no process-wide
+ * state, so the caller's main() installs those knobs once
+ * (RunOptions::applyGlobal). Results land in spec order whatever the
+ * completion order, so output is bit-identical at any job count.
  */
 
 #ifndef ISIM_CORE_EXPERIMENT_HH
@@ -25,8 +26,6 @@
 #include "src/obs/observability.hh"
 
 namespace isim {
-
-struct SweepSpec;
 
 /** One bar of a figure. */
 struct FigureBar
@@ -64,39 +63,13 @@ std::string checkpointSlug(const std::string &name);
 std::string checkpointPath(const std::string &dir,
                            const std::string &name);
 
-/** Runs figures on the campaign executor (see the file comment). */
-class ExperimentRunner
-{
-  public:
-    /** Options resolved by the caller (see the file comment). */
-    explicit ExperimentRunner(const RunOptions &options)
-        : options_(options)
-    {
-    }
-
-    /**
-     * Run several figures as one plan: their bars share the lease
-     * threads, and a bar identical to an earlier one copies its
-     * result. Once every bar is done, rethrows the first failed
-     * bar's error in spec order; otherwise writes each figure's
-     * observed-bar capture files, in spec order, on this thread.
-     */
-    std::vector<FigureResult>
-    runAll(const std::vector<FigureSpec> &specs) const;
-    FigureResult run(const FigureSpec &spec) const;
-    /** Expand the sweep's cross-product and run it like a figure. */
-    FigureResult run(const SweepSpec &sweep) const;
-    /** Run one configuration (as a one-bar figure). */
-    RunResult runOne(const MachineConfig &config) const;
-
-  private:
-    RunOptions options_;
-};
-
 /**
- * For front ends: install the options' process-wide knobs, create
- * the `--json-dir` (an unusable one fails before any bar runs), then
- * runAll(). An empty list does nothing.
+ * Run figures as one plan: their bars share the lease threads, and a
+ * bar identical to an earlier one copies its result. The `--json-dir`
+ * is created first, so an unusable one fails before any bar runs.
+ * Once every bar is done, rethrows the first failed bar's error in
+ * spec order; otherwise writes each figure's observed-bar capture
+ * files, in spec order, on this thread. An empty list does nothing.
  */
 std::vector<FigureResult> runFigures(const std::vector<FigureSpec> &specs,
                                      const RunOptions &options);

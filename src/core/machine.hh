@@ -234,10 +234,6 @@ class Machine
     /** Collect current aggregated statistics. */
     RunResult snapshot() const;
 
-    /** The machine's metrics registry (every counter, by name). */
-    stats::Registry &statsRegistry() { return registry_; }
-    const stats::Registry &statsRegistry() const { return registry_; }
-
     /**
      * Attach (or with nullptr, detach) an observability bundle: wires
      * the tracer into the memory system, the engine and the loop. The

@@ -2,7 +2,7 @@
  * @file
  * The figure/ablation/extension catalog. The paper figures delegate
  * to src/core/figures.cc; the ablations and extensions are assembled
- * here, the cross-product-shaped ones via SweepSpec.
+ * here as explicit bar lists.
  */
 
 #include "src/core/registry.hh"
@@ -11,7 +11,6 @@
 
 #include "src/base/logging.hh"
 #include "src/core/figures.hh"
-#include "src/core/sweep.hh"
 
 namespace isim {
 
@@ -39,31 +38,37 @@ ablationAssoc(unsigned cpus)
     return spec;
 }
 
-/** A3: OS page colouring vs direct-mapped conflicts (sweep). */
+/** A3: OS page colouring vs direct-mapped conflicts. */
 FigureSpec
 ablationColoring()
 {
-    SweepSpec sweep;
-    sweep.id = "Ablation A3";
-    sweep.title = "Page colouring vs direct-mapped conflicts - "
-                  "uniprocessor";
-    sweep.base = figures::offchip(1, 8 * mib, 1);
-    sweep.axes = {
-        {"geometry",
-         {{"1M1w", [](MachineConfig &c)
-           { c = figures::offchip(1, 1 * mib, 1); }},
-          {"8M1w", [](MachineConfig &c)
-           { c = figures::offchip(1, 8 * mib, 1); }},
-          {"2M4w", [](MachineConfig &c)
-           { c = figures::offchip(1, 2 * mib, 4); }}}},
-        {"colouring",
-         {{"random", nullptr},
-          // One colour per page slot of the largest cache.
-          {"colored", [](MachineConfig &c)
-           { c.pageColors = 1024; /* 8MB / 8KB pages */ }}}},
+    FigureSpec spec;
+    spec.id = "Ablation A3";
+    spec.title = "Page colouring vs direct-mapped conflicts - "
+                 "uniprocessor";
+    spec.multiprocessor = false;
+    struct Geometry
+    {
+        const char *label;
+        std::uint64_t bytes;
+        unsigned assoc;
     };
-    sweep.normalizeTo = 0;
-    return sweep.expand();
+    for (const bool colored : {false, true}) {
+        for (const Geometry &g : {Geometry{"1M1w", 1 * mib, 1},
+                                  Geometry{"8M1w", 8 * mib, 1},
+                                  Geometry{"2M4w", 2 * mib, 4}}) {
+            FigureBar bar;
+            bar.config = figures::offchip(1, g.bytes, g.assoc);
+            // One colour per page slot of the largest cache (8MB / 8KB).
+            if (colored)
+                bar.config.pageColors = 1024;
+            bar.config.name =
+                std::string(g.label) + (colored ? " colored" : " random");
+            spec.bars.push_back(bar);
+        }
+    }
+    spec.normalizeTo = 0;
+    return spec;
 }
 
 /** A4: L2 victim buffers vs associativity. */
@@ -96,31 +101,26 @@ ablationVictim()
 FigureSpec
 ablationBandwidth()
 {
-    SweepSpec sweep;
-    sweep.id = "Ablation A5";
-    sweep.title = "Memory-controller occupancy sweep - 8 processors";
-    sweep.multiprocessor = true;
-    sweep.base = figures::baseMachine(8);
-    SweepAxis machine{"machine",
-                      {{"Base", [](MachineConfig &c)
-                        { c = figures::baseMachine(8); }},
-                       {"All", [](MachineConfig &c)
-                        {
-                            c = figures::onchip(
-                                8, 2 * mib, 8,
-                                IntegrationLevel::FullInt);
-                        }}}};
-    SweepAxis occupancy{"mc-occupancy", {}};
+    FigureSpec spec;
+    spec.id = "Ablation A5";
+    spec.title = "Memory-controller occupancy sweep - 8 processors";
+    spec.multiprocessor = true;
+    // Base/All alternate within each occupancy step.
     for (const Cycles occ : {0u, 20u, 40u, 80u}) {
-        occupancy.points.push_back(
-            {"mc" + std::to_string(occ),
-             [occ](MachineConfig &c) { c.mcOccupancy = occ; }});
+        for (const bool integrated : {false, true}) {
+            FigureBar bar;
+            bar.config = integrated
+                             ? figures::onchip(8, 2 * mib, 8,
+                                               IntegrationLevel::FullInt)
+                             : figures::baseMachine(8);
+            bar.config.mcOccupancy = occ;
+            bar.config.name = std::string(integrated ? "All" : "Base") +
+                              " mc" + std::to_string(occ);
+            spec.bars.push_back(bar);
+        }
     }
-    // First axis varies fastest: Base/All alternate within each
-    // occupancy step, matching the original bench's bar order.
-    sweep.axes = {machine, occupancy};
-    sweep.normalizeTo = 0;
-    return sweep.expand();
+    spec.normalizeTo = 0;
+    return spec;
 }
 
 // ---- Extensions (paper Section 8 directions) ----

@@ -72,7 +72,7 @@ Simulation::stepCpu(NodeId cpu)
     // Keep the tracer's clock current so emitters without their own
     // timestamps (latches, transaction phases) stamp events correctly.
     if (ISIM_OBS_ACTIVE(tracer_))
-        tracer_->setClock(cpu, cs.now);
+        tracer_->setClock(cs.now);
 
     // Pending kernel path (context switch) runs before anything else.
     if (!cs.injected.empty()) {

@@ -98,9 +98,6 @@ class Simulation
      */
     void runUntilCommitted(std::uint64_t target);
 
-    /** Local time of a CPU. */
-    Tick cpuNow(NodeId cpu) const { return state_[cpu].now; }
-
     /** Largest local CPU time (the machine's wall clock). */
     Tick wallTime() const;
 

@@ -31,25 +31,6 @@ lineOwned(LineState state)
     return state == LineState::Exclusive || state == LineState::Modified;
 }
 
-/** Printable name for a LineState. */
-const char *lineStateName(LineState state);
-
-inline const char *
-lineStateName(LineState state)
-{
-    switch (state) {
-      case LineState::Invalid:
-        return "Invalid";
-      case LineState::Shared:
-        return "Shared";
-      case LineState::Exclusive:
-        return "Exclusive";
-      case LineState::Modified:
-        return "Modified";
-    }
-    return "?";
-}
-
 } // namespace isim
 
 #endif // ISIM_MEM_LINE_STATE_HH

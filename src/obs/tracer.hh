@@ -47,13 +47,8 @@ class Tracer
     void setEnabled(bool on) { enabled_ = on; }
 
     // ---- Clock (maintained by the simulation loop) ----
-    void setClock(NodeId cpu, Tick now)
-    {
-        clockCpu_ = cpu;
-        clockNow_ = now;
-    }
+    void setClock(Tick now) { clockNow_ = now; }
     Tick now() const { return clockNow_; }
-    NodeId clockCpu() const { return clockCpu_; }
 
     // ---- Emission ----
     void record(EventKind kind, Tick tick, Tick dur, std::uint16_t cpu,
@@ -86,14 +81,6 @@ class Tracer
         record(kind, tick, dur, cpu, cls, arg, addr);
     }
 
-    /** Instant event stamped with the loop-maintained clock. */
-    void instantNow(EventKind kind, std::uint8_t cls = 0,
-                    std::uint32_t arg = 0, Addr addr = 0)
-    {
-        record(kind, clockNow_, 0,
-               static_cast<std::uint16_t>(clockCpu_), cls, arg, addr);
-    }
-
     /** NoC message hop. */
     void nocHop(EventKind kind, Tick tick, NodeId src, NodeId dst,
                 unsigned bytes, Addr addr)
@@ -119,7 +106,6 @@ class Tracer
     EventRing ring_;
     std::array<std::uint64_t, numEventKinds> counts_;
     Tick clockNow_ = 0;
-    NodeId clockCpu_ = 0;
     bool enabled_ = false;
 };
 

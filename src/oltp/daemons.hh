@@ -23,7 +23,6 @@ class LogWriterProcess : public Process
     ProcessStep step(Tick now) override;
 
     std::uint64_t flushes() const { return flushes_; }
-    std::uint64_t commitsServed() const { return commitsServed_; }
 
     void saveState(ckpt::Serializer &s) const override;
     void restoreState(ckpt::Deserializer &d) override;
@@ -46,8 +45,6 @@ class DbWriterProcess : public Process
                     std::uint64_t seed);
 
     ProcessStep step(Tick now) override;
-
-    std::uint64_t blocksFlushed() const { return blocksFlushed_; }
 
     void saveState(ckpt::Serializer &s) const override;
     void restoreState(ckpt::Deserializer &d) override;

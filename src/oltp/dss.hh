@@ -31,8 +31,6 @@ class DssScanProcess : public Process
 
     ProcessStep step(Tick now) override;
 
-    std::uint64_t queriesExecuted() const { return queries_; }
-
     void saveState(ckpt::Serializer &s) const override;
     void restoreState(ckpt::Deserializer &d) override;
 

@@ -25,8 +25,6 @@ class ServerProcess : public Process, private LineDataEmitter
 
     ProcessStep step(Tick now) override;
 
-    std::uint64_t transactionsExecuted() const { return txns_; }
-
     void saveState(ckpt::Serializer &s) const override;
     void restoreState(ckpt::Deserializer &d) override;
 

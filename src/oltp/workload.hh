@@ -69,10 +69,6 @@ class OltpEngine
      * jobs and checkpoint resume.
      */
     void skipTransactions(std::uint64_t n);
-    bool warmupDone() const
-    {
-        return committed_ >= params_.warmupTransactions;
-    }
     bool measurementDone() const
     {
         return committed_ >=

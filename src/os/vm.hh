@@ -124,12 +124,6 @@ class VirtualMemory
     /** Frames allocated on each node so far. */
     std::uint64_t framesAllocated(NodeId node) const;
 
-    /** Total distinct virtual pages mapped. */
-    std::uint64_t pagesMapped() const
-    {
-        return pages_.size() + replicated_.size();
-    }
-
     /**
      * Checkpoint the page tables, frame allocator and RNG. Region
      * policy declarations are configuration (the engine re-declares

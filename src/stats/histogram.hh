@@ -36,7 +36,6 @@ class Histogram
     std::uint64_t maxValue() const { return max_; }
 
     std::size_t buckets() const { return counts_.size(); }
-    std::uint64_t bucketWidth() const { return bucketWidth_; }
     std::uint64_t bucketCount(std::size_t i) const { return counts_[i]; }
     std::uint64_t overflow() const { return overflow_; }
 

@@ -6,13 +6,11 @@
 #include "src/stats/registry.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <utility>
 
 #include "src/base/json.hh"
 #include "src/base/logging.hh"
-#include "src/stats/breakdown.hh"
 
 namespace isim {
 namespace stats {
@@ -167,24 +165,6 @@ Registry::distribution(const std::string &name, const std::string &desc,
     e.kind = Kind::Distribution;
     e.getHistogram = std::move(get);
     add(std::move(e));
-    return *this;
-}
-
-Registry &
-Registry::breakdown(const std::string &prefix, const std::string &desc,
-                    const std::string &unit, const Breakdown &b)
-{
-    for (std::size_t i = 0; i < b.size(); ++i) {
-        std::string label = b.label(i);
-        std::transform(label.begin(), label.end(), label.begin(),
-                       [](unsigned char c) {
-                           return static_cast<char>(std::tolower(c));
-                       });
-        gauge(prefix + "." + label, desc + " (" + b.label(i) + ")", unit,
-              [&b, i] { return b.component(i); });
-    }
-    gauge(prefix + ".total", desc + " (total)", unit,
-          [&b] { return b.total(); });
     return *this;
 }
 

@@ -30,7 +30,6 @@
 
 namespace isim {
 
-class Breakdown;
 class JsonWriter;
 
 namespace stats {
@@ -116,15 +115,6 @@ class Registry
     Registry &distribution(const std::string &name,
                            const std::string &desc,
                            const std::string &unit, HistogramFn get);
-
-    /**
-     * Register one Gauge per component of a Breakdown under
-     * `prefix.<label>` plus `prefix.total`. The Breakdown must
-     * outlive the registry.
-     */
-    Registry &breakdown(const std::string &prefix,
-                        const std::string &desc,
-                        const std::string &unit, const Breakdown &b);
 
     /** Hook run by resetAll() (warm-up/measure boundary). */
     void onReset(std::function<void()> hook);

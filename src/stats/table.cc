@@ -66,12 +66,6 @@ Table::RowBuilder::~RowBuilder()
     table_.addRow(std::move(cells_));
 }
 
-void
-Table::addSeparator()
-{
-    separators_.push_back(rows_.size());
-}
-
 std::string
 Table::toText() const
 {
@@ -105,32 +99,8 @@ Table::toText() const
         total += w;
     os << std::string(total, '-') << '\n';
 
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-        if (std::find(separators_.begin(), separators_.end(), r) !=
-            separators_.end()) {
-            os << std::string(total, '-') << '\n';
-        }
-        emit_row(os, rows_[r]);
-    }
-    return os.str();
-}
-
-std::string
-Table::toCsv() const
-{
-    auto emit = [](std::ostringstream &os,
-                   const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            if (c > 0)
-                os << ',';
-            os << cells[c];
-        }
-        os << '\n';
-    };
-    std::ostringstream os;
-    emit(os, headers_);
     for (const auto &row : rows_)
-        emit(os, row);
+        emit_row(os, row);
     return os.str();
 }
 

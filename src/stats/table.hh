@@ -1,6 +1,6 @@
 /**
  * @file
- * Plain-text and CSV table rendering for experiment reports. Every
+ * Plain-text table rendering for experiment reports. Every
  * figure and table isim-fig prints goes through this formatter, so
  * the output rows mirror the bars of the corresponding paper figure.
  */
@@ -52,21 +52,14 @@ class Table
 
     RowBuilder row() { return RowBuilder(*this); }
 
-    /** Insert a separator line before the next row. */
-    void addSeparator();
-
     /** Render aligned text, one trailing newline included. */
     std::string toText() const;
-
-    /** Render comma-separated values (header + rows). */
-    std::string toCsv() const;
 
     void print(std::ostream &os) const;
 
   private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;
-    std::vector<std::size_t> separators_;
 };
 
 /** Format a double with fixed precision. */

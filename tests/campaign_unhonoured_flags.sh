@@ -2,7 +2,8 @@
 # isim-campaign must refuse run options it cannot honour rather than
 # accept and drop them: `run` and `expand` with each one exit non-zero
 # and name the flag, and `run` writes neither its --out directory nor
-# the flag's output.
+# the flag's output. A malformed campaign flag is fatal (exit 1) like
+# every run flag: exit 2 means a merged campaign with failed bars.
 # usage: campaign_unhonoured_flags.sh ISIM_CAMPAIGN WORK_DIR (absolute paths)
 set -e
 campaign=$1 work=$2
@@ -37,4 +38,18 @@ for flag in --stats-epoch=1000 "--save-ckpt d" "--trace-bin t.bin"; do
         fi
     done
 done
+# usage: malformed FLAG_NAME ARGS...
+malformed() {
+    name=$1
+    shift
+    rc=0
+    "$campaign" run spec.json "$@" > out.log 2> err.log || rc=$?
+    if [ $rc -ne 1 ] || ! grep -q -- "$name" err.log || [ -e out ]; then
+        echo "run did not fail on $* with exit 1 (exit $rc):"
+        cat err.log
+        exit 1
+    fi
+}
+malformed --stop-after --out out --stop-after x
+malformed --out --out
 echo "every unhonoured flag refused"

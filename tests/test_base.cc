@@ -114,19 +114,6 @@ TEST(Rng, ChanceMatchesProbability)
     EXPECT_NEAR(hits / 50000.0, 0.3, 0.01);
 }
 
-TEST(Rng, ExponentialMean)
-{
-    Rng rng(19);
-    double sum = 0.0;
-    const double mean = 250.0;
-    for (int i = 0; i < 50000; ++i) {
-        const double v = rng.exponential(mean);
-        ASSERT_GE(v, 0.0);
-        sum += v;
-    }
-    EXPECT_NEAR(sum / 50000.0, mean, mean * 0.05);
-}
-
 TEST(Rng, ZipfIsSkewedTowardLowRanks)
 {
     Rng rng(23);

@@ -3,10 +3,10 @@
  * Campaign orchestrator tests: spec validation, plan expansion (seed
  * axis, checkpoint groups, content keys), the lease state machine
  * (gating, cascade failure, image regeneration), META echo plumbing,
- * sweep-expansion hard errors, and the end-to-end contract of the
- * threaded executor — the lease-thread count and an interrupt +
- * resume never change a byte of campaign.json, and a corrupt warm
- * image fails exactly the bars that restore from it.
+ * and the end-to-end contract of the threaded executor — the
+ * lease-thread count and an interrupt + resume never change a byte of
+ * campaign.json, and a corrupt warm image fails exactly the bars that
+ * restore from it.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +28,6 @@
 #include "src/campaign/supervisor.hh"
 #include "src/ckpt/checkpoint.hh"
 #include "src/core/experiment.hh"
-#include "src/core/sweep.hh"
 #include "src/stats/manifest.hh"
 
 namespace isim {
@@ -462,39 +461,14 @@ TEST(RunnerMeta, RunMachineStampsTheContentAddress)
     RunOptions options;
     options.verbose = false;
     options.jobs = 1;
-    const ExperimentRunner runner(options);
-    const RunResult r = runner.runOne(cfg);
+    FigureSpec spec;
+    spec.bars.push_back({cfg, std::nullopt, std::nullopt});
+    const RunResult r = runFigures({spec}, options).front().runs.front();
 
     const std::vector<std::uint8_t> bytes = ckpt::configBytes(cfg);
     EXPECT_EQ(r.resultKey, stats::resultKey(bytes, 11));
     EXPECT_EQ(r.configDigest, stats::configDigest(bytes));
     EXPECT_EQ(r.seed, 11u);
-}
-
-// ---------------------------------------------------------------------
-// Sweep expansion hard errors
-// ---------------------------------------------------------------------
-
-TEST(SweepSpecErrors, EmptyAxisIsFatal)
-{
-    ScopedPanicThrow guard;
-    SweepSpec sweep;
-    sweep.id = "bad-sweep";
-    sweep.axes.push_back(SweepAxis{"assoc", {}});
-    EXPECT_THROW(sweep.points(), PanicError);
-    EXPECT_THROW(sweep.expand(), PanicError);
-}
-
-TEST(SweepSpecErrors, DuplicateBarNamesAreFatal)
-{
-    ScopedPanicThrow guard;
-    SweepSpec sweep;
-    sweep.id = "dup-sweep";
-    sweep.axes.push_back(SweepAxis{
-        "size",
-        {SweepPoint{"2M", {}}, SweepPoint{"2M", {}}},
-    });
-    EXPECT_THROW(sweep.expand(), PanicError);
 }
 
 // ---------------------------------------------------------------------

@@ -207,11 +207,11 @@ TEST(Checkpoint, FigureRunsByteIdenticalFromWarmRestore)
 
         RunOptions saveOpts = base;
         saveOpts.saveCkptDir = dir;
-        const FigureResult cold = ExperimentRunner(saveOpts).run(spec);
+        const FigureResult cold = runFigures({spec}, saveOpts).front();
 
         RunOptions loadOpts = base;
         loadOpts.fromCkptDir = dir;
-        const FigureResult warm = ExperimentRunner(loadOpts).run(spec);
+        const FigureResult warm = runFigures({spec}, loadOpts).front();
 
         EXPECT_EQ(figureToJson(cold), figureToJson(warm)) << id;
         EXPECT_EQ(figureStatsJson(cold), figureStatsJson(warm)) << id;
@@ -237,7 +237,9 @@ TEST(Checkpoint, RunnerRejectsMismatchedConfig)
     opts.fromCkptDir = dir;
     opts.txns = 999; // differs from the image's transaction count
     const ScopedPanicThrow guard;
-    EXPECT_THROW(ExperimentRunner(opts).runOne(cfg), PanicError);
+    FigureSpec spec;
+    spec.bars.push_back({cfg, std::nullopt, std::nullopt});
+    EXPECT_THROW(runFigures({spec}, opts), PanicError);
     std::filesystem::remove_all(dir);
 }
 
@@ -819,11 +821,11 @@ TEST(WarmRestore, Fig05RestoreBeatsColdThreeTimes)
     restore.fromCkptDir = dir;
 
     double start = processCpuSeconds();
-    const FigureResult coldResult = ExperimentRunner(cold).run(spec);
+    const FigureResult coldResult = runFigures({spec}, cold).front();
     const double coldSeconds = processCpuSeconds() - start;
-    ExperimentRunner(build).run(spec);
+    runFigures({spec}, build);
     start = processCpuSeconds();
-    const FigureResult restored = ExperimentRunner(restore).run(spec);
+    const FigureResult restored = runFigures({spec}, restore).front();
     const double restoreSeconds = processCpuSeconds() - start;
     std::filesystem::remove_all(dir);
 

@@ -46,13 +46,21 @@ quietOptions()
     return opts;
 }
 
+/** Run one machine as a one-bar figure. */
+RunResult
+runMachine(const MachineConfig &config)
+{
+    FigureSpec spec;
+    spec.bars.push_back({config, std::nullopt, std::nullopt});
+    return runFigures({spec}, quietOptions()).front().runs.front();
+}
+
 TEST(Experiment, RunOneProducesConsistentResult)
 {
     setQuiet(true);
     MachineConfig cfg = figures::baseMachine(1);
     cfg.workload = smallWorkload();
-    const ExperimentRunner runner(quietOptions());
-    const RunResult r = runner.runOne(cfg);
+    const RunResult r = runMachine(cfg);
     EXPECT_EQ(r.transactions, 40u);
     EXPECT_TRUE(r.dbConsistent);
     EXPECT_EQ(r.name, cfg.name);
@@ -71,8 +79,7 @@ TEST(Experiment, RunFigureKeepsBarOrder)
         bar.config.name = "cpus" + std::to_string(cpus);
         spec.bars.push_back(bar);
     }
-    const ExperimentRunner runner(quietOptions());
-    const FigureResult result = runner.run(spec);
+    const FigureResult result = runFigures({spec}, quietOptions()).front();
     ASSERT_EQ(result.runs.size(), 2u);
     EXPECT_EQ(result.runs[0].name, "cpus1");
     EXPECT_EQ(result.runs[1].name, "cpus2");
@@ -83,9 +90,8 @@ TEST(Experiment, IdenticalConfigsGiveIdenticalRuns)
     setQuiet(true);
     MachineConfig cfg = figures::baseMachine(2);
     cfg.workload = smallWorkload();
-    const ExperimentRunner runner(quietOptions());
-    const RunResult a = runner.runOne(cfg);
-    const RunResult b = runner.runOne(cfg);
+    const RunResult a = runMachine(cfg);
+    const RunResult b = runMachine(cfg);
     EXPECT_EQ(a.stat("cpu.exec_time"), b.stat("cpu.exec_time"));
     EXPECT_EQ(a.stat("l2.miss.total"), b.stat("l2.miss.total"));
 }
@@ -168,7 +174,7 @@ TEST(Experiment, IdenticalBarsRunOnceAndShareTheirResult)
     EXPECT_EQ(queue.tally().aliases, 1u);
 
     // The alias carries its primary's result, byte for byte.
-    const FigureResult result = ExperimentRunner(quietOptions()).run(spec);
+    const FigureResult result = runFigures({spec}, quietOptions()).front();
     ASSERT_EQ(result.runs.size(), 2u);
     FigureResult first = result;
     FigureResult second = result;
@@ -191,7 +197,7 @@ TEST(Experiment, CheckpointPathCollisionIsFatalBeforeAnyBar)
     opts.saveCkptDir = dir;
     const ScopedPanicThrow throws;
     try {
-        ExperimentRunner(opts).run(spec);
+        runFigures({spec}, opts);
         ADD_FAILURE() << "two bars were allowed one checkpoint path";
     } catch (const PanicError &e) {
         const std::string what = e.what();

@@ -189,7 +189,7 @@ TEST(Report, TablesRenderAllBars)
     }
     RunOptions options;
     options.verbose = false;
-    const FigureResult result = ExperimentRunner(options).run(spec);
+    const FigureResult result = runFigures({spec}, options).front();
     const Table exec = executionTable(result);
     const Table miss = missTable(result);
     const Table detail = detailTable(result);

@@ -527,15 +527,14 @@ TEST(ObservedMachine, HostInstrumentationKeepsFigureJsonBitIdentical)
     RunOptions options;
     options.verbose = false;
     options.jobs = 2;
-    const FigureResult bare = ExperimentRunner(options).run(spec);
+    const FigureResult bare = runFigures({spec}, options).front();
     const std::string bareJson = figureToJson(bare);
 
     RunOptions instrumented = options;
     instrumented.obs.traceBinPath =
         testing::TempDir() + "/obs_host_trace.bin";
     instrumented.statsEpochTicks = 200000;
-    const FigureResult observed =
-        ExperimentRunner(instrumented).run(spec);
+    const FigureResult observed = runFigures({spec}, instrumented).front();
     std::remove(instrumented.obs.traceBinPath.c_str());
 
     EXPECT_EQ(bareJson, figureToJson(observed));
@@ -589,9 +588,9 @@ TEST(EpochRows, ConserveTheMeasuredStatsAcrossJobs)
 {
     setQuiet(true);
     const FigureSpec spec = twoBarSpec();
-    const FigureResult serial = ExperimentRunner(epochOptions(1)).run(spec);
+    const FigureResult serial = runFigures({spec}, epochOptions(1)).front();
     const FigureResult parallel =
-        ExperimentRunner(epochOptions(2)).run(spec);
+        runFigures({spec}, epochOptions(2)).front();
     EXPECT_EQ(figureStatsJson(serial), figureStatsJson(parallel));
 
     for (const RunResult &r : serial.runs) {
@@ -622,7 +621,7 @@ TEST(EpochRows, CtxSwitchesCountedWithoutTracing)
 {
     setQuiet(true);
     const FigureResult result =
-        ExperimentRunner(epochOptions(2)).run(twoBarSpec());
+        runFigures({twoBarSpec()}, epochOptions(2)).front();
     for (const RunResult &r : result.runs) {
         std::uint64_t switches = 0;
         for (const stats::EpochRow &row : r.epochs) {
@@ -647,7 +646,7 @@ TEST(EpochRows, SampledBarsCarryContiguousRows)
     options.sample.ff = 10;
     options.sample.measure = 10;
     options.sample.validate();
-    const FigureResult result = ExperimentRunner(options).run(spec);
+    const FigureResult result = runFigures({spec}, options).front();
 
     JsonValue doc;
     ASSERT_TRUE(jsonParse(figureStatsJson(result), doc));
@@ -668,7 +667,7 @@ TEST(EpochRows, StatsEpochIsTheTimelineGridOfTheObservedBar)
 {
     setQuiet(true);
     const FigureResult result =
-        ExperimentRunner(epochOptions(2)).run(twoBarSpec());
+        runFigures({twoBarSpec()}, epochOptions(2)).front();
 
     // `isim-stat timeline` renders a bar's manifest rows as the CSV
     // of the rows the run recorded, line for line.

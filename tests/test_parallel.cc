@@ -22,7 +22,6 @@
 #include "src/core/experiment.hh"
 #include "src/core/figures.hh"
 #include "src/core/report.hh"
-#include "src/core/sweep.hh"
 #include "tests/host_meter.hh"
 
 namespace isim {
@@ -65,47 +64,23 @@ quietOptions(unsigned jobs)
     return opts;
 }
 
+/** Run one machine as a one-bar figure. */
+RunResult
+runMachine(const MachineConfig &config)
+{
+    FigureSpec spec;
+    spec.bars.push_back({config, std::nullopt, std::nullopt});
+    return runFigures({spec}, quietOptions(1)).front().runs.front();
+}
+
 TEST(Parallel, JobCountDoesNotChangeResults)
 {
     setQuiet(true);
     const FigureSpec spec = fourBarSpec();
-    const FigureResult seq =
-        ExperimentRunner(quietOptions(1)).run(spec);
-    const FigureResult par =
-        ExperimentRunner(quietOptions(4)).run(spec);
+    const FigureResult seq = runFigures({spec}, quietOptions(1)).front();
+    const FigureResult par = runFigures({spec}, quietOptions(4)).front();
     ASSERT_EQ(seq.runs.size(), par.runs.size());
     // The acceptance bar: the JSON artifacts are bit-identical.
-    EXPECT_EQ(figureToJson(seq), figureToJson(par));
-}
-
-TEST(Parallel, SweepRunsParallelAndDeterministic)
-{
-    setQuiet(true);
-    SweepSpec sweep;
-    sweep.id = "test-sweep-parallel";
-    sweep.title = "assoc x size";
-    sweep.base = figures::baseMachine(1);
-    sweep.axes.push_back(
-        {"assoc",
-         {{"1-way", [](MachineConfig &c) { c.l2.assoc = 1; }},
-          {"2-way", [](MachineConfig &c) { c.l2.assoc = 2; }}}});
-    sweep.axes.push_back(
-        {"size",
-         {{"1M", [](MachineConfig &c) { c.l2.sizeBytes = 1 * mib; }},
-          {"2M", [](MachineConfig &c) { c.l2.sizeBytes = 2 * mib; }}}});
-    for (SweepAxis &axis : sweep.axes)
-        for (SweepPoint &point : axis.points) {
-            const auto inner = point.apply;
-            point.apply = [inner](MachineConfig &c) {
-                c.workload = smallWorkload();
-                inner(c);
-            };
-        }
-    const FigureResult seq =
-        ExperimentRunner(quietOptions(1)).run(sweep);
-    const FigureResult par =
-        ExperimentRunner(quietOptions(4)).run(sweep);
-    ASSERT_EQ(seq.runs.size(), 4u);
     EXPECT_EQ(figureToJson(seq), figureToJson(par));
 }
 
@@ -117,16 +92,15 @@ TEST(Parallel, ConcurrentMachinesShareNoMutableState)
     MachineConfig b = figures::baseMachine(2);
     b.workload = smallWorkload();
 
-    const ExperimentRunner runner(quietOptions(1));
-    const RunResult refA = runner.runOne(a);
-    const RunResult refB = runner.runOne(b);
+    const RunResult refA = runMachine(a);
+    const RunResult refB = runMachine(b);
 
-    // Re-run both *concurrently*; if any mutable state were shared
-    // between machines, results would diverge from the sequential
-    // reference (and TSan would flag the race).
+    // Re-run both *concurrently* through runFigures; if it or the
+    // machines shared any mutable state, results would diverge from
+    // the sequential reference (and TSan would flag the race).
     RunResult conA, conB;
-    std::thread ta([&] { conA = runner.runOne(a); });
-    std::thread tb([&] { conB = runner.runOne(b); });
+    std::thread ta([&] { conA = runMachine(a); });
+    std::thread tb([&] { conB = runMachine(b); });
     ta.join();
     tb.join();
 
@@ -144,8 +118,7 @@ TEST(Parallel, WorkerExceptionsPropagateInSpecOrder)
     // by the Machine constructor (on a worker thread).
     spec.bars[1].config.coresPerNode = 3;
     ScopedPanicThrow guard;
-    EXPECT_THROW(ExperimentRunner(quietOptions(4)).run(spec),
-                 PanicError);
+    EXPECT_THROW(runFigures({spec}, quietOptions(4)), PanicError);
 }
 
 /** Fail an isim_assert whose condition text names thread `t`. */
@@ -224,7 +197,7 @@ TEST(Parallel, SpeedupOnMultiCoreHost)
         cpu[std::this_thread::get_id()] += spent;
     });
 
-    const FigureResult seq = ExperimentRunner(quietOptions(1)).run(spec);
+    const FigureResult seq = runFigures({spec}, quietOptions(1)).front();
     EXPECT_EQ(figureToJson(seq), figureToJson(par));
     double total = 0.0, busiest = 0.0;
     for (const auto &[thread, seconds] : cpu) {

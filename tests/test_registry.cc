@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the figure registry (catalog completeness, id
- * resolution) and for SweepSpec cross-product expansion.
+ * resolution).
  */
 
 #include <gtest/gtest.h>
@@ -10,9 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/figures.hh"
 #include "src/core/registry.hh"
-#include "src/core/sweep.hh"
 
 namespace isim {
 namespace {
@@ -85,60 +83,6 @@ TEST(Registry, PrefixResolvesToAllVariants)
     EXPECT_GE(registry.resolve("ablation").size(), 5u);
     EXPECT_TRUE(registry.resolve("no-such-figure").empty());
     EXPECT_EQ(registry.find("no-such-figure"), nullptr);
-}
-
-TEST(Sweep, ExpandsCrossProductFirstAxisFastest)
-{
-    SweepSpec sweep;
-    sweep.id = "test-sweep";
-    sweep.title = "2x3 grid";
-    sweep.base = figures::baseMachine(1);
-    sweep.axes.push_back(
-        {"letter",
-         {{"a", [](MachineConfig &) {}}, {"b", [](MachineConfig &) {}}}});
-    sweep.axes.push_back(
-        {"number",
-         {{"1", [](MachineConfig &) {}},
-          {"2", [](MachineConfig &) {}},
-          {"3", [](MachineConfig &) {}}}});
-    EXPECT_EQ(sweep.points(), 6u);
-    const FigureSpec spec = sweep.expand();
-    ASSERT_EQ(spec.bars.size(), 6u);
-    EXPECT_EQ(spec.bars[0].config.name, "a 1");
-    EXPECT_EQ(spec.bars[1].config.name, "b 1");
-    EXPECT_EQ(spec.bars[2].config.name, "a 2");
-    EXPECT_EQ(spec.bars[5].config.name, "b 3");
-    EXPECT_EQ(spec.id, "test-sweep");
-    EXPECT_EQ(spec.title, "2x3 grid");
-}
-
-TEST(Sweep, AppliesMutationsInAxisOrder)
-{
-    SweepSpec sweep;
-    sweep.id = "s";
-    sweep.title = "axis order";
-    sweep.base = figures::baseMachine(1);
-    sweep.axes.push_back(
-        {"cpus",
-         {{"one", [](MachineConfig &c) { c.numCpus = 1; }},
-          {"four", [](MachineConfig &c) { c.numCpus = 4; }}}});
-    const FigureSpec spec = sweep.expand();
-    ASSERT_EQ(spec.bars.size(), 2u);
-    EXPECT_EQ(spec.bars[0].config.numCpus, 1u);
-    EXPECT_EQ(spec.bars[1].config.numCpus, 4u);
-}
-
-TEST(Sweep, EmptyLabelsKeepConfigName)
-{
-    SweepSpec sweep;
-    sweep.id = "s";
-    sweep.title = "t";
-    sweep.base = figures::baseMachine(1);
-    sweep.base.name = "base-name";
-    sweep.axes.push_back({"axis", {{"", nullptr}}});
-    const FigureSpec spec = sweep.expand();
-    ASSERT_EQ(spec.bars.size(), 1u);
-    EXPECT_EQ(spec.bars[0].config.name, "base-name");
 }
 
 } // namespace

@@ -306,9 +306,9 @@ TEST(SampledRun, JobCountDoesNotChangeTheManifest)
     options.sample = smallSampleSpec();
 
     options.jobs = 1;
-    const FigureResult seq = ExperimentRunner(options).run(spec);
+    const FigureResult seq = runFigures({spec}, options).front();
     options.jobs = 4;
-    const FigureResult par = ExperimentRunner(options).run(spec);
+    const FigureResult par = runFigures({spec}, options).front();
 
     EXPECT_EQ(figureToJson(seq), figureToJson(par));
     EXPECT_EQ(figureStatsJson(seq), figureStatsJson(par));
@@ -346,13 +346,13 @@ TEST(SampledRun, CheckpointSaveResumeIsBitIdentical)
     // Cold run, saving the warm image...
     options.saveCkptDir = dir;
     const FigureResult cold =
-        ExperimentRunner(options).run(oneBarSpec(7, 100));
+        runFigures({oneBarSpec(7, 100)}, options).front();
 
     // ...then the same sampled measurement from the restored image.
     options.saveCkptDir.clear();
     options.fromCkptDir = dir;
     const FigureResult restored =
-        ExperimentRunner(options).run(oneBarSpec(7, 100));
+        runFigures({oneBarSpec(7, 100)}, options).front();
 
     EXPECT_EQ(figureToJson(cold), figureToJson(restored));
     EXPECT_EQ(figureStatsJson(cold), figureStatsJson(restored));
@@ -417,13 +417,13 @@ TEST(SampledAccuracy, CiAwareManifestDiffAgainstExactRunIsClean)
     options.jobs = 1;
     const FigureSpec spec = oneBarSpec(7, 400);
 
-    const FigureResult exact = ExperimentRunner(options).run(spec);
+    const FigureResult exact = runFigures({spec}, options).front();
     sample::SampleSpec s;
     s.ff = 40;
     s.measure = 10;
     s.warm = 20;
     options.sample = s;
-    const FigureResult sampled = ExperimentRunner(options).run(spec);
+    const FigureResult sampled = runFigures({spec}, options).front();
 
     JsonValue docA, docB;
     std::string err;
@@ -479,13 +479,13 @@ TEST(SampledAccuracy, Fig05SmokeSpeedupAndCpiBound)
     options.verbose = false;
 
     double start = processCpuSeconds();
-    const FigureResult exact = ExperimentRunner(options).run(spec);
+    const FigureResult exact = runFigures({spec}, options).front();
     const double exactSeconds = processCpuSeconds() - start;
     options.sample.ff = 66;
     options.sample.measure = 9;
     options.sample.warm = 4;
     start = processCpuSeconds();
-    const FigureResult sampled = ExperimentRunner(options).run(spec);
+    const FigureResult sampled = runFigures({spec}, options).front();
     const double sampledSeconds = processCpuSeconds() - start;
 
     ASSERT_EQ(sampled.runs.size(), exact.runs.size());

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the stats package: Breakdown, Histogram, Table.
+ * Unit tests for the stats package: Histogram, Table.
  */
 
 #include <gtest/gtest.h>
@@ -9,70 +9,11 @@
 #include <limits>
 #include <sstream>
 
-#include "src/stats/breakdown.hh"
 #include "src/stats/histogram.hh"
 #include "src/stats/table.hh"
 
 namespace isim {
 namespace {
-
-TEST(Breakdown, AddAndTotal)
-{
-    Breakdown b("exec", {"cpu", "l2", "mem"});
-    EXPECT_EQ(b.size(), 3u);
-    EXPECT_DOUBLE_EQ(b.total(), 0.0);
-    b.add(0, 10.0);
-    b.add(1, 30.0);
-    b.add(1, 10.0);
-    b.add(2, 50.0);
-    EXPECT_DOUBLE_EQ(b.component(0), 10.0);
-    EXPECT_DOUBLE_EQ(b.component(1), 40.0);
-    EXPECT_DOUBLE_EQ(b.total(), 100.0);
-    EXPECT_DOUBLE_EQ(b.fraction(2), 0.5);
-}
-
-TEST(Breakdown, SetOverwrites)
-{
-    Breakdown b("x", {"a"});
-    b.add(0, 5.0);
-    b.set(0, 2.0);
-    EXPECT_DOUBLE_EQ(b.total(), 2.0);
-}
-
-TEST(Breakdown, FractionOfEmptyIsZero)
-{
-    Breakdown b("x", {"a", "b"});
-    EXPECT_DOUBLE_EQ(b.fraction(0), 0.0);
-}
-
-TEST(Breakdown, Accumulate)
-{
-    Breakdown a("x", {"p", "q"});
-    Breakdown b("y", {"p", "q"});
-    a.add(0, 1.0);
-    b.add(0, 2.0);
-    b.add(1, 3.0);
-    a += b;
-    EXPECT_DOUBLE_EQ(a.component(0), 3.0);
-    EXPECT_DOUBLE_EQ(a.component(1), 3.0);
-}
-
-TEST(Breakdown, ScaledAndClear)
-{
-    Breakdown a("x", {"p"});
-    a.add(0, 4.0);
-    const Breakdown s = a.scaled(2.5);
-    EXPECT_DOUBLE_EQ(s.component(0), 10.0);
-    a.clear();
-    EXPECT_DOUBLE_EQ(a.total(), 0.0);
-}
-
-TEST(BreakdownDeathTest, MismatchedLayouts)
-{
-    Breakdown a("x", {"p"});
-    Breakdown b("y", {"p", "q"});
-    EXPECT_DEATH(a += b, "layouts differ");
-}
 
 TEST(Histogram, BasicMoments)
 {
@@ -170,13 +111,6 @@ TEST(Table, AlignedText)
     std::getline(is, first);
     std::getline(is, line); // separator
     EXPECT_EQ(line.find_first_not_of('-'), std::string::npos);
-}
-
-TEST(Table, Csv)
-{
-    Table t({"a", "b"});
-    t.row().cell("x").num(2.0, 0);
-    EXPECT_EQ(t.toCsv(), "a,b\nx,2\n");
 }
 
 TEST(Table, RowAndColumnCounts)

@@ -21,7 +21,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -34,6 +33,7 @@
 #include "src/campaign/cache.hh"
 #include "src/campaign/queue.hh"
 #include "src/campaign/supervisor.hh"
+#include "src/config/options.hh"
 #include "src/stats/manifest.hh"
 
 namespace {
@@ -64,32 +64,6 @@ usage(std::FILE *to, const char *argv0)
         "\nRun options (shared with isim-fig):\n%s",
         argv0, argv0, argv0, runOptionsHelp());
     return to == stdout ? 0 : 2;
-}
-
-/** Consume `--flag VALUE` / `--flag=VALUE` from an arg list. */
-bool
-takeValue(std::vector<std::string> &args, std::size_t &i,
-          const char *flag, std::string &value)
-{
-    const std::string &arg = args[i];
-    const std::size_t n = std::strlen(flag);
-    if (arg.compare(0, n, flag) != 0)
-        return false;
-    if (arg.size() > n && arg[n] == '=') {
-        value = arg.substr(n + 1);
-        args.erase(args.begin() + static_cast<long>(i));
-        return true;
-    }
-    if (arg.size() != n)
-        return false;
-    if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-    }
-    value = args[i + 1];
-    args.erase(args.begin() + static_cast<long>(i),
-               args.begin() + static_cast<long>(i) + 2);
-    return true;
 }
 
 int
@@ -232,27 +206,29 @@ main(int argc, char **argv)
     const char *argv0 = argv[0];
     RunOptions opts = RunOptions::fromCommandLine(argc, argv);
 
-    std::vector<std::string> args(argv + 1, argv + argc);
-    for (const std::string &arg : args) {
-        if (arg == "--help" || arg == "-h")
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--help") == 0 ||
+            std::strcmp(argv[i], "-h") == 0)
             return usage(stdout, argv0);
     }
 
-    // Campaign-specific flags (RunOptions left the rest to us).
+    // Campaign-specific flags (RunOptions left the rest to us), parsed
+    // like the run flags: a malformed value is fatal.
     std::string outDir;
-    std::string stopAfterText;
+    long stopAfter = -1;
     bool watch = false;
-    for (std::size_t i = 0; i < args.size();) {
-        if (args[i] == "--watch") {
+    std::vector<std::string> args;
+    std::string value;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--watch") == 0)
             watch = true;
-            args.erase(args.begin() + static_cast<long>(i));
-            continue;
-        }
-        if (takeValue(args, i, "--out", outDir) ||
-            takeValue(args, i, "--stop-after", stopAfterText)) {
-            continue;
-        }
-        ++i;
+        else if (flagValue(i, argc, argv, "--out", value))
+            outDir = value;
+        else if (flagValue(i, argc, argv, "--stop-after", value))
+            stopAfter = static_cast<long>(
+                parseUintFlag("--stop-after", value));
+        else
+            args.push_back(argv[i]);
     }
 
     if (args.empty())
@@ -286,18 +262,7 @@ main(int argc, char **argv)
         config.specPath = specPath;
         config.outDir = outDir;
         config.options = opts;
-        if (!stopAfterText.empty()) {
-            char *end = nullptr;
-            const long v = std::strtol(stopAfterText.c_str(), &end, 10);
-            if (end == stopAfterText.c_str() || *end != '\0' ||
-                v < 0) {
-                std::fprintf(stderr,
-                             "--stop-after: expected a non-negative "
-                             "integer\n");
-                return 2;
-            }
-            config.stopAfter = v;
-        }
+        config.stopAfter = stopAfter;
         opts.applyGlobal();
         return campaign::runCampaign(config);
     }

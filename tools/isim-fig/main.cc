@@ -218,7 +218,6 @@ regions(const std::string &file, const RunOptions &opts)
     }
     MachineConfig cfg = machineFromConfig(KvConfig::fromFile(file));
     opts.applyTo(cfg.workload);
-    opts.applyGlobal();
 
     Machine machine(cfg);
     machine.vm().enableProfiling(true);
@@ -273,6 +272,7 @@ main(int argc, char **argv)
     const int given = argc;
     const RunOptions opts = RunOptions::fromCommandLine(argc, argv);
     const bool runFlags = argc != given;
+    opts.applyGlobal();
 
     std::vector<std::string> args(argv + 1, argv + argc);
     for (const std::string &arg : args) {
